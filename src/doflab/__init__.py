@@ -11,6 +11,8 @@ The package splits into four layers:
   scheme with exact decoding, DoF accounting, and a finite-SNR
   Gaussian-rate harness.
 * ``cli``: the ``doflab`` command.
+
+``serialize`` holds every CSV and JSON artifact format the layers write.
 """
 
 from .exactgeom import (

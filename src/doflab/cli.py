@@ -12,7 +12,6 @@ presentation-only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exactgeom, regions, scheme
+from . import exactgeom, regions, scheme, serialize
 from ._svg import RegionFigure
 from .exactgeom import rat_str
 from .regions import AntennaConfig, DominantFace
@@ -28,8 +27,6 @@ from .regions import AntennaConfig, DominantFace
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-RESIDUAL_TOL = 1e-8
 
 
 class CliError(Exception):
@@ -88,10 +85,6 @@ def _write(path, text):
     print("wrote %s" % path)
 
 
-def _json_dump(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _point_str(point):
     return ", ".join(rat_str(x) for x in point)
 
@@ -125,8 +118,7 @@ def _build_region(args):
     raise CliError("unknown model %r" % args.model)
 
 
-def _region_svg(config, region):
-    verts = exactgeom.vertex_enumerate(region)
+def _region_svg(config, region, verts):
     axis_max = min(config.M, config.N[0] + (config.N[1] if config.K > 1 else 0))
     fig = RegionFigure(axis_max=max(axis_max, 1), title="M=%d N=%s" % (config.M, ",".join(map(str, config.N))))
     fig.add_polygon([(v[0], v[1]) for v in verts])
@@ -152,15 +144,15 @@ def cmd_region(args) -> int:
     if args.out:
         if args.format == "csv":
             out = Path(args.out)
-            _write(out, exactgeom.vertices_to_csv(verts, region.dimension))
+            _write(out, serialize.vertices_to_csv(verts, region.dimension))
             _write(out.with_suffix(".halfspaces" + (out.suffix or ".csv")),
-                   exactgeom.halfspaces_to_csv(region))
+                   serialize.halfspaces_to_csv(region))
         elif args.format == "json":
-            _write(args.out, _json_dump(regions.region_document(config, region)))
+            _write(args.out, serialize.json_text(serialize.region_document(config, region, verts)))
         elif args.format == "svg":
             if region.dimension != 2:
                 raise CliError("svg output needs a 2-dimensional region")
-            _write(args.out, _region_svg(config, region))
+            _write(args.out, _region_svg(config, region, verts))
     return EXIT_OK
 
 
@@ -176,44 +168,27 @@ def cmd_compare(args) -> int:
     for m in args.M:
         config = AntennaConfig(m, (n1, n2))
         region = regions.two_user_region(m, n1, n2)
-        sweep.append((m, config, region, exactgeom.vertex_enumerate(region)))
+        sum_dof = {
+            "perfect": regions.benchmark_sum_dof(config, "perfect"),
+            "none": regions.benchmark_sum_dof(config, "none"),
+            "delayed": exactgeom.lp_max(region, (Fraction(1), Fraction(1))),
+        }
+        sweep.append((config, region, exactgeom.vertex_enumerate(region), sum_dof))
     print("M,perfect,none,delayed")
-    for m, config, region, _ in sweep:
+    for config, _, _, sum_dof in sweep:
         print("%d,%s,%s,%s" % (
-            m,
-            rat_str(regions.benchmark_sum_dof(config, "perfect")),
-            rat_str(regions.benchmark_sum_dof(config, "none")),
-            rat_str(exactgeom.lp_max(region, (Fraction(1), Fraction(1)))),
+            config.M, rat_str(sum_dof["perfect"]), rat_str(sum_dof["none"]), rat_str(sum_dof["delayed"]),
         ))
     if args.out:
         if args.format == "csv":
-            lines = ["M,d1,d2"]
-            for m, _, _, verts in sweep:
-                for v in verts:
-                    lines.append("%d,%s,%s" % (m, rat_str(v[0]), rat_str(v[1])))
-            _write(args.out, "\n".join(lines) + "\n")
+            _write(args.out, serialize.sweep_to_csv(sweep))
         elif args.format == "json":
-            doc = {
-                "N": [n1, n2],
-                "sweep": [
-                    {
-                        "M": m,
-                        **regions.region_document(config, region),
-                        "sum_dof": {
-                            "perfect": rat_str(regions.benchmark_sum_dof(config, "perfect")),
-                            "none": rat_str(regions.benchmark_sum_dof(config, "none")),
-                            "delayed": rat_str(exactgeom.lp_max(region, (Fraction(1), Fraction(1)))),
-                        },
-                    }
-                    for m, config, region, _ in sweep
-                ],
-            }
-            _write(args.out, _json_dump(doc))
+            _write(args.out, serialize.json_text(serialize.sweep_document(args.N, sweep)))
         elif args.format == "svg":
             axis_max = max(min(m, n1 + n2) for m in args.M)
             fig = RegionFigure(axis_max=axis_max, title="N1=%d N2=%d" % (n1, n2))
-            for m, _, _, verts in sweep:
-                fig.add_polygon([(v[0], v[1]) for v in verts], label="M=%d" % m)
+            for config, _, verts, _ in sweep:
+                fig.add_polygon([(v[0], v[1]) for v in verts], label="M=%d" % config.M)
             _write(args.out, fig.render())
     return EXIT_OK
 
@@ -229,32 +204,13 @@ def _simulate_two_user(args, seed) -> int:
     print("case %s, %d slots/trial, max_residual %.3e, max_condition %.3e" % (
         summary.spec.case, summary.spec.total_slots, summary.max_residual, summary.max_condition,
     ))
-    report = {
-        "config": {"M": args.M, "N1": n1, "N2": n2},
-        "case": summary.spec.case,
-        "trials": summary.trials,
-        "failures": [list(f) for f in summary.failures],
-        "max_residual": summary.max_residual,
-        "max_condition": summary.max_condition,
-        "achieved_dof": [rat_str(x) for x in summary.achieved],
-        "matches_corner": summary.matches_corner,
-    }
+    curve = None
     if args.snr_db:
         curve = scheme.rate_slope_estimate(summary.spec, seed, args.snr_db)
         print("rate_slopes = %.4f, %.4f (bits/slot per log2 P)" % curve.slopes)
-        report["rate_slopes"] = list(curve.slopes)
-        report["rate_curve"] = [
-            {"snr_db": snr, "rate_user1": float(r[0]), "rate_user2": float(r[1])}
-            for snr, r in zip(curve.snr_db, curve.rates)
-        ]
     if args.out:
-        _write(args.out, _json_dump(report))
-    ok = (
-        not summary.failures
-        and summary.matches_corner
-        and summary.max_residual < RESIDUAL_TOL
-    )
-    return EXIT_OK if ok else EXIT_VERIFY
+        _write(args.out, serialize.json_text(serialize.trials_document(summary, curve)))
+    return EXIT_OK if summary.matches_corner else EXIT_VERIFY
 
 
 def _simulate_three_user(args, seed) -> int:
@@ -264,46 +220,32 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("three-user simulation needs --target d1,d2,d3")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
-    components = []
+    runs = []  # (status, failures, max_residual) per component
     ok = True
     seeds = np.random.SeedSequence(seed).spawn(max(len(plan.components), 1))
     for comp, sub in zip(plan.components, seeds):
-        entry = {
-            "point": [rat_str(x) for x in comp.point],
-            "weight": rat_str(comp.weight),
-            "source": comp.source,
-            "users": [u + 1 for u in comp.users],
-        }
         if comp.source == regions.SOURCE_EXTERNAL:
-            entry["status"] = "not simulated (external three-user corner scheme)"
+            runs.append(("not simulated (external three-user corner scheme)", None, None))
             ok = False
-        elif comp.source == regions.SOURCE_TWO_USER:
-            summary = scheme.simulate_trials(args.M, n, n, args.trials, sub)
-            entry["status"] = "simulated"
-            entry["failures"] = len(summary.failures)
-            entry["max_residual"] = summary.max_residual
-            ok = ok and not summary.failures and summary.max_residual < RESIDUAL_TOL
-        elif comp.source == regions.SOURCE_SINGLE_USER:
-            _, max_res, failures = scheme.simulate_single_user(args.M, n, args.trials, sub)
-            entry["status"] = "simulated"
-            entry["failures"] = len(failures)
-            entry["max_residual"] = max_res
-            ok = ok and not failures and max_res < RESIDUAL_TOL
+        elif comp.source in (regions.SOURCE_TWO_USER, regions.SOURCE_SINGLE_USER):
+            if comp.source == regions.SOURCE_TWO_USER:
+                summary = scheme.simulate_trials(args.M, n, n, args.trials, sub)
+                failures, max_res = summary.failures, summary.max_residual
+            else:
+                _, max_res, failures = scheme.simulate_single_user(args.M, n, args.trials, sub)
+            runs.append(("simulated", len(failures), max_res))
+            ok = ok and not failures and max_res < scheme.RESIDUAL_TOL
         else:
-            entry["status"] = "silent"
-        components.append(entry)
+            runs.append(("silent", None, None))
         print("%-18s weight %-8s point (%s): %s" % (
-            comp.source, rat_str(comp.weight), _point_str(comp.point), entry["status"],
+            comp.source, rat_str(comp.weight), _point_str(comp.point), runs[-1][0],
         ))
     print("target = (%s); plan identity %s" % (
         _point_str(plan.target), "exact" if plan.weighted_sum() == plan.target else "BROKEN",
     ))
     if args.out:
-        _write(args.out, _json_dump({
-            "config": {"M": args.M, "N": list(args.N)},
-            "target": [rat_str(x) for x in plan.target],
-            "components": components,
-        }))
+        config = AntennaConfig(args.M, tuple(args.N))
+        _write(args.out, serialize.json_text(serialize.plan_run_document(config, plan, runs)))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -342,31 +284,9 @@ def cmd_slice(args) -> int:
             print("  %s = (%s, %s)" % (name, rat_str(point[0]), rat_str(point[1])))
     if args.out:
         if args.format == "csv":
-            lines = ["name,d1,d2,d3"]
-            for name in sorted(slc.special_points):
-                point = slc.special_points[name]
-                if point is not None:
-                    lines.append("%s,%s,%s,%s" % (name, *(rat_str(x) for x in point)))
-            for i, c in enumerate(corners):
-                lines.append("V%d,%s,%s,%s" % (i, rat_str(c[0]), rat_str(c[1]), rat_str(slc.d3)))
-            _write(args.out, "\n".join(lines) + "\n")
+            _write(args.out, serialize.slice_to_csv(slc, corners))
         elif args.format == "json":
-            doc = {
-                "M": args.M,
-                "N": n,
-                "d3": rat_str(slc.d3),
-                "bounds": {
-                    name: {"coeffs": [rat_str(c) for c in hs.coeffs], "bound": rat_str(hs.bound)}
-                    for name, hs in slc.bounds.items()
-                },
-                "redundant": sorted(slc.redundant_bounds),
-                "special_points": {
-                    name: None if p is None else [rat_str(x) for x in p]
-                    for name, p in slc.special_points.items()
-                },
-                "corners": [[rat_str(x) for x in c] for c in corners],
-            }
-            _write(args.out, _json_dump(doc))
+            _write(args.out, serialize.json_text(serialize.slice_document(slc, corners)))
         elif args.format == "svg":
             fig = RegionFigure(axis_max=min(args.M, 2 * n),
                                title="S(d3=%s) M=%d N=%d" % (rat_str(slc.d3), args.M, n))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import gcd as math_gcd
 
@@ -35,14 +34,12 @@ __all__ = [
     "lp_max",
     "lp_argmax",
     "is_bounded",
+    "assert_bounded",
     "vertex_enumerate",
     "remove_redundant",
     "region_includes",
     "regions_equal",
     "solve_square",
-    "vertices_to_csv",
-    "halfspaces_to_csv",
-    "parse_vertices_csv",
 ]
 
 
@@ -111,13 +108,13 @@ class HalfSpace:
     def active(self, point) -> bool:
         return self.evaluate(point) == self.bound
 
-    def render(self, var: str = "d") -> str:
+    def render(self) -> str:
         """Human-readable form, e.g. "1/4 d1 + 1/2 d2 <= 1" or "d1 <= 1"."""
         terms = []
         for i, c in enumerate(self.coeffs, start=1):
             if c == 0:
                 continue
-            name = "%s%d" % (var, i)
+            name = "d%d" % i
             if c == 1:
                 terms.append(name)
             elif c == -1:
@@ -132,7 +129,6 @@ class DoFRegion:
     """Bounded region {d >= 0 : coeffs_j . d <= bound_j for all j}.
 
     Nonnegativity is implicit: it is never stored as a user half-space.
-    ``vertices`` is computed lazily and cached (K <= 4 only).
     """
 
     dimension: int
@@ -150,10 +146,6 @@ class DoFRegion:
                     "half-space has %d coefficients in a %d-dimensional region"
                     % (len(hs.coeffs), self.dimension)
                 )
-
-    @cached_property
-    def vertices(self) -> tuple:
-        return tuple(vertex_enumerate(self))
 
 
 def contains(region: DoFRegion, point) -> bool:
@@ -340,9 +332,11 @@ def is_bounded(region: DoFRegion) -> bool:
     return True
 
 
-def _assert_bounded(region: DoFRegion):
+def assert_bounded(region: DoFRegion) -> DoFRegion:
+    """The region itself; raises UnboundedRegionError if it is unbounded."""
     if not is_bounded(region):
         raise UnboundedRegionError("region is unbounded")
+    return region
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,7 @@ def vertex_enumerate(region: DoFRegion):
     k = region.dimension
     if k > 4:
         raise UnsupportedDimensionError("vertex enumeration supports K <= 4, got K=%d" % k)
-    _assert_bounded(region)
+    assert_bounded(region)
     # integerize each constraint row once so the per-basis solves are
     # Cramer determinants over plain ints
     rows = []
@@ -444,7 +438,7 @@ def remove_redundant(region: DoFRegion) -> DoFRegion:
     others (and nonnegativity) stays <= its bound; a sub-problem that
     becomes unbounded means the half-space is load-bearing and is kept.
     """
-    _assert_bounded(region)
+    assert_bounded(region)
     survivors = list(region.halfspaces)
     i = 0
     while i < len(survivors):
@@ -473,43 +467,3 @@ def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
 def regions_equal(a: DoFRegion, b: DoFRegion) -> bool:
     """True iff the two regions have identical point sets."""
     return region_includes(a, b) and region_includes(b, a)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization: rationals rendered "p/q", header row "d1,...,dK"
-# ---------------------------------------------------------------------------
-
-def _header(dimension: int, extra=()):
-    return ",".join(["d%d" % (i + 1) for i in range(dimension)] + list(extra))
-
-
-def vertices_to_csv(vertices, dimension: int) -> str:
-    lines = [_header(dimension)]
-    for v in vertices:
-        if len(v) != dimension:
-            raise DimensionMismatchError("vertex of length %d, expected %d" % (len(v), dimension))
-        lines.append(",".join(rat_str(x) for x in v))
-    return "\n".join(lines) + "\n"
-
-
-def halfspaces_to_csv(region: DoFRegion) -> str:
-    lines = [_header(region.dimension, extra=("bound",))]
-    for hs in region.halfspaces:
-        lines.append(",".join([rat_str(c) for c in hs.coeffs] + [rat_str(hs.bound)]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_vertices_csv(text: str):
-    """Inverse of vertices_to_csv; returns (dimension, list of points)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    dimension = len(header)
-    if header != ["d%d" % (i + 1) for i in range(dimension)]:
-        raise GeometryError("unexpected CSV header: %r" % lines[0])
-    points = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != dimension:
-            raise DimensionMismatchError("CSV row of length %d, expected %d" % (len(cells), dimension))
-        points.append(tuple(Fraction(c) for c in cells))
-    return dimension, points

@@ -27,9 +27,8 @@ from .exactgeom import (
     DoFRegion,
     GeometryError,
     HalfSpace,
-    UnboundedRegionError,
+    assert_bounded,
     contains,
-    is_bounded,
     rat,
     rat_str,
     remove_redundant,
@@ -58,9 +57,6 @@ __all__ = [
     "plane_slice",
     "achievability_plan",
     "convex_decompose_2d",
-    "region_document",
-    "plan_document",
-    "plan_to_csv",
 ]
 
 _ZERO = Fraction(0)
@@ -124,12 +120,6 @@ def outer_bound_region(config: AntennaConfig) -> DoFRegion:
     return remove_redundant(DoFRegion(config.K, tuple(raw)))
 
 
-def _assert_bounded(region: DoFRegion) -> DoFRegion:
-    if not is_bounded(region):
-        raise UnboundedRegionError("constructed region is unbounded")
-    return region
-
-
 def two_user_region(M: int, N1: int, N2: int) -> DoFRegion:
     """Two-user delayed-CSIT region: lines L1 and L2.
 
@@ -142,7 +132,7 @@ def two_user_region(M: int, N1: int, N2: int) -> DoFRegion:
         raise ValueError("need M >= 1")
     l1 = HalfSpace((Fraction(1, min(M, N1 + N2)), Fraction(1, min(M, N2))), _ONE)
     l2 = HalfSpace((Fraction(1, min(M, N1)), Fraction(1, min(M, N1 + N2))), _ONE)
-    return _assert_bounded(DoFRegion(2, (l1, l2)))
+    return assert_bounded(DoFRegion(2, (l1, l2)))
 
 
 def three_user_region(M: int, N: int) -> DoFRegion:
@@ -156,14 +146,14 @@ def three_user_region(M: int, N: int) -> DoFRegion:
     if M > 2 * N:
         raise ThreeUserScopeError("three-user region requires M <= 2N, got M=%d N=%d" % (M, N))
     if M <= N:
-        return _assert_bounded(DoFRegion(3, (HalfSpace((_ONE, _ONE, _ONE), Fraction(M)),)))
+        return assert_bounded(DoFRegion(3, (HalfSpace((_ONE, _ONE, _ONE), Fraction(M)),)))
     ratio = Fraction(M, N)
     rows = []
     for k in range(3):
         coeffs = [_ONE, _ONE, _ONE]
         coeffs[k] = ratio
         rows.append(HalfSpace(tuple(coeffs), Fraction(M)))
-    return _assert_bounded(DoFRegion(3, tuple(rows)))
+    return assert_bounded(DoFRegion(3, tuple(rows)))
 
 
 @dataclass(frozen=True)
@@ -382,8 +372,8 @@ def _pair_corners(M: int, N: int):
     return tuple(vertex_enumerate(two_user_region(M, N, N)))
 
 
-def _embed(pair_values, axes, k=3):
-    point = [_ZERO] * k
+def _embed(pair_values, axes):
+    point = [_ZERO] * 3
     for axis, value in zip(axes, pair_values):
         point[axis] = value
     return tuple(point)
@@ -491,49 +481,3 @@ def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
     if plan.weighted_sum() != target or plan.total_weight() != 1:
         raise AssertionError("plan decomposition failed to reproduce the target exactly")
     return plan
-
-
-# ---------------------------------------------------------------------------
-# JSON documents (rationals as "p/q" strings)
-# ---------------------------------------------------------------------------
-
-def region_document(config, region: DoFRegion, with_vertices: bool = True,
-                    plan: AchievabilityPlan | None = None) -> dict:
-    doc = {
-        "config": {"M": config.M, "N": list(config.N)},
-        "halfspaces": [
-            {"coeffs": [rat_str(c) for c in hs.coeffs], "bound": rat_str(hs.bound)}
-            for hs in region.halfspaces
-        ],
-    }
-    if with_vertices:
-        doc["vertices"] = [[rat_str(x) for x in v] for v in vertex_enumerate(region)]
-    if plan is not None:
-        doc["plan"] = plan_document(plan)
-    return doc
-
-
-def plan_document(plan: AchievabilityPlan) -> dict:
-    return {
-        "target": [rat_str(x) for x in plan.target],
-        "components": [
-            {
-                "point": [rat_str(x) for x in comp.point],
-                "weight": rat_str(comp.weight),
-                "source": comp.source,
-                "users": [u + 1 for u in comp.users],
-            }
-            for comp in plan.components
-        ],
-    }
-
-
-def plan_to_csv(plan: AchievabilityPlan) -> str:
-    k = len(plan.target)
-    lines = [",".join(["d%d" % (i + 1) for i in range(k)] + ["weight", "source", "users"])]
-    for comp in plan.components:
-        users = " ".join(str(u + 1) for u in comp.users)
-        lines.append(",".join(
-            [rat_str(x) for x in comp.point] + [rat_str(comp.weight), comp.source, users]
-        ))
-    return "\n".join(lines) + "\n"

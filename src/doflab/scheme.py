@@ -51,15 +51,13 @@ __all__ = [
     "draw_symbols",
     "run_phases",
     "decode",
-    "achieved_dof",
     "simulate_trials",
     "rate_slope_estimate",
-    "transcript_document",
-    "report_document",
-    "rate_curve_to_csv",
 ]
 
-COND_LIMIT = 1e10
+COND_LIMIT = 1e10  # a decoding matrix above this condition number fails the trial
+ILL_CONDITIONED = 1e8  # solves above this condition number are counted, not failed
+RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corner
 
 
 class SchemeError(ValueError):
@@ -362,33 +360,18 @@ class DecodingReport:
     residual_user2: float
     max_condition: float
     solves: int  # matrices inverted
-    ill_conditioned: int  # of those, how many exceeded condition 1e8
-    achieved: tuple  # exact rational DoF pair
+    ill_conditioned: int  # of those, how many exceeded ILL_CONDITIONED
+    spec: SchemeSpec  # the decoded plan, whose target_dof() the symbols realize
 
 
-def _checked_solve(matrix, rhs, slot, what, cond_limit):
+def _checked_solve(matrix, rhs, slot, what):
     cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularChannelError(slot, float(cond), what)
     return np.linalg.solve(matrix, rhs), cond
 
 
-class _CondStats:
-    """Running conditioning tally over all inverted matrices."""
-
-    def __init__(self):
-        self.worst = 0.0
-        self.solves = 0
-        self.ill = 0
-
-    def push(self, cond):
-        self.worst = max(self.worst, cond)
-        self.solves += 1
-        if cond > 1e8:
-            self.ill += 1
-
-
-def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingReport:
+def decode(transcript: Transcript) -> DecodingReport:
     """Recover both users' symbols by exact linear solves.
 
     Phase 3: each receiver subtracts the forwarded LCs it already holds
@@ -401,7 +384,7 @@ def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingRe
     ch = transcript.channels
     t1, t2, t3 = spec.phase_lengths
     eff = spec.effective_m
-    stats = _CondStats()
+    conds = []  # condition number of every inverted matrix
 
     if spec.case == "A":
         s1, s2, _ = spec.symbols_per_slot
@@ -409,17 +392,17 @@ def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingRe
         u2_hat = np.zeros_like(transcript.u2)
         for t in range(t1):
             sol, cond = _checked_solve(
-                ch.h1[t][:s1, :s1], transcript.y1[t][:s1], t, "single-user solve", cond_limit
+                ch.h1[t][:s1, :s1], transcript.y1[t][:s1], t, "single-user solve"
             )
             u1_hat[:, t] = sol
-            stats.push(cond)
+            conds.append(cond)
         for t in range(t2):
             sol, cond = _checked_solve(
                 ch.h2[t1 + t][:s2, :s2], transcript.y2[t1 + t][:s2], t1 + t,
-                "single-user solve", cond_limit,
+                "single-user solve",
             )
             u2_hat[:, t] = sol
-            stats.push(cond)
+            conds.append(cond)
     else:
         n1, n2 = spec.N1, spec.N2
         rec1 = {}  # (source slot, row) -> recovered user-1-destined LC value
@@ -432,9 +415,9 @@ def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingRe
             )
             resid = transcript.y1[t] - ch.h1[t][:, eff - n2 : eff] @ known2
             vals, cond = _checked_solve(
-                ch.h1[t][:, :n1], resid, t, "user-1 alignment solve", cond_limit
+                ch.h1[t][:, :n1], resid, t, "user-1 alignment solve"
             )
-            stats.push(cond)
+            conds.append(cond)
             for j, lc_id in enumerate(slot.user1_lcs):
                 rec1[lc_id] = vals[j]
             # user 2 cancels the user-1-destined LCs: rows of its phase-1 signal
@@ -443,9 +426,9 @@ def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingRe
             )
             resid = transcript.y2[t] - ch.h2[t][:, :n1] @ known1
             vals, cond = _checked_solve(
-                ch.h2[t][:, eff - n2 : eff], resid, t, "user-2 alignment solve", cond_limit
+                ch.h2[t][:, eff - n2 : eff], resid, t, "user-2 alignment solve"
             )
-            stats.push(cond)
+            conds.append(cond)
             for j, lc_id in enumerate(slot.user2_lcs):
                 rec2[lc_id] = vals[j]
 
@@ -455,18 +438,18 @@ def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingRe
             rhs = np.concatenate(
                 [transcript.y1[t], [rec1[(t, r)] for r in range(spec.needed1)]]
             )
-            sol, cond = _checked_solve(g, rhs, t, "user-1 data solve", cond_limit)
+            sol, cond = _checked_solve(g, rhs, t, "user-1 data solve")
             u1_hat[:, t] = sol
-            stats.push(cond)
+            conds.append(cond)
         u2_hat = np.zeros_like(transcript.u2)
         for t in range(t2):
             g = np.vstack([ch.h2[t1 + t][:, :eff], ch.h1[t1 + t][: spec.needed2, :eff]])
             rhs = np.concatenate(
                 [transcript.y2[t1 + t], [rec2[(t1 + t, r)] for r in range(spec.needed2)]]
             )
-            sol, cond = _checked_solve(g, rhs, t1 + t, "user-2 data solve", cond_limit)
+            sol, cond = _checked_solve(g, rhs, t1 + t, "user-2 data solve")
             u2_hat[:, t] = sol
-            stats.push(cond)
+            conds.append(cond)
 
     res1 = float(np.max(np.abs(u1_hat - transcript.u1))) if transcript.u1.size else 0.0
     res2 = float(np.max(np.abs(u2_hat - transcript.u2))) if transcript.u2.size else 0.0
@@ -475,20 +458,11 @@ def decode(transcript: Transcript, cond_limit: float = COND_LIMIT) -> DecodingRe
         symbols_user2=int(transcript.u2.size),
         residual_user1=res1,
         residual_user2=res2,
-        max_condition=stats.worst,
-        solves=stats.solves,
-        ill_conditioned=stats.ill,
-        achieved=spec.target_dof(),
+        max_condition=max(conds, default=0.0),
+        solves=len(conds),
+        ill_conditioned=sum(1 for c in conds if c > ILL_CONDITIONED),
+        spec=spec,
     )
-
-
-def achieved_dof(report: DecodingReport, spec: SchemeSpec) -> tuple:
-    """Exact DoF pair: recovered symbols over total slots."""
-    count1, count2 = spec.symbol_counts
-    if (report.symbols_user1, report.symbols_user2) != (count1, count2):
-        raise SchemeError("report symbol counts do not match the plan")
-    total = spec.total_slots
-    return (Fraction(count1, total), Fraction(count2, total))
 
 
 @dataclass(eq=False)
@@ -500,8 +474,8 @@ class TrialSummary:
     max_condition: float
     solves: int
     ill_conditioned: int
-    achieved: tuple  # exact DoF pair, identical across trials
-    matches_corner: bool
+    achieved: tuple  # the plan's exact DoF pair
+    matches_corner: bool  # achieved is the corner and every trial decoded within RESIDUAL_TOL
 
 
 def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
@@ -516,7 +490,6 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     max_cond = 0.0
     solves = 0
     ill = 0
-    achieved = spec.target_dof()
     for i, child in enumerate(children):
         ch_seed, sym_seed = child.spawn(2)
         channels = generate_channels(spec, ch_seed)
@@ -531,13 +504,13 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
         max_cond = max(max_cond, report.max_condition)
         solves += report.solves
         ill += report.ill_conditioned
-        if achieved_dof(report, spec) != achieved:
-            raise SchemeError("achieved DoF changed across trials")
+    achieved = spec.target_dof()
     corner = point_Q(M, N1, N2)
     if isinstance(corner, DominantFace):
         matches = corner.line.active(achieved)
     else:
         matches = achieved == corner
+    matches = matches and not failures and max_res < RESIDUAL_TOL
     return TrialSummary(
         spec=spec,
         trials=trials,
@@ -551,8 +524,7 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     )
 
 
-def simulate_single_user(M: int, N: int, trials: int, seed,
-                         cond_limit: float = COND_LIMIT):
+def simulate_single_user(M: int, N: int, trials: int, seed):
     """Point-to-point check: min(M, N) streams decoded per slot.
 
     Used when a time-sharing component turns every other user off.
@@ -570,8 +542,7 @@ def simulate_single_user(M: int, N: int, trials: int, seed,
         u = _crandn(rng, (streams,))
         y = h[:, :streams] @ u
         try:
-            u_hat, _ = _checked_solve(h[:streams, :streams], y[:streams], 0,
-                                      "single-user solve", cond_limit)
+            u_hat, _ = _checked_solve(h[:streams, :streams], y[:streams], 0, "single-user solve")
         except SingularChannelError as err:
             failures.append((i, err.slot, err.cond))
             continue
@@ -590,7 +561,7 @@ class RateCurve:
     slopes: tuple  # fitted d rate / d log2(P) per user
 
 
-def _whitened_blocks(blocks, cond_limit):
+def _whitened_blocks(blocks):
     """Whiten (G, cov, slot) blocks; cov=None means white noise."""
     out = []
     for g, cov, slot in blocks:
@@ -598,7 +569,7 @@ def _whitened_blocks(blocks, cond_limit):
             out.append(g)
             continue
         cond = np.linalg.cond(cov)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularChannelError(slot, float(cond), "side-information covariance")
         chol = np.linalg.cholesky(cov)
         out.append(np.linalg.solve(chol, g))
@@ -664,17 +635,17 @@ def _user_models(spec: SchemeSpec, channels: ChannelRealization):
     return blocks1, blocks2
 
 
-def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list,
-                        cond_limit: float = COND_LIMIT) -> RateCurve:
+def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
     """Gaussian mutual-information rates and their high-SNR slope fit.
 
     For each SNR, computes I(u_i; observations)/T via log-determinants of
     the whitened end-to-end model and fits a least-squares line against
-    log2(P).  Needs at least three SNR points.
+    log2(P).  Needs at least three distinct finite SNR points.
     """
     snr_db = tuple(float(s) for s in snr_db_list)
-    if len(snr_db) < 3:
-        raise SchemeError("need at least 3 SNR points for a slope fit")
+    if not all(math.isfinite(s) for s in snr_db) or len(set(snr_db)) < 3:
+        raise SchemeError("need at least 3 distinct finite SNR points for a slope fit, got %s"
+                          % ",".join("%g" % s for s in snr_db))
     channels = generate_channels(spec, seed)
     blocks1, blocks2 = _user_models(spec, channels)
     total = spec.total_slots
@@ -682,7 +653,7 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list,
     eigs = []
     for blocks in (blocks1, blocks2):
         if blocks:
-            gw = _whitened_blocks(blocks, cond_limit)
+            gw = _whitened_blocks(blocks)
             gram = gw.conj().T @ gw
             lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
         else:
@@ -704,50 +675,3 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list,
     log2p = np.array([snr / 10.0 * np.log2(10.0) for snr in snr_db])
     slopes = tuple(float(np.polyfit(log2p, rates[:, u], 1)[0]) for u in (0, 1))
     return RateCurve(snr_db=snr_db, rates=rates, slopes=slopes)
-
-
-# ---------------------------------------------------------------------------
-# Dumps
-# ---------------------------------------------------------------------------
-
-def _complex_array(a: np.ndarray):
-    """Nested lists with each complex entry as an [re, im] pair."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def transcript_document(transcript: Transcript) -> dict:
-    spec = transcript.spec
-    return {
-        "config": {"M": spec.M, "N1": spec.N1, "N2": spec.N2, "case": spec.case},
-        "phase_lengths": list(spec.phase_lengths),
-        "channels_user1": _complex_array(transcript.channels.h1),
-        "channels_user2": _complex_array(transcript.channels.h2),
-        "symbols_user1": _complex_array(transcript.u1),
-        "symbols_user2": _complex_array(transcript.u2),
-        "overheard_user1": _complex_array(transcript.lc_user1),
-        "overheard_user2": _complex_array(transcript.lc_user2),
-        "transmitted": _complex_array(transcript.x),
-        "received_user1": _complex_array(transcript.y1),
-        "received_user2": _complex_array(transcript.y2),
-        "noise_std": transcript.noise_std,
-    }
-
-
-def report_document(report: DecodingReport) -> dict:
-    return {
-        "symbols_user1": report.symbols_user1,
-        "symbols_user2": report.symbols_user2,
-        "residual_user1": report.residual_user1,
-        "residual_user2": report.residual_user2,
-        "max_condition": report.max_condition,
-        "solves": report.solves,
-        "ill_conditioned": report.ill_conditioned,
-        "achieved_dof": [str(report.achieved[0]), str(report.achieved[1])],
-    }
-
-
-def rate_curve_to_csv(curve: RateCurve) -> str:
-    lines = ["snr_db,rate_user1,rate_user2"]
-    for snr, (r1, r2) in zip(curve.snr_db, curve.rates):
-        lines.append("%.6g,%.12g,%.12g" % (snr, r1, r2))
-    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import json
 
+from doflab import scheme
 from doflab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -161,6 +162,40 @@ def test_simulate_with_rates(capsys):
     )
     assert code == EXIT_OK
     assert "rate_slopes" in stdout
+
+
+def test_simulate_degenerate_snr_list_is_usage_error(capsys):
+    for snr_db in ("30,30,30", "30,40,nan"):
+        code, _, err = run_cli(
+            capsys, "simulate", "--M", "4", "--N", "3,2", "--trials", "2", "--snr-db", snr_db,
+        )
+        assert code == EXIT_USAGE
+        assert "distinct finite SNR points" in err
+
+
+def test_simulate_failed_trial_misses_corner(tmp_path, capsys, monkeypatch):
+    real = scheme.generate_channels
+    calls = []
+
+    def zero_second_trial(spec, seed):
+        channels = real(spec, seed)
+        calls.append(seed)
+        if len(calls) == 2:
+            channels.h1[:] = 0
+        return channels
+
+    monkeypatch.setattr(scheme, "generate_channels", zero_second_trial)
+    summary = scheme.simulate_trials(4, 3, 2, trials=3, seed=7)
+    assert [f[0] for f in summary.failures] == [1]
+    assert summary.matches_corner is False
+    calls.clear()
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--M", "4", "--N", "3,2", "--trials", "3", "--seed", "7",
+        "--out", str(out),
+    )
+    assert code == EXIT_VERIFY
+    assert json.loads(out.read_text())["matches_corner"] is False
 
 
 def test_simulate_env_seed(tmp_path, capsys, monkeypatch):

@@ -23,20 +23,18 @@ from doflab.exactgeom import (
     UnsupportedDimensionError,
     contains,
     dot,
-    halfspaces_to_csv,
     is_bounded,
     lp_argmax,
     lp_max,
-    parse_vertices_csv,
     rat,
     rat_str,
     regions_equal,
     remove_redundant,
     solve_square,
     vertex_enumerate,
-    vertices_to_csv,
 )
 from doflab.regions import AntennaConfig, outer_bound_region, three_user_region, two_user_region
+from doflab.serialize import halfspaces_to_csv, parse_vertices_csv, vertices_to_csv
 
 
 def scipy_support_oracle(region, objective):

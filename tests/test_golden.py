@@ -20,18 +20,16 @@ from pathlib import Path
 import pytest
 
 from doflab import cli
-from doflab.exactgeom import parse_vertices_csv, vertices_to_csv
-from doflab.regions import achievability_plan, plan_document, plan_to_csv
-from doflab.scheme import (
-    decode,
-    draw_symbols,
-    generate_channels,
-    plan_two_user,
+from doflab.regions import achievability_plan
+from doflab.scheme import decode, draw_symbols, generate_channels, plan_two_user, rate_slope_estimate, run_phases
+from doflab.serialize import (
+    parse_vertices_csv,
+    plan_document,
+    plan_to_csv,
     rate_curve_to_csv,
-    rate_slope_estimate,
     report_document,
-    run_phases,
     transcript_document,
+    vertices_to_csv,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from doflab.regions import point_Q
-from doflab.scheme import SchemeError, plan_two_user, rate_curve_to_csv, rate_slope_estimate
+from doflab.scheme import SchemeError, plan_two_user, rate_slope_estimate
+from doflab.serialize import rate_curve_to_csv
 
 SNR_WINDOW = [30.0, 40.0, 50.0, 60.0]
 
@@ -50,8 +51,14 @@ def test_slope_non_decreasing_in_window_upper_end():
 
 def test_rate_needs_three_points():
     spec = plan_two_user(4, 3, 2)
-    with pytest.raises(SchemeError):
-        rate_slope_estimate(spec, seed=0, snr_db_list=[30.0, 60.0])
+    for snr_db in (
+        [30.0, 60.0],
+        [30.0, 30.0, 30.0],  # one distinct point: the fit is rank deficient
+        [30.0, 40.0, float("nan")],
+        [30.0, 40.0, 50.0, float("inf")],
+    ):
+        with pytest.raises(SchemeError, match="3 distinct finite SNR points"):
+            rate_slope_estimate(spec, seed=0, snr_db_list=snr_db)
 
 
 def test_rate_case_a_time_division():

@@ -34,15 +34,13 @@ from doflab.regions import (
     d3_mid,
     outer_bound_region,
     permutation_inequalities,
-    plan_document,
-    plan_to_csv,
     plane_slice,
     point_Q,
-    region_document,
     sum_dof_closed_form,
     three_user_region,
     two_user_region,
 )
+from doflab.serialize import plan_document, plan_to_csv, region_document
 
 ALLOWED_SOURCES = {SOURCE_TWO_USER, SOURCE_SINGLE_USER, SOURCE_TIME_DIVISION, SOURCE_EXTERNAL}
 
@@ -429,7 +427,8 @@ def test_plan_vertices_map_to_expected_sources():
 
 def test_region_document_round_trip_strings():
     cfg = AntennaConfig(4, (3, 2))
-    doc = region_document(cfg, two_user_region(4, 3, 2))
+    region = two_user_region(4, 3, 2)
+    doc = region_document(cfg, region, vertex_enumerate(region))
     text = json.dumps(doc, sort_keys=True)
     assert json.loads(text) == doc
     assert doc["config"] == {"M": 4, "N": [3, 2]}
@@ -443,14 +442,6 @@ def test_plan_document():
     assert doc["target"] == ["1/2", "1/2", "1/2"]
     assert doc["components"][0]["source"] == SOURCE_EXTERNAL
     assert doc["components"][0]["users"] == [1, 2, 3]
-
-
-def test_region_document_embeds_plan():
-    cfg = AntennaConfig(2, (1, 1, 1))
-    plan = achievability_plan(2, 1, (F(7, 12), F(1, 4), F(7, 12)))
-    doc = region_document(cfg, three_user_region(2, 1), plan=plan)
-    assert doc["plan"]["target"] == ["7/12", "1/4", "7/12"]
-    assert {"config", "halfspaces", "vertices", "plan"} <= set(doc)
 
 
 def test_plan_to_csv():
