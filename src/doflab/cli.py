@@ -103,6 +103,10 @@ def _line_endpoints(hs):
 def _build_region(args):
     if args.model == "outer":
         config = AntennaConfig(args.M, tuple(args.N))
+        if config.K > exactgeom.MAX_VERTEX_K:
+            # the region would be built in full, then fail in vertex enumeration
+            raise CliError("vertex enumeration supports K <= %d, got K=%d"
+                           % (exactgeom.MAX_VERTEX_K, config.K))
         return config, regions.outer_bound_region(config)
     if args.model == "two-user":
         if len(args.N) != 2:
@@ -230,11 +234,10 @@ def _simulate_three_user(args, seed) -> int:
         elif comp.source in (regions.SOURCE_TWO_USER, regions.SOURCE_SINGLE_USER):
             if comp.source == regions.SOURCE_TWO_USER:
                 summary = scheme.simulate_trials(args.M, n, n, args.trials, sub)
-                failures, max_res = summary.failures, summary.max_residual
             else:
-                _, max_res, failures = scheme.simulate_single_user(args.M, n, args.trials, sub)
-            runs.append(("simulated", len(failures), max_res))
-            ok = ok and not failures and max_res < scheme.RESIDUAL_TOL
+                summary = scheme.simulate_single_user(args.M, n, args.trials, sub)
+            runs.append(("simulated", len(summary.failures), summary.max_residual))
+            ok = ok and not summary.failures and summary.max_residual < scheme.RESIDUAL_TOL
         else:
             runs.append(("silent", None, None))
         print("%-18s weight %-8s point (%s): %s" % (

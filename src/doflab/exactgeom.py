@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 
+MAX_VERTEX_K = 4  # largest dimension vertex_enumerate accepts
+
+
 class GeometryError(ValueError):
     """Base class for errors raised by the exact-geometry layer."""
 
@@ -319,17 +322,15 @@ def lp_max(region: DoFRegion, objective) -> Fraction:
 
 
 def is_bounded(region: DoFRegion) -> bool:
-    """True iff every coordinate is bounded above (d >= 0 bounds below)."""
-    unit = [_ZERO] * region.dimension
-    for i in range(region.dimension):
-        unit[i] = _ONE
-        status, _, _ = _support(region, unit)
-        unit[i] = _ZERO
-        if status == _INFEASIBLE:
-            raise EmptyRegionError("region is empty")
-        if status == _UNBOUNDED:
-            return False
-    return True
+    """True iff every coordinate is bounded above (d >= 0 bounds below).
+
+    With d >= 0 each coordinate is at most d1 + ... + dK, so one LP on the
+    all-ones objective decides it.
+    """
+    status, _, _ = _support(region, [_ONE] * region.dimension)
+    if status == _INFEASIBLE:
+        raise EmptyRegionError("region is empty")
+    return status != _UNBOUNDED
 
 
 def assert_bounded(region: DoFRegion) -> DoFRegion:
@@ -398,8 +399,10 @@ def vertex_enumerate(region: DoFRegion):
     satisfied.  Output is deduplicated and sorted lexicographically.
     """
     k = region.dimension
-    if k > 4:
-        raise UnsupportedDimensionError("vertex enumeration supports K <= 4, got K=%d" % k)
+    if k > MAX_VERTEX_K:
+        raise UnsupportedDimensionError(
+            "vertex enumeration supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
+        )
     assert_bounded(region)
     # integerize each constraint row once so the per-basis solves are
     # Cramer determinants over plain ints

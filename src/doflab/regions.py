@@ -27,6 +27,7 @@ from .exactgeom import (
     DoFRegion,
     GeometryError,
     HalfSpace,
+    UnsupportedDimensionError,
     assert_bounded,
     contains,
     rat,
@@ -61,6 +62,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+MAX_OUTER_K = 5  # largest user count outer_bound_region accepts
 
 
 class ThreeUserScopeError(GeometryError):
@@ -110,7 +112,16 @@ def permutation_inequalities(config: AntennaConfig):
     return out
 
 def outer_bound_region(config: AntennaConfig) -> DoFRegion:
-    """Outer bound on the delayed-CSIT DoF region, redundancy-reduced."""
+    """Outer bound on the delayed-CSIT DoF region, redundancy-reduced.
+
+    Refuses K > MAX_OUTER_K up front: redundancy removal runs one exact LP
+    per distinct one of the K! permutation inequalities, each over all the
+    others, which is already the slowest step of the K=5 bound.
+    """
+    if config.K > MAX_OUTER_K:
+        raise UnsupportedDimensionError(
+            "outer bound supports K <= %d, got K=%d" % (MAX_OUTER_K, config.K)
+        )
     raw = []
     seen = set()
     for hs in permutation_inequalities(config):

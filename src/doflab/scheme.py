@@ -16,7 +16,10 @@ Plan geometry for effective antenna count E = min(M, N1+N2):
   E < N1 + N2 the overlapping antennas transmit sums.
 
 M <= N1 needs no alignment: plain time division between single-user
-transmissions traces the region's dominant face.
+transmissions traces the region's dominant face.  It runs through the same
+phase machinery with an empty phase 3 and no overheard combinations, and a
+single-user component of a three-user plan is a time-division plan on
+min(M, N) antennas that gives user 1 all the air time.
 
 Decoding is by exact linear solves; the noiseless decode certifies the
 DoF corner by symbol accounting.  A finite-SNR harness estimates
@@ -99,7 +102,7 @@ class SchemeSpec:
     effective_m: int
     phase_lengths: tuple  # (T1, T2, T3) slot counts
     symbols_per_slot: tuple  # fresh symbols per slot in phases 1 and 2
-    lc_routing: tuple | None  # Phase3Slot per alignment slot (cases B/C)
+    lc_routing: tuple  # Phase3Slot per alignment slot; empty in case A
     time_weights: tuple | None  # case A split between the two users
 
     @property
@@ -109,11 +112,11 @@ class SchemeSpec:
     @property
     def needed1(self) -> int:
         """Extra LCs user 1 is short per phase-1 slot."""
-        return self.effective_m - self.N1
+        return max(self.symbols_per_slot[0] - self.N1, 0)
 
     @property
     def needed2(self) -> int:
-        return self.effective_m - self.N2
+        return max(self.symbols_per_slot[1] - self.N2, 0)
 
     @property
     def symbol_counts(self) -> tuple:
@@ -175,7 +178,7 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
             effective_m=M,
             phase_lengths=(t1, t2, 0),
             symbols_per_slot=(min(M, N1), min(M, N2), 0),
-            lc_routing=None,
+            lc_routing=(),
             time_weights=(w1, w2),
         )
 
@@ -209,10 +212,6 @@ def validate_routing(spec: SchemeSpec):
     every LC a receiver must subtract is a row of its own earlier received
     signal.
     """
-    if spec.case == "A":
-        if spec.lc_routing is not None:
-            raise SchemeError("time-division plan must not carry LC routing")
-        return
     t1, t2, t3 = spec.phase_lengths
     seen1, seen2 = set(), set()
     for slot in spec.lc_routing:
@@ -314,31 +313,23 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
                           % (channels.total_slots, total))
 
     x = np.zeros((total, spec.M), dtype=complex)
-    if spec.case == "A":
-        for t in range(t1):
-            x[t, :s1] = u1[:, t]
-        for t in range(t2):
-            x[t1 + t, :s2] = u2[:, t]
-        lc1 = np.zeros((t1, 0), dtype=complex)
-        lc2 = np.zeros((t2, 0), dtype=complex)
-    else:
-        for t in range(t1):
-            x[t, :eff] = u1[:, t]
-        for t in range(t2):
-            x[t1 + t, :eff] = u2[:, t]
-        # overheard combinations, reconstructed from delayed CSI
-        lc1 = np.empty((t1, spec.needed1), dtype=complex)
-        for t in range(t1):
-            lc1[t] = channels.h2[t][: spec.needed1, :eff] @ u1[:, t]
-        lc2 = np.empty((t2, spec.needed2), dtype=complex)
-        for t in range(t2):
-            lc2[t] = channels.h1[t1 + t][: spec.needed2, :eff] @ u2[:, t]
-        for k, slot in enumerate(spec.lc_routing):
-            t = t1 + t2 + k
-            for j, (src, row) in enumerate(slot.user1_lcs):
-                x[t, j] += lc1[src, row]
-            for j, (src, row) in enumerate(slot.user2_lcs):
-                x[t, eff - spec.N2 + j] += lc2[src - t1, row]
+    for t in range(t1):
+        x[t, :s1] = u1[:, t]
+    for t in range(t2):
+        x[t1 + t, :s2] = u2[:, t]
+    # overheard combinations, reconstructed from delayed CSI
+    lc1 = np.empty((t1, spec.needed1), dtype=complex)
+    for t in range(t1):
+        lc1[t] = channels.h2[t][: spec.needed1, :s1] @ u1[:, t]
+    lc2 = np.empty((t2, spec.needed2), dtype=complex)
+    for t in range(t2):
+        lc2[t] = channels.h1[t1 + t][: spec.needed2, :s2] @ u2[:, t]
+    for k, slot in enumerate(spec.lc_routing):
+        t = t1 + t2 + k
+        for j, (src, row) in enumerate(slot.user1_lcs):
+            x[t, j] += lc1[src, row]
+        for j, (src, row) in enumerate(slot.user2_lcs):
+            x[t, eff - spec.N2 + j] += lc2[src - t1, row]
 
     y1 = np.einsum("tnm,tm->tn", channels.h1, x)
     y2 = np.einsum("tnm,tm->tn", channels.h2, x)
@@ -378,78 +369,63 @@ def decode(transcript: Transcript) -> DecodingReport:
     (rows of its own earlier received signal) and inverts the square
     submatrix of its channel under the other LCs' antenna positions.
     Phases 1-2: each user stacks its direct observations with the
-    recovered combinations and solves one square system per slot.
+    recovered combinations and solves one square system per slot on its
+    first s_i rows and columns, s_i the symbols sent per slot: the whole
+    stack in cases B/C, the direct rows alone in case A.
     """
     spec = transcript.spec
     ch = transcript.channels
     t1, t2, t3 = spec.phase_lengths
+    s1, s2, _ = spec.symbols_per_slot
     eff = spec.effective_m
+    n1, n2 = spec.N1, spec.N2
     conds = []  # condition number of every inverted matrix
 
-    if spec.case == "A":
-        s1, s2, _ = spec.symbols_per_slot
-        u1_hat = np.zeros_like(transcript.u1)
-        u2_hat = np.zeros_like(transcript.u2)
-        for t in range(t1):
-            sol, cond = _checked_solve(
-                ch.h1[t][:s1, :s1], transcript.y1[t][:s1], t, "single-user solve"
-            )
-            u1_hat[:, t] = sol
-            conds.append(cond)
-        for t in range(t2):
-            sol, cond = _checked_solve(
-                ch.h2[t1 + t][:s2, :s2], transcript.y2[t1 + t][:s2], t1 + t,
-                "single-user solve",
-            )
-            u2_hat[:, t] = sol
-            conds.append(cond)
-    else:
-        n1, n2 = spec.N1, spec.N2
-        rec1 = {}  # (source slot, row) -> recovered user-1-destined LC value
-        rec2 = {}
-        for k, slot in enumerate(spec.lc_routing):
-            t = t1 + t2 + k
-            # user 1 cancels the user-2-destined LCs: rows of its own phase-2 signal
-            known2 = np.array(
-                [transcript.y1[src][row] for src, row in slot.user2_lcs], dtype=complex
-            )
-            resid = transcript.y1[t] - ch.h1[t][:, eff - n2 : eff] @ known2
-            vals, cond = _checked_solve(
-                ch.h1[t][:, :n1], resid, t, "user-1 alignment solve"
-            )
-            conds.append(cond)
-            for j, lc_id in enumerate(slot.user1_lcs):
-                rec1[lc_id] = vals[j]
-            # user 2 cancels the user-1-destined LCs: rows of its phase-1 signal
-            known1 = np.array(
-                [transcript.y2[src][row] for src, row in slot.user1_lcs], dtype=complex
-            )
-            resid = transcript.y2[t] - ch.h2[t][:, :n1] @ known1
-            vals, cond = _checked_solve(
-                ch.h2[t][:, eff - n2 : eff], resid, t, "user-2 alignment solve"
-            )
-            conds.append(cond)
-            for j, lc_id in enumerate(slot.user2_lcs):
-                rec2[lc_id] = vals[j]
+    rec1 = {}  # (source slot, row) -> recovered user-1-destined LC value
+    rec2 = {}
+    for k, slot in enumerate(spec.lc_routing):
+        t = t1 + t2 + k
+        # user 1 cancels the user-2-destined LCs: rows of its own phase-2 signal
+        known2 = np.array(
+            [transcript.y1[src][row] for src, row in slot.user2_lcs], dtype=complex
+        )
+        resid = transcript.y1[t] - ch.h1[t][:, eff - n2 : eff] @ known2
+        vals, cond = _checked_solve(
+            ch.h1[t][:, :n1], resid, t, "user-1 alignment solve"
+        )
+        conds.append(cond)
+        for j, lc_id in enumerate(slot.user1_lcs):
+            rec1[lc_id] = vals[j]
+        # user 2 cancels the user-1-destined LCs: rows of its phase-1 signal
+        known1 = np.array(
+            [transcript.y2[src][row] for src, row in slot.user1_lcs], dtype=complex
+        )
+        resid = transcript.y2[t] - ch.h2[t][:, :n1] @ known1
+        vals, cond = _checked_solve(
+            ch.h2[t][:, eff - n2 : eff], resid, t, "user-2 alignment solve"
+        )
+        conds.append(cond)
+        for j, lc_id in enumerate(slot.user2_lcs):
+            rec2[lc_id] = vals[j]
 
-        u1_hat = np.zeros_like(transcript.u1)
-        for t in range(t1):
-            g = np.vstack([ch.h1[t][:, :eff], ch.h2[t][: spec.needed1, :eff]])
-            rhs = np.concatenate(
-                [transcript.y1[t], [rec1[(t, r)] for r in range(spec.needed1)]]
-            )
-            sol, cond = _checked_solve(g, rhs, t, "user-1 data solve")
-            u1_hat[:, t] = sol
-            conds.append(cond)
-        u2_hat = np.zeros_like(transcript.u2)
-        for t in range(t2):
-            g = np.vstack([ch.h2[t1 + t][:, :eff], ch.h1[t1 + t][: spec.needed2, :eff]])
-            rhs = np.concatenate(
-                [transcript.y2[t1 + t], [rec2[(t1 + t, r)] for r in range(spec.needed2)]]
-            )
-            sol, cond = _checked_solve(g, rhs, t1 + t, "user-2 data solve")
-            u2_hat[:, t] = sol
-            conds.append(cond)
+    u1_hat = np.zeros_like(transcript.u1)
+    for t in range(t1):
+        g = np.vstack([ch.h1[t][:, :s1], ch.h2[t][: spec.needed1, :s1]])
+        rhs = np.concatenate(
+            [transcript.y1[t], [rec1[(t, r)] for r in range(spec.needed1)]]
+        )
+        sol, cond = _checked_solve(g[:s1], rhs[:s1], t, "user-1 data solve")
+        u1_hat[:, t] = sol
+        conds.append(cond)
+    u2_hat = np.zeros_like(transcript.u2)
+    for t in range(t2):
+        g = np.vstack([ch.h2[t1 + t][:, :s2], ch.h1[t1 + t][: spec.needed2, :s2]])
+        rhs = np.concatenate(
+            [transcript.y2[t1 + t], [rec2[(t1 + t, r)] for r in range(spec.needed2)]]
+        )
+        sol, cond = _checked_solve(g[:s2], rhs[:s2], t1 + t, "user-2 data solve")
+        u2_hat[:, t] = sol
+        conds.append(cond)
 
     res1 = float(np.max(np.abs(u1_hat - transcript.u1))) if transcript.u1.size else 0.0
     res2 = float(np.max(np.abs(u2_hat - transcript.u2))) if transcript.u2.size else 0.0
@@ -524,30 +500,13 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     )
 
 
-def simulate_single_user(M: int, N: int, trials: int, seed):
-    """Point-to-point check: min(M, N) streams decoded per slot.
+def simulate_single_user(M: int, N: int, trials: int, seed) -> TrialSummary:
+    """Point-to-point check: the time-division plan on min(M, N) antennas
+    with all air time given to user 1, decoded by simulate_trials.
 
     Used when a time-sharing component turns every other user off.
-    Returns (achieved DoF as Fraction, max residual, failure list).
     """
-    if trials < 1:
-        raise SchemeError("need at least one trial")
-    streams = min(M, N)
-    children = _seed_sequence(seed).spawn(trials)
-    max_res = 0.0
-    failures = []
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        h = _crandn(rng, (N, M))
-        u = _crandn(rng, (streams,))
-        y = h[:, :streams] @ u
-        try:
-            u_hat, _ = _checked_solve(h[:streams, :streams], y[:streams], 0, "single-user solve")
-        except SingularChannelError as err:
-            failures.append((i, err.slot, err.cond))
-            continue
-        max_res = max(max_res, float(np.max(np.abs(u_hat - u))))
-    return Fraction(streams), max_res, failures
+    return simulate_trials(min(M, N), N, N, trials, seed, time_weights=(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -586,40 +545,27 @@ def _user_models(spec: SchemeSpec, channels: ChannelRealization):
     1/sqrt(E) so each phase meets the average power constraint.
     """
     t1, t2, t3 = spec.phase_lengths
+    s1, s2, _ = spec.symbols_per_slot
     eff = spec.effective_m
-    if spec.case == "A":
-        s1, s2, _ = spec.symbols_per_slot
-        blocks1 = []
-        for t in range(t1):
-            g = np.zeros((spec.N1, s1 * t1), dtype=complex)
-            g[:, t * s1 : (t + 1) * s1] = channels.h1[t][:, :s1]
-            blocks1.append((g, None, t))
-        blocks2 = []
-        for t in range(t2):
-            g = np.zeros((spec.N2, s2 * t2), dtype=complex)
-            g[:, t * s2 : (t + 1) * s2] = channels.h2[t1 + t][:, :s2]
-            blocks2.append((g, None, t1 + t))
-        return blocks1, blocks2
-
     n1, n2 = spec.N1, spec.N2
     scale = 1.0 / np.sqrt(eff)
-    cols1 = eff * t1
-    cols2 = eff * t2
+    cols1 = s1 * t1
+    cols2 = s2 * t2
     blocks1 = []
     for t in range(t1):
         g = np.zeros((n1, cols1), dtype=complex)
-        g[:, t * eff : (t + 1) * eff] = channels.h1[t][:, :eff]
+        g[:, t * s1 : (t + 1) * s1] = channels.h1[t][:, :s1]
         blocks1.append((g, None, t))
     blocks2 = []
     for t in range(t2):
         g = np.zeros((n2, cols2), dtype=complex)
-        g[:, t * eff : (t + 1) * eff] = channels.h2[t1 + t][:, :eff]
+        g[:, t * s2 : (t + 1) * s2] = channels.h2[t1 + t][:, :s2]
         blocks2.append((g, None, t1 + t))
     for k, slot in enumerate(spec.lc_routing):
         t = t1 + t2 + k
         amap = np.zeros((n1, cols1), dtype=complex)
         for j, (src, row) in enumerate(slot.user1_lcs):
-            amap[j, src * eff : (src + 1) * eff] = channels.h2[src][row, :eff]
+            amap[j, src * s1 : (src + 1) * s1] = channels.h2[src][row, :s1]
         g1 = scale * channels.h1[t][:, :n1] @ amap
         side1 = channels.h1[t][:, eff - n2 : eff]
         cov1 = np.eye(n1) + (scale ** 2) * side1 @ side1.conj().T
@@ -627,7 +573,7 @@ def _user_models(spec: SchemeSpec, channels: ChannelRealization):
 
         bmap = np.zeros((n2, cols2), dtype=complex)
         for j, (src, row) in enumerate(slot.user2_lcs):
-            bmap[j, (src - t1) * eff : (src - t1 + 1) * eff] = channels.h1[src][row, :eff]
+            bmap[j, (src - t1) * s2 : (src - t1 + 1) * s2] = channels.h1[src][row, :s2]
         g2 = scale * channels.h2[t][:, eff - n2 : eff] @ bmap
         side2 = channels.h2[t][:, :n1]
         cov2 = np.eye(n2) + (scale ** 2) * side2 @ side2.conj().T
@@ -640,7 +586,8 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
 
     For each SNR, computes I(u_i; observations)/T via log-determinants of
     the whitened end-to-end model and fits a least-squares line against
-    log2(P).  Needs at least three distinct finite SNR points.
+    log2(P).  Needs at least three distinct finite SNR points, each low
+    enough that its linear power and rates stay finite.
     """
     snr_db = tuple(float(s) for s in snr_db_list)
     if not all(math.isfinite(s) for s in snr_db) or len(set(snr_db)) < 3:
@@ -668,10 +615,13 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
         sym_power = (per_symbol, per_symbol)
 
     rates = np.zeros((len(snr_db), 2))
-    for i, snr in enumerate(snr_db):
-        p = 10.0 ** (snr / 10.0)
-        for u in (0, 1):
-            rates[i, u] = float(np.sum(np.log2(1.0 + p * sym_power[u] * eigs[u]))) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, snr in enumerate(snr_db):
+            p = np.float64(10.0) ** (snr / 10.0)  # inf, not OverflowError, past ~3080 dB
+            for u in (0, 1):
+                rates[i, u] = float(np.sum(np.log2(1.0 + p * sym_power[u] * eigs[u]))) / total
+    if not np.isfinite(rates).all():
+        raise SchemeError("SNR of %g dB overflows the rate computation" % max(snr_db))
     log2p = np.array([snr / 10.0 * np.log2(10.0) for snr in snr_db])
     slopes = tuple(float(np.polyfit(log2p, rates[:, u], 1)[0]) for u in (0, 1))
     return RateCurve(snr_db=snr_db, rates=rates, slopes=slopes)

@@ -58,6 +58,8 @@ def halfspaces_to_csv(region) -> str:
 def parse_vertices_csv(text: str):
     """Inverse of vertices_to_csv; returns (dimension, list of points)."""
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines:
+        raise GeometryError("vertex CSV is empty: no header line")
     header = lines[0].split(",")
     dimension = len(header)
     if header != _point_header(dimension):

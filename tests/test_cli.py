@@ -1,6 +1,7 @@
 """CLI contract: flags, artifacts, determinism, exit codes."""
 
 import json
+import time
 
 from doflab import scheme
 from doflab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -89,6 +90,15 @@ def test_region_usage_errors(capsys):
     assert code == EXIT_USAGE  # out of the theorem's scope
 
 
+def test_region_outer_beyond_vertex_limit_fails_fast(capsys):
+    # building the K=5 outer bound alone takes tens of seconds
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "region", "--model", "outer", "--M", "4", "--N", "1,1,1,1,1")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE
+    assert "K <= 4, got K=5" in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -171,6 +181,15 @@ def test_simulate_degenerate_snr_list_is_usage_error(capsys):
         )
         assert code == EXIT_USAGE
         assert "distinct finite SNR points" in err
+
+
+def test_simulate_overflowing_snr_is_usage_error(capsys):
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "4", "--N", "3,2", "--trials", "2", "--snr-db", "30,40,4000",
+    )
+    assert code == EXIT_USAGE
+    assert "overflows the rate computation" in err
+    assert "rate_slopes" not in stdout
 
 
 def test_simulate_failed_trial_misses_corner(tmp_path, capsys, monkeypatch):

@@ -364,6 +364,10 @@ def test_regions_equal_dimension_mismatch():
 def test_is_bounded():
     assert is_bounded(REGION_432)
     assert not is_bounded(DoFRegion(2, (HalfSpace((1, -1), 1),)))
+    # bounded in d1 and d2, unbounded only in the last coordinate
+    assert not is_bounded(DoFRegion(3, (HalfSpace((1, 1, 0), 1),)))
+    with pytest.raises(EmptyRegionError):
+        is_bounded(DoFRegion(2, (HalfSpace((1, 1), -1),)))
 
 
 def test_lp_with_lower_bound_row():
@@ -425,6 +429,9 @@ def test_vertices_csv_round_trip():
     assert "12/5,4/5" in text
     dim, parsed = parse_vertices_csv(text)
     assert dim == 2 and parsed == verts
+    for blank in ("", "\n \n"):
+        with pytest.raises(GeometryError, match="no header"):
+            parse_vertices_csv(blank)
 
 
 def test_halfspaces_csv():

@@ -59,6 +59,12 @@ def test_rate_needs_three_points():
     ):
         with pytest.raises(SchemeError, match="3 distinct finite SNR points"):
             rate_slope_estimate(spec, seed=0, snr_db_list=snr_db)
+    for snr_db in (
+        [30.0, 40.0, 4000.0],  # the linear power overflows a float
+        [30.0, 40.0, 3079.0],  # the power is finite, the rates are not
+    ):
+        with pytest.raises(SchemeError, match="overflows the rate computation"):
+            rate_slope_estimate(spec, seed=0, snr_db_list=snr_db)
 
 
 def test_rate_case_a_time_division():

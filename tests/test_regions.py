@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from doflab.exactgeom import (
     DoFRegion,
     GeometryError,
     HalfSpace,
+    UnsupportedDimensionError,
     contains,
     lp_max,
     region_includes,
@@ -83,6 +85,13 @@ def test_outer_bound_432_is_the_two_theorem_lines():
 def test_outer_bound_single_user():
     region = outer_bound_region(AntennaConfig(1, (1,)))
     assert region.halfspaces == (HalfSpace((F(1),), 1),)
+
+
+def test_outer_bound_refuses_six_users_fast():
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedDimensionError, match="K <= 5, got K=6"):
+        outer_bound_region(AntennaConfig(4, (1,) * 6))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_outer_bound_is_reduced():

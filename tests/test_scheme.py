@@ -75,7 +75,7 @@ def test_plan_case_a():
     assert spec.case == "A"
     assert spec.phase_lengths == (1, 1, 0)
     assert spec.symbols_per_slot == (1, 1, 0)
-    assert spec.lc_routing is None
+    assert spec.lc_routing == ()
 
 
 def test_plan_case_a_weights():
@@ -345,10 +345,10 @@ def test_every_config_decodes_cleanly_over_100_seeds():
 
 
 def test_simulate_single_user():
-    dof, residual, failures = simulate_single_user(3, 2, trials=10, seed=5)
-    assert dof == F(2)
-    assert residual < 1e-8
-    assert failures == []
+    summary = simulate_single_user(3, 2, trials=10, seed=5)
+    assert summary.achieved == (2, 0)
+    assert summary.max_residual < 1e-8
+    assert summary.failures == ()
 
 
 # ---------------------------------------------------------------------------
