@@ -203,14 +203,15 @@ def cmd_compare(args) -> int:
 
 def _simulate_two_user(args, seed) -> int:
     n1, n2 = args.N
+    curve = None
+    if args.snr_db:  # a bad SNR list fails before any trial runs
+        curve = scheme.rate_slope_estimate(scheme.plan_two_user(args.M, n1, n2), seed, args.snr_db)
     summary = scheme.simulate_trials(args.M, n1, n2, args.trials, seed)
     print("achieved_dof = %s; failures %d" % (_point_str(summary.achieved), len(summary.failures)))
     print("case %s, %d slots/trial, max_residual %.3e, max_condition %.3e" % (
         summary.spec.case, summary.spec.total_slots, summary.max_residual, summary.max_condition,
     ))
-    curve = None
-    if args.snr_db:
-        curve = scheme.rate_slope_estimate(summary.spec, seed, args.snr_db)
+    if curve is not None:
         print("rate_slopes = %.4f, %.4f (bits/slot per log2 P)" % curve.slopes)
     if args.out:
         _write(args.out, serialize.json_text(serialize.trials_document(summary, curve)))

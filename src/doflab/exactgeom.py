@@ -3,13 +3,15 @@
 Regions live in the nonnegative orthant of dimension K: a ``DoFRegion``
 stores explicit half-spaces ``coeffs . d <= bound`` while the constraints
 ``d_i >= 0`` are implicit and always enforced.  Every number in this module
-is a ``fractions.Fraction``; no floating point enters any computation, so
-all results are reproducible bit for bit.
+is a ``fractions.Fraction``, or an ``int`` inside the linear solver; no
+floating point enters any computation, so all results are reproducible bit
+for bit.
 
 Provided operations: membership, exact linear-objective maximization
 (two-phase rational simplex with Bland's rule), vertex enumeration by
 basis enumeration (K <= 4), redundancy removal, and point-set equality of
-two regions via mutual inclusion.
+two regions via mutual inclusion.  Vertices come from basis enumeration
+over one fraction-free integer solver, which ``solve_square`` also uses.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as math_gcd
+from math import lcm
 
 __all__ = [
     "GeometryError",
@@ -344,51 +346,46 @@ def assert_bounded(region: DoFRegion) -> DoFRegion:
 # Vertex enumeration and redundancy removal
 # ---------------------------------------------------------------------------
 
-def solve_square(matrix, rhs):
-    """Exact solution of a square rational system; None if singular."""
-    n = len(rhs)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
+def _integer_row(values):
+    """Rationals scaled by the lcm of their denominators: a list of ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _solve_int(rows):
+    """Fraction-free Gauss-Jordan (Bareiss) on integer rows ``[a_1..a_n, b]``.
+
+    Returns ``(numerators, det)`` with ``det > 0`` and ``x_i =
+    numerators[i] / det``, or None if the matrix is singular.  Each update
+    is a (k+1)x(k+1) minor by Sylvester's identity, so every ``//`` is exact.
+    """
+    a = list(rows)
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        inv = _ONE / prow[col]
-        aug[col] = [v * inv for v in prow]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], prow)]
-    return tuple(aug[i][-1] for i in range(n))
+        a[k], a[piv] = a[piv], a[k]
+        pk = a[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * v - f * w) // det for v, w in zip(a[i], pk)]
+        det = p
+    if det < 0:
+        return [-row[n] for row in a], -det
+    return [row[n] for row in a], det
 
 
-def _det_int(m):
-    """Integer determinant by cofactor expansion (n <= 4)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    total = 0
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        if m[0][j]:
-            total += sign * m[0][j] * _det_int(minor)
-        sign = -sign
-    return total
+def solve_square(matrix, rhs):
+    """Exact solution of a square rational system; None if singular."""
+    sol = _solve_int([_integer_row(list(row) + [r]) for row, r in zip(matrix, rhs)])
+    if sol is None:
+        return None
+    num, det = sol
+    return tuple(Fraction(x, det) for x in num)
 
 
 def vertex_enumerate(region: DoFRegion):
@@ -404,33 +401,16 @@ def vertex_enumerate(region: DoFRegion):
             "vertex enumeration supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
         )
     assert_bounded(region)
-    # integerize each constraint row once so the per-basis solves are
-    # Cramer determinants over plain ints
-    rows = []
-    for hs in region.halfspaces:
-        scale = 1
-        for c in list(hs.coeffs) + [hs.bound]:
-            scale = scale * c.denominator // math_gcd(scale, c.denominator)
-        rows.append(([int(c * scale) for c in hs.coeffs], int(hs.bound * scale)))
-    for i in range(k):
-        rows.append(([1 if j == i else 0 for j in range(k)], 0))
-    halfspaces = region.halfspaces
-
-    found = {}
-    for subset in combinations(range(len(rows)), k):
-        mat = [rows[i][0] for i in subset]
-        det = _det_int(mat)
-        if det == 0:
+    rows = [_integer_row(hs.coeffs + (hs.bound,)) for hs in region.halfspaces]
+    axes = [[int(j == i) for j in range(k)] + [0] for i in range(k)]
+    found = set()
+    for basis in combinations(rows + axes, k):
+        sol = _solve_int(basis)
+        if sol is None:
             continue
-        rhs = [rows[i][1] for i in subset]
-        point = tuple(
-            Fraction(_det_int([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]), det)
-            for j in range(k)
-        )
-        if point in found:
-            continue
-        if all(x >= 0 for x in point) and all(hs.evaluate(point) <= hs.bound for hs in halfspaces):
-            found[point] = True
+        num, det = sol
+        if min(num) >= 0 and all(sum(c * x for c, x in zip(row, num)) <= row[k] * det for row in rows):
+            found.add(tuple(Fraction(x, det) for x in num))
     return sorted(found)
 
 

@@ -28,7 +28,6 @@ from .exactgeom import (
     GeometryError,
     HalfSpace,
     UnsupportedDimensionError,
-    assert_bounded,
     contains,
     rat,
     rat_str,
@@ -136,6 +135,8 @@ def two_user_region(M: int, N1: int, N2: int) -> DoFRegion:
 
     L1: d1/min(M,N1+N2) + d2/min(M,N2) <= 1
     L2: d1/min(M,N1)    + d2/min(M,N1+N2) <= 1
+
+    Every coefficient is positive, so the region is bounded by construction.
     """
     if not 1 <= N2 <= N1:
         raise ValueError("need N1 >= N2 >= 1")
@@ -143,28 +144,29 @@ def two_user_region(M: int, N1: int, N2: int) -> DoFRegion:
         raise ValueError("need M >= 1")
     l1 = HalfSpace((Fraction(1, min(M, N1 + N2)), Fraction(1, min(M, N2))), _ONE)
     l2 = HalfSpace((Fraction(1, min(M, N1)), Fraction(1, min(M, N1 + N2))), _ONE)
-    return assert_bounded(DoFRegion(2, (l1, l2)))
+    return DoFRegion(2, (l1, l2))
 
 
 def three_user_region(M: int, N: int) -> DoFRegion:
     """Equal-antenna three-user delayed-CSIT region.
 
     M <= N gives the no-CSIT simplex d1+d2+d3 <= M; N < M <= 2N gives the
-    three cyclic inequalities d_i + d_j + (M/N) d_k <= M.
+    three cyclic inequalities d_i + d_j + (M/N) d_k <= M.  Every coefficient
+    is positive, so the region is bounded by construction.
     """
     if M < 1 or N < 1:
         raise ValueError("need M >= 1 and N >= 1")
     if M > 2 * N:
         raise ThreeUserScopeError("three-user region requires M <= 2N, got M=%d N=%d" % (M, N))
     if M <= N:
-        return assert_bounded(DoFRegion(3, (HalfSpace((_ONE, _ONE, _ONE), Fraction(M)),)))
+        return DoFRegion(3, (HalfSpace((_ONE, _ONE, _ONE), Fraction(M)),))
     ratio = Fraction(M, N)
     rows = []
     for k in range(3):
         coeffs = [_ONE, _ONE, _ONE]
         coeffs[k] = ratio
         rows.append(HalfSpace(tuple(coeffs), Fraction(M)))
-    return assert_bounded(DoFRegion(3, tuple(rows)))
+    return DoFRegion(3, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -293,11 +295,8 @@ def plane_slice(M: int, N: int, d3) -> PlaneSlice:
             special[name] = (x, y, d3)
         else:
             special[name] = None
-    redundant = frozenset(
-        name
-        for name in ("L0", "L1", "L2")
-        if bounds[name] not in remove_redundant(region).halfspaces
-    )
+    kept = remove_redundant(region).halfspaces
+    redundant = frozenset(name for name in ("L0", "L1", "L2") if bounds[name] not in kept)
     return PlaneSlice(M, N, d3, bounds, region, special, redundant)
 
 

@@ -183,6 +183,19 @@ def test_simulate_degenerate_snr_list_is_usage_error(capsys):
         assert "distinct finite SNR points" in err
 
 
+def test_simulate_checks_snr_list_before_trials(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trials ran before the SNR list was checked")
+
+    monkeypatch.setattr(scheme, "simulate_trials", refuse)
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "8", "--N", "4,4", "--trials", "500", "--snr-db", "30,30,30",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "distinct finite SNR points" in err
+
+
 def test_simulate_overflowing_snr_is_usage_error(capsys):
     code, stdout, err = run_cli(
         capsys, "simulate", "--M", "4", "--N", "3,2", "--trials", "2", "--snr-db", "30,40,4000",

@@ -9,10 +9,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from doflab import exactgeom
 from doflab.exactgeom import (
     DimensionMismatchError,
     DoFRegion,
@@ -416,6 +418,48 @@ def test_lp_differential_against_scipy_random_instances():
 
 def test_solve_square_singular_returns_none():
     assert solve_square(((F(1), F(2)), (F(2), F(4))), (F(1), F(2))) is None
+
+
+_RATIONAL = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def rational_systems(draw):
+    n = draw(st.integers(1, 6))
+    matrix = [draw(st.lists(_RATIONAL, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # force a dependent row: a rational combination of the other rows
+        target = draw(st.integers(0, n - 1))
+        weights = [draw(_RATIONAL) for _ in range(n)]
+        matrix[target] = [
+            sum((w * row[j] for i, (w, row) in enumerate(zip(weights, matrix)) if i != target), F(0))
+            for j in range(n)
+        ]
+    rhs = draw(st.lists(_RATIONAL, min_size=n, max_size=n))
+    return matrix, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_solve_square_exact_against_sympy_determinant(system):
+    matrix, rhs = system
+    sol = solve_square(matrix, rhs)
+    det = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in matrix]).det()
+    assert (sol is None) == (det == 0)
+    if sol is not None:
+        assert all(isinstance(x, F) for x in sol)
+        for row, b in zip(matrix, rhs):
+            assert sum(a * x for a, x in zip(row, sol)) == b
+
+
+def test_vertex_enumerate_does_not_route_through_solve_square(monkeypatch):
+    # a traced run wraps every binding of the public solve_square in a span;
+    # the per-basis solves must stay off it
+    def refuse(*args):
+        raise AssertionError("vertex_enumerate called solve_square")
+
+    monkeypatch.setattr(exactgeom, "solve_square", refuse)
+    assert vertex_enumerate(REGION_432)[2] == (F(12, 5), F(4, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doflab import exactgeom, regions
 from doflab.exactgeom import (
     DoFRegion,
     GeometryError,
@@ -177,6 +178,17 @@ def test_three_user_21():
     assert (F(1, 2), F(1, 2), F(1, 2)) in vertex_enumerate(region)
 
 
+def test_closed_form_regions_solve_no_lp(monkeypatch):
+    # positive coefficients bound these regions by construction
+    def refuse(*args):
+        raise AssertionError("closed-form constructor ran an LP")
+
+    monkeypatch.setattr(exactgeom, "_solve_lp", refuse)
+    assert len(two_user_region(4, 3, 2).halfspaces) == 2
+    assert len(three_user_region(1, 1).halfspaces) == 1
+    assert len(three_user_region(2, 1).halfspaces) == 3
+
+
 def test_three_user_out_of_scope():
     with pytest.raises(ThreeUserScopeError):
         three_user_region(3, 1)
@@ -293,6 +305,20 @@ def test_plane_slice_points_on_their_lines(m, n):
             if name in axis_of:
                 assert point[axis_of[name]] == 0
             assert contains(slc.region, point[:2])
+
+
+def test_plane_slice_reduces_once(monkeypatch):
+    calls = []
+    real = regions.remove_redundant
+
+    def counting(region):
+        calls.append(region)
+        return real(region)
+
+    monkeypatch.setattr(regions, "remove_redundant", counting)
+    slc = plane_slice(2, 1, F(1, 2))
+    assert len(calls) == 1
+    assert slc.redundant_bounds == {"L0"}
 
 
 def test_plane_slice_errors():
