@@ -326,9 +326,14 @@ def lp_max(region: DoFRegion, objective) -> Fraction:
 def is_bounded(region: DoFRegion) -> bool:
     """True iff every coordinate is bounded above (d >= 0 bounds below).
 
-    With d >= 0 each coordinate is at most d1 + ... + dK, so one LP on the
-    all-ones objective decides it.
+    When every coefficient and bound is nonnegative, the origin is feasible
+    and coordinate i is bounded iff some half-space has c_i > 0, which is
+    read off the rows.  Otherwise, with d >= 0 each coordinate is at most
+    d1 + ... + dK, so one LP on the all-ones objective decides it.
     """
+    rows = region.halfspaces
+    if all(hs.bound >= 0 and min(hs.coeffs) >= 0 for hs in rows):
+        return all(any(hs.coeffs[i] > 0 for hs in rows) for i in range(region.dimension))
     status, _, _ = _support(region, [_ONE] * region.dimension)
     if status == _INFEASIBLE:
         raise EmptyRegionError("region is empty")

@@ -22,9 +22,17 @@ single-user component of a three-user plan is a time-division plan on
 min(M, N) antennas that gives user 1 all the air time.
 
 Decoding is by exact linear solves; the noiseless decode certifies the
-DoF corner by symbol accounting.  A finite-SNR harness estimates
-Gaussian-signaling rates from the same end-to-end linear model, with the
-receivers' noisy side information entering as colored noise.
+DoF corner by symbol accounting.  The Monte Carlo wrapper runs and decodes
+its trials in blocks, as arrays over a leading trial axis: the phase-3
+routing is a set of index arrays, and every kind of matrix a trial inverts
+gets one condition-number pass and one batched solve over the whole block.
+A trial that fails the conditioning check is still reported with its slot.
+A finite-SNR harness estimates Gaussian-signaling rates from the same
+end-to-end linear model, with the receivers' noisy side information
+entering as colored noise.
+
+Runaway inputs are refused up front: more than MAX_SLOT_TRIALS trials x
+slots, and rate models with more than MAX_GRAM_COLUMNS symbols per user.
 """
 
 from __future__ import annotations
@@ -61,6 +69,9 @@ __all__ = [
 COND_LIMIT = 1e10  # a decoding matrix above this condition number fails the trial
 ILL_CONDITIONED = 1e8  # solves above this condition number are counted, not failed
 RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corner
+MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
+MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses a larger per-user Gram matrix
+_BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
 
 
 class SchemeError(ValueError):
@@ -236,13 +247,13 @@ def validate_routing(spec: SchemeSpec):
 class ChannelRealization:
     """I.i.d. Rayleigh channel draws for every slot and user."""
 
-    h1: np.ndarray  # (total_slots, N1, M)
-    h2: np.ndarray  # (total_slots, N2, M)
-    seed: object
+    h1: np.ndarray  # ([trials,] total_slots, N1, M)
+    h2: np.ndarray  # ([trials,] total_slots, N2, M)
+    seed: object  # one seed, or a tuple of them for a stack of trials
 
     @property
     def total_slots(self) -> int:
-        return self.h1.shape[0]
+        return self.h1.shape[-3]
 
 
 def _crandn(rng, shape):
@@ -277,62 +288,97 @@ def draw_symbols(spec: SchemeSpec, seed, power: float = 1.0):
 
 @dataclass(eq=False)
 class Transcript:
-    """Everything one run produced: channels, symbols, LCs, signals."""
+    """Everything one run produced: channels, symbols, LCs, signals.
+
+    Every array may carry a leading trial axis; a single run has none.
+    """
 
     spec: SchemeSpec
     channels: ChannelRealization
-    u1: np.ndarray  # (s1, T1) user-1 data symbols
-    u2: np.ndarray  # (s2, T2)
-    lc_user1: np.ndarray  # (T1, needed1) overheard combinations destined to user 1
-    lc_user2: np.ndarray  # (T2, needed2)
-    x: np.ndarray  # (T, M) transmitted signals
-    y1: np.ndarray  # (T, N1) received signals
-    y2: np.ndarray  # (T, N2)
+    u1: np.ndarray  # ([trials,] s1, T1) user-1 data symbols
+    u2: np.ndarray  # ([trials,] s2, T2)
+    lc_user1: np.ndarray  # ([trials,] T1, needed1) overheard combinations destined to user 1
+    lc_user2: np.ndarray  # ([trials,] T2, needed2)
+    x: np.ndarray  # ([trials,] T, M) transmitted signals
+    y1: np.ndarray  # ([trials,] T, N1) received signals
+    y2: np.ndarray  # ([trials,] T, N2)
     noise_std: float
+
+
+def _routing_indices(spec: SchemeSpec):
+    """The phase-3 routing as index arrays (src1, row1, src2, row2).
+
+    Entry [k, j] of the user-i pair names the LC that slot k carries at
+    position j of user i's antennas; each array has shape (T3, N_i).
+    """
+    lcs1 = np.array([s.user1_lcs for s in spec.lc_routing], dtype=np.intp).reshape(-1, spec.N1, 2)
+    lcs2 = np.array([s.user2_lcs for s in spec.lc_routing], dtype=np.intp).reshape(-1, spec.N2, 2)
+    return lcs1[..., 0], lcs1[..., 1], lcs2[..., 0], lcs2[..., 1]
+
+
+def _phase3_windows(spec: SchemeSpec, h1, h2):
+    """Phase-3 channels under each user's LC positions, stacked over slots.
+
+    Returns (h1 under user-1 positions, h1 under user-2 positions, h2 under
+    user-1 positions, h2 under user-2 positions), shaped ([trials,] T3,
+    N_i, N_j): user-1 LCs ride on antennas 0..N1-1 and user-2 LCs on the
+    last N2 effective ones.  With M <= N1 there is no phase-3 slot and the
+    windows are empty stacks of the same shapes.
+    """
+    t1, t2, t3 = spec.phase_lengths
+    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
+    return tuple(
+        h[..., t1 + t2 :, :, lo : lo + k].reshape(h.shape[:-3] + (t3, n, k))
+        for h, n in ((h1, n1), (h2, n2))
+        for lo, k in ((0, n1), (eff - n2, n2))
+    )
+
+
+def _apply(h, v):
+    """Stacked matrix-vector products h @ v over all leading axes."""
+    return (h @ v[..., None])[..., 0]
 
 
 def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
                noise_std: float = 0.0, noise_seed=None) -> Transcript:
-    """Execute the planned phases over one channel realization.
+    """Execute the planned phases over one channel realization or a stack.
 
-    ``symbols`` is the (u1, u2) pair from draw_symbols.  The transmitter
-    reconstructs every overheard LC exactly from delayed CSI and the known
-    symbols; receiver noise (optional) only affects the received signals.
+    ``symbols`` is the (u1, u2) pair from draw_symbols, or those arrays
+    stacked along a leading trial axis that the channels share.  The
+    transmitter reconstructs every overheard LC exactly from delayed CSI
+    and the known symbols; receiver noise (optional) only affects the
+    received signals.
     """
     u1, u2 = symbols
-    t1, t2, t3 = spec.phase_lengths
+    h1, h2 = channels.h1, channels.h2
+    t1, t2, _ = spec.phase_lengths
     s1, s2, _ = spec.symbols_per_slot
-    eff = spec.effective_m
+    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
     total = spec.total_slots
-    if u1.shape != (s1, t1) or u2.shape != (s2, t2):
+    trials = u1.shape[:-2]
+    if u1.shape != trials + (s1, t1) or u2.shape != trials + (s2, t2):
         raise SchemeError(
             "symbol shapes %r/%r do not match the plan" % (u1.shape, u2.shape)
         )
     if channels.total_slots != total:
         raise SchemeError("channel realization covers %d slots, plan needs %d"
                           % (channels.total_slots, total))
+    if h1.shape[:-3] != trials or h2.shape[:-3] != trials:
+        raise SchemeError("channels and symbols stack different trial counts")
 
-    x = np.zeros((total, spec.M), dtype=complex)
-    for t in range(t1):
-        x[t, :s1] = u1[:, t]
-    for t in range(t2):
-        x[t1 + t, :s2] = u2[:, t]
+    x = np.zeros(trials + (total, spec.M), dtype=complex)
+    x[..., :t1, :s1] = np.swapaxes(u1, -1, -2)
+    x[..., t1 : t1 + t2, :s2] = np.swapaxes(u2, -1, -2)
     # overheard combinations, reconstructed from delayed CSI
-    lc1 = np.empty((t1, spec.needed1), dtype=complex)
-    for t in range(t1):
-        lc1[t] = channels.h2[t][: spec.needed1, :s1] @ u1[:, t]
-    lc2 = np.empty((t2, spec.needed2), dtype=complex)
-    for t in range(t2):
-        lc2[t] = channels.h1[t1 + t][: spec.needed2, :s2] @ u2[:, t]
-    for k, slot in enumerate(spec.lc_routing):
-        t = t1 + t2 + k
-        for j, (src, row) in enumerate(slot.user1_lcs):
-            x[t, j] += lc1[src, row]
-        for j, (src, row) in enumerate(slot.user2_lcs):
-            x[t, eff - spec.N2 + j] += lc2[src - t1, row]
+    lc1 = _apply(h2[..., :t1, : spec.needed1, :s1], np.swapaxes(u1, -1, -2))
+    lc2 = _apply(h1[..., t1 : t1 + t2, : spec.needed2, :s2], np.swapaxes(u2, -1, -2))
+    if spec.lc_routing:  # phase 3 forwards every overheard LC once
+        src1, row1, src2, row2 = _routing_indices(spec)
+        x[..., t1 + t2 :, :n1] += lc1[..., src1, row1]
+        x[..., t1 + t2 :, eff - n2 : eff] += lc2[..., src2 - t1, row2]
 
-    y1 = np.einsum("tnm,tm->tn", channels.h1, x)
-    y2 = np.einsum("tnm,tm->tn", channels.h2, x)
+    y1 = np.einsum("...tnm,...tm->...tn", h1, x)
+    y2 = np.einsum("...tnm,...tm->...tn", h2, x)
     if noise_std > 0.0:
         nrng = np.random.default_rng(noise_seed)
         y1 = y1 + noise_std * _crandn(nrng, y1.shape)
@@ -345,7 +391,9 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
 
 @dataclass(eq=False)
 class DecodingReport:
-    symbols_user1: int
+    """Decoding outcome of one run, or of the trials of a stack that decoded."""
+
+    symbols_user1: int  # per trial
     symbols_user2: int
     residual_user1: float
     residual_user2: float
@@ -353,13 +401,11 @@ class DecodingReport:
     solves: int  # matrices inverted
     ill_conditioned: int  # of those, how many exceeded ILL_CONDITIONED
     spec: SchemeSpec  # the decoded plan, whose target_dof() the symbols realize
+    failures: tuple  # (trial, slot, condition, what) per failed trial of a stack
 
 
-def _checked_solve(matrix, rhs, slot, what):
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularChannelError(slot, float(cond), what)
-    return np.linalg.solve(matrix, rhs), cond
+def _solve(matrices, rhs):
+    return np.linalg.solve(matrices, rhs[..., None])[..., 0]
 
 
 def decode(transcript: Transcript) -> DecodingReport:
@@ -372,72 +418,72 @@ def decode(transcript: Transcript) -> DecodingReport:
     recovered combinations and solves one square system per slot on its
     first s_i rows and columns, s_i the symbols sent per slot: the whole
     stack in cases B/C, the direct rows alone in case A.
+
+    A trial inverts, in order: per phase-3 slot the user-1 then the user-2
+    alignment matrix, then the phase-1 and the phase-2 data matrices.  All
+    of them depend only on the channels, so every condition number is
+    taken up front, one stack per kind.  A trial fails at its first matrix
+    that is not finite or above COND_LIMIT and then counts toward nothing
+    else; the others are solved together, one stack per kind.  A single
+    run that fails raises SingularChannelError; a stack of trials lists its
+    failed trials in ``failures``.
     """
     spec = transcript.spec
-    ch = transcript.channels
     t1, t2, t3 = spec.phase_lengths
     s1, s2, _ = spec.symbols_per_slot
-    eff = spec.effective_m
-    n1, n2 = spec.N1, spec.N2
-    conds = []  # condition number of every inverted matrix
+    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
+    single = transcript.u1.ndim == 2
+    h1, h2, y1, y2, u1, u2 = (
+        a[None] if single else a
+        for a in (transcript.channels.h1, transcript.channels.h2,
+                  transcript.y1, transcript.y2, transcript.u1, transcript.u2)
+    )
+    p1, p2, p3 = slice(0, t1), slice(t1, t1 + t2), slice(t1 + t2, None)
+    h1_own, h1_side, h2_side, h2_own = _phase3_windows(spec, h1, h2)
+    matrices = (
+        h1_own,  # user-1 alignment solves
+        h2_own,  # user-2 alignment solves
+        np.concatenate([h1[:, p1, :, :s1], h2[:, p1, : spec.needed1, :s1]], axis=2)[:, :, :s1],
+        np.concatenate([h2[:, p2, :, :s2], h1[:, p2, : spec.needed2, :s2]], axis=2)[:, :, :s2],
+    )
+    c3a, c3b, c1, c2 = (np.linalg.cond(m) for m in matrices)
+    conds = np.concatenate([np.stack([c3a, c3b], axis=2).reshape(len(h1), 2 * t3), c1, c2], axis=1)
+    slots = np.concatenate([np.repeat(np.arange(t1 + t2, t1 + t2 + t3), 2), np.arange(t1 + t2)])
+    what = (["user-1 alignment solve", "user-2 alignment solve"] * t3
+            + ["user-1 data solve"] * t1 + ["user-2 data solve"] * t2)
+    bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
+    failed, first = bad.any(axis=1), bad.argmax(axis=1)
+    failures = tuple(
+        (int(i), int(slots[first[i]]), float(conds[i, first[i]]), what[first[i]])
+        for i in np.flatnonzero(failed)
+    )
+    if single and failures:
+        raise SingularChannelError(*failures[0][1:])
+    ok = ~failed
+    align1, align2, data1, data2 = (m[ok] for m in matrices)
+    h1_side, h2_side, y1, y2, u1, u2 = (a[ok] for a in (h1_side, h2_side, y1, y2, u1, u2))
+    src1, row1, src2, row2 = _routing_indices(spec)
 
-    rec1 = {}  # (source slot, row) -> recovered user-1-destined LC value
-    rec2 = {}
-    for k, slot in enumerate(spec.lc_routing):
-        t = t1 + t2 + k
-        # user 1 cancels the user-2-destined LCs: rows of its own phase-2 signal
-        known2 = np.array(
-            [transcript.y1[src][row] for src, row in slot.user2_lcs], dtype=complex
-        )
-        resid = transcript.y1[t] - ch.h1[t][:, eff - n2 : eff] @ known2
-        vals, cond = _checked_solve(
-            ch.h1[t][:, :n1], resid, t, "user-1 alignment solve"
-        )
-        conds.append(cond)
-        for j, lc_id in enumerate(slot.user1_lcs):
-            rec1[lc_id] = vals[j]
-        # user 2 cancels the user-1-destined LCs: rows of its phase-1 signal
-        known1 = np.array(
-            [transcript.y2[src][row] for src, row in slot.user1_lcs], dtype=complex
-        )
-        resid = transcript.y2[t] - ch.h2[t][:, :n1] @ known1
-        vals, cond = _checked_solve(
-            ch.h2[t][:, eff - n2 : eff], resid, t, "user-2 alignment solve"
-        )
-        conds.append(cond)
-        for j, lc_id in enumerate(slot.user2_lcs):
-            rec2[lc_id] = vals[j]
+    # user 1 cancels the user-2-destined LCs: rows of its own phase-2 signal
+    rec1 = np.empty((len(y1), t1, spec.needed1), dtype=complex)
+    rec1[:, src1, row1] = _solve(align1, y1[:, p3] - _apply(h1_side, y1[:, src2, row2]))
+    # user 2 cancels the user-1-destined LCs: rows of its phase-1 signal
+    rec2 = np.empty((len(y2), t2, spec.needed2), dtype=complex)
+    rec2[:, src2 - t1, row2] = _solve(align2, y2[:, p3] - _apply(h2_side, y2[:, src1, row1]))
+    u1_hat = _solve(data1, np.concatenate([y1[:, p1], rec1], axis=2)[:, :, :s1])
+    u2_hat = _solve(data2, np.concatenate([y2[:, p2], rec2], axis=2)[:, :, :s2])
 
-    u1_hat = np.zeros_like(transcript.u1)
-    for t in range(t1):
-        g = np.vstack([ch.h1[t][:, :s1], ch.h2[t][: spec.needed1, :s1]])
-        rhs = np.concatenate(
-            [transcript.y1[t], [rec1[(t, r)] for r in range(spec.needed1)]]
-        )
-        sol, cond = _checked_solve(g[:s1], rhs[:s1], t, "user-1 data solve")
-        u1_hat[:, t] = sol
-        conds.append(cond)
-    u2_hat = np.zeros_like(transcript.u2)
-    for t in range(t2):
-        g = np.vstack([ch.h2[t1 + t][:, :s2], ch.h1[t1 + t][: spec.needed2, :s2]])
-        rhs = np.concatenate(
-            [transcript.y2[t1 + t], [rec2[(t1 + t, r)] for r in range(spec.needed2)]]
-        )
-        sol, cond = _checked_solve(g[:s2], rhs[:s2], t1 + t, "user-2 data solve")
-        u2_hat[:, t] = sol
-        conds.append(cond)
-
-    res1 = float(np.max(np.abs(u1_hat - transcript.u1))) if transcript.u1.size else 0.0
-    res2 = float(np.max(np.abs(u2_hat - transcript.u2))) if transcript.u2.size else 0.0
+    kept = conds[ok]
     return DecodingReport(
-        symbols_user1=int(transcript.u1.size),
-        symbols_user2=int(transcript.u2.size),
-        residual_user1=res1,
-        residual_user2=res2,
-        max_condition=max(conds, default=0.0),
-        solves=len(conds),
-        ill_conditioned=sum(1 for c in conds if c > ILL_CONDITIONED),
+        symbols_user1=s1 * t1,
+        symbols_user2=s2 * t2,
+        residual_user1=float(np.abs(np.swapaxes(u1_hat, 1, 2) - u1).max(initial=0.0)),
+        residual_user2=float(np.abs(np.swapaxes(u2_hat, 1, 2) - u2).max(initial=0.0)),
+        max_condition=float(kept.max(initial=0.0)),
+        solves=int(kept.size),
+        ill_conditioned=int(np.count_nonzero(kept > ILL_CONDITIONED)),
         spec=spec,
+        failures=failures,
     )
 
 
@@ -456,26 +502,39 @@ class TrialSummary:
 
 def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
                     time_weights=None) -> TrialSummary:
-    """Monte Carlo wrapper: plan once, then run/decode independent trials."""
+    """Monte Carlo wrapper: plan once, then run/decode independent trials.
+
+    Each trial draws its channels and symbols from its own spawned seed;
+    the draws are stacked in blocks of at most _BLOCK_ENTRIES channel
+    entries (one trial at least) and each block is run and decoded as one
+    stack.  Refuses more than MAX_SLOT_TRIALS trials times slots up front.
+    """
     if trials < 1:
         raise SchemeError("need at least one trial")
     spec = plan_two_user(M, N1, N2, time_weights=time_weights)
+    if trials * spec.total_slots > MAX_SLOT_TRIALS:
+        raise SchemeError("%d trials of %d slots exceed the limit of %d slot-trials"
+                          % (trials, spec.total_slots, MAX_SLOT_TRIALS))
     children = _seed_sequence(seed).spawn(trials)
+    block = max(1, _BLOCK_ENTRIES // (spec.total_slots * (N1 + N2) * M))
     failures = []
     max_res = 0.0
     max_cond = 0.0
     solves = 0
     ill = 0
-    for i, child in enumerate(children):
-        ch_seed, sym_seed = child.spawn(2)
-        channels = generate_channels(spec, ch_seed)
-        symbols = draw_symbols(spec, sym_seed)
-        transcript = run_phases(spec, channels, symbols)
-        try:
-            report = decode(transcript)
-        except SingularChannelError as err:
-            failures.append((i, err.slot, err.cond))
-            continue
+    for start in range(0, trials, block):
+        draws = []
+        for child in children[start : start + block]:
+            ch_seed, sym_seed = child.spawn(2)
+            draws.append((generate_channels(spec, ch_seed), draw_symbols(spec, sym_seed)))
+        channels = ChannelRealization(
+            h1=np.stack([c.h1 for c, _ in draws]),
+            h2=np.stack([c.h2 for c, _ in draws]),
+            seed=tuple(c.seed for c, _ in draws),
+        )
+        symbols = tuple(np.stack(u) for u in zip(*(sym for _, sym in draws)))
+        report = decode(run_phases(spec, channels, symbols))
+        failures.extend((start + i, slot, cond) for i, slot, cond, _ in report.failures)
         max_res = max(max_res, report.residual_user1, report.residual_user2)
         max_cond = max(max_cond, report.max_condition)
         solves += report.solves
@@ -520,65 +579,65 @@ class RateCurve:
     slopes: tuple  # fitted d rate / d log2(P) per user
 
 
-def _whitened_blocks(blocks):
-    """Whiten (G, cov, slot) blocks; cov=None means white noise."""
-    out = []
-    for g, cov, slot in blocks:
-        if cov is None:
-            out.append(g)
-            continue
-        cond = np.linalg.cond(cov)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularChannelError(slot, float(cond), "side-information covariance")
-        chol = np.linalg.cholesky(cov)
-        out.append(np.linalg.solve(chol, g))
-    return np.vstack(out) if out else np.zeros((0, 0))
+def _whitened_model(direct, g3, cov, first_slot):
+    """One receiver's whitened observation matrix.
+
+    Stacks the white ``direct`` rows over the phase-3 blocks ``g3``
+    (T3, n, cols), each whitened by the Cholesky factor of its noise
+    covariance ``cov`` (T3, n, n).  Phase-3 slot k is slot first_slot + k;
+    the first whose covariance fails the conditioning check raises.
+    """
+    cond = np.linalg.cond(cov)
+    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
+    if bad.any():
+        k = int(bad.argmax())
+        raise SingularChannelError(first_slot + k, float(cond[k]), "side-information covariance")
+    t3, n, cols = g3.shape
+    whitened = np.linalg.solve(np.linalg.cholesky(cov), g3)
+    return np.concatenate([direct, whitened.reshape(t3 * n, cols)])
+
+
+def _block_diagonal(h):
+    """(T, n, s) per-slot channels as the (T n, T s) block-diagonal matrix."""
+    t, n, s = h.shape
+    g = np.zeros((t, n, t, s), dtype=complex)
+    g[np.arange(t), :, np.arange(t)] = h
+    return g.reshape(t * n, t * s)
 
 
 def _user_models(spec: SchemeSpec, channels: ChannelRealization):
     """End-to-end linear observation models (user by user).
 
-    Returns two block lists [(G, cov, slot)] where each row block is what
-    the receiver actually processes: direct observations (white noise) and
-    phase-3 observations after subtracting the receiver's noisy side
-    information (colored noise).  Phase-3 transmissions are scaled by
-    1/sqrt(E) so each phase meets the average power constraint.
+    Returns one (direct, g3, cov) triple per user: the direct observations
+    (white noise) as one block-diagonal matrix, and the phase-3
+    observations after subtracting the receiver's noisy side information,
+    stacked over slots with their colored-noise covariances.  Phase-3
+    transmissions are scaled by 1/sqrt(E) so each phase meets the average
+    power constraint.
     """
     t1, t2, t3 = spec.phase_lengths
     s1, s2, _ = spec.symbols_per_slot
-    eff = spec.effective_m
     n1, n2 = spec.N1, spec.N2
-    scale = 1.0 / np.sqrt(eff)
-    cols1 = s1 * t1
-    cols2 = s2 * t2
-    blocks1 = []
-    for t in range(t1):
-        g = np.zeros((n1, cols1), dtype=complex)
-        g[:, t * s1 : (t + 1) * s1] = channels.h1[t][:, :s1]
-        blocks1.append((g, None, t))
-    blocks2 = []
-    for t in range(t2):
-        g = np.zeros((n2, cols2), dtype=complex)
-        g[:, t * s2 : (t + 1) * s2] = channels.h2[t1 + t][:, :s2]
-        blocks2.append((g, None, t1 + t))
-    for k, slot in enumerate(spec.lc_routing):
-        t = t1 + t2 + k
-        amap = np.zeros((n1, cols1), dtype=complex)
-        for j, (src, row) in enumerate(slot.user1_lcs):
-            amap[j, src * s1 : (src + 1) * s1] = channels.h2[src][row, :s1]
-        g1 = scale * channels.h1[t][:, :n1] @ amap
-        side1 = channels.h1[t][:, eff - n2 : eff]
-        cov1 = np.eye(n1) + (scale ** 2) * side1 @ side1.conj().T
-        blocks1.append((g1, cov1, t))
+    h1, h2 = channels.h1, channels.h2
+    scale = 1.0 / np.sqrt(spec.effective_m)
+    h1_own, h1_side, h2_side, h2_own = _phase3_windows(spec, h1, h2)
+    src1, row1, src2, row2 = _routing_indices(spec)
+    slot3 = np.arange(t3)[:, None]
 
-        bmap = np.zeros((n2, cols2), dtype=complex)
-        for j, (src, row) in enumerate(slot.user2_lcs):
-            bmap[j, (src - t1) * s2 : (src - t1 + 1) * s2] = channels.h1[src][row, :s2]
-        g2 = scale * channels.h2[t][:, eff - n2 : eff] @ bmap
-        side2 = channels.h2[t][:, :n1]
-        cov2 = np.eye(n2) + (scale ** 2) * side2 @ side2.conj().T
-        blocks2.append((g2, cov2, t))
-    return blocks1, blocks2
+    # row j of slot k's user-1 map picks the symbols of LC (src1, row1)[k, j]
+    amap = np.zeros((t3, n1, t1, s1), dtype=complex)
+    amap[slot3, np.arange(n1), src1] = h2[src1, row1, :s1]
+    g1 = scale * h1_own @ amap.reshape(t3, n1, s1 * t1)
+    cov1 = np.eye(n1) + (scale ** 2) * h1_side @ np.swapaxes(h1_side.conj(), 1, 2)
+
+    bmap = np.zeros((t3, n2, t2, s2), dtype=complex)
+    bmap[slot3, np.arange(n2), src2 - t1] = h1[src2, row2, :s2]
+    g2 = scale * h2_own @ bmap.reshape(t3, n2, s2 * t2)
+    cov2 = np.eye(n2) + (scale ** 2) * h2_side @ np.swapaxes(h2_side.conj(), 1, 2)
+    return (
+        (_block_diagonal(h1[:t1, :, :s1]), g1, cov1),
+        (_block_diagonal(h2[t1 : t1 + t2, :, :s2]), g2, cov2),
+    )
 
 
 def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
@@ -593,19 +652,17 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
     if not all(math.isfinite(s) for s in snr_db) or len(set(snr_db)) < 3:
         raise SchemeError("need at least 3 distinct finite SNR points for a slope fit, got %s"
                           % ",".join("%g" % s for s in snr_db))
+    if max(spec.symbol_counts) > MAX_GRAM_COLUMNS:
+        raise SchemeError("the rate model needs a %d-column Gram matrix, above the limit of %d"
+                          % (max(spec.symbol_counts), MAX_GRAM_COLUMNS))
     channels = generate_channels(spec, seed)
-    blocks1, blocks2 = _user_models(spec, channels)
     total = spec.total_slots
+    t1, t2, _ = spec.phase_lengths
 
     eigs = []
-    for blocks in (blocks1, blocks2):
-        if blocks:
-            gw = _whitened_blocks(blocks)
-            gram = gw.conj().T @ gw
-            lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-        else:
-            lam = np.zeros(0)
-        eigs.append(lam)
+    for model in _user_models(spec, channels):  # user 1's blocks are checked first
+        gw = _whitened_model(*model, first_slot=t1 + t2)
+        eigs.append(np.maximum(np.linalg.eigvalsh(gw.conj().T @ gw), 0.0))
 
     if spec.case == "A":
         s1, s2, _ = spec.symbols_per_slot

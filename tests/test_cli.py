@@ -205,6 +205,39 @@ def test_simulate_overflowing_snr_is_usage_error(capsys):
     assert "rate_slopes" not in stdout
 
 
+def _refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("channels were drawn before the input limit was checked")
+
+    monkeypatch.setattr(scheme, "generate_channels", refuse)
+
+
+def test_simulate_refuses_too_many_slot_trials_up_front(capsys, monkeypatch):
+    # 1000 trials of a 1200-slot plan: 1.2e6 slot-trials
+    _refuse_draws(monkeypatch)
+    start = time.perf_counter()
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "40", "--N", "20,20", "--trials", "1000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "exceed the limit of %d slot-trials" % scheme.MAX_SLOT_TRIALS in err
+
+
+def test_simulate_refuses_oversized_rate_model_up_front(capsys, monkeypatch):
+    # 16000 symbols per user: a 16000 x 16000 complex Gram matrix, about 4 GB
+    _refuse_draws(monkeypatch)
+    start = time.perf_counter()
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "40", "--N", "20,20", "--trials", "1", "--snr-db", "30,40,50",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "16000-column Gram matrix" in err
+
+
 def test_simulate_failed_trial_misses_corner(tmp_path, capsys, monkeypatch):
     real = scheme.generate_channels
     calls = []

@@ -372,6 +372,22 @@ def test_is_bounded():
         is_bounded(DoFRegion(2, (HalfSpace((1, 1), -1),)))
 
 
+def test_nonnegative_region_bounded_without_lp(monkeypatch):
+    # nonnegative coefficients and bounds: the origin is feasible and each
+    # coordinate is bounded iff some row weighs it, so no LP is needed
+    region = outer_bound_region(AntennaConfig(3, (2, 2, 1)))
+    expected = vertex_enumerate(region)
+
+    def refuse(*args):
+        raise AssertionError("boundedness of a nonnegative region ran an LP")
+
+    monkeypatch.setattr(exactgeom, "_solve_lp", refuse)
+    assert vertex_enumerate(region) == expected
+    assert is_bounded(DoFRegion(2, (HalfSpace((1, 0), 1), HalfSpace((0, F(1, 2)), 0))))
+    assert not is_bounded(DoFRegion(3, (HalfSpace((1, 1, 0), 1), HalfSpace((2, 0, 0), 3))))
+    assert not is_bounded(DoFRegion(1, ()))
+
+
 def test_lp_with_lower_bound_row():
     # regression: a negative-rhs row (x >= 1/3) goes through phase 1; the
     # artificial column must never re-enter afterwards

@@ -305,6 +305,60 @@ def test_simulate_trials_residual_above_tolerance_misses_corner(monkeypatch):
     assert summary.matches_corner is False
 
 
+@pytest.mark.parametrize("m,n1,n2,trials,time_weights,zeroed,blocks", [
+    (3, 3, 3, 12, None, {}, 1),  # case A
+    (4, 3, 2, 30, None, {}, 1),  # case B
+    (3, 2, 1, 20, None, {}, 1),  # case C
+    (8, 4, 4, 50, None, {}, 3),  # 21 trials fit one block
+    (2, 3, 2, 10, (1, 0), {}, 1),  # empty phases 2 and 3
+    # trial -> (channel, slot) zeroed: a phase-3, a phase-1 and a phase-2 slot
+    (4, 3, 2, 12, None, {1: ("h1", 8), 4: ("h2", 0), 7: ("h1", 6)}, 1),
+])
+def test_batched_trials_match_per_trial_decode(monkeypatch, m, n1, n2, trials, time_weights,
+                                               zeroed, blocks):
+    real_channels, real_run = scheme.generate_channels, scheme.run_phases
+    drawn, runs = [], []
+
+    def channels(spec, seed):
+        ch = real_channels(spec, seed)
+        if len(drawn) in zeroed:
+            name, slot = zeroed[len(drawn)]
+            getattr(ch, name)[slot] = 0.0
+        drawn.append(seed)
+        return ch
+
+    def run(spec, ch, symbols):
+        runs.append(ch.h1.shape[0])
+        return real_run(spec, ch, symbols)
+
+    monkeypatch.setattr(scheme, "generate_channels", channels)
+    monkeypatch.setattr(scheme, "run_phases", run)
+    summary = simulate_trials(m, n1, n2, trials, seed=11, time_weights=time_weights)
+    assert len(runs) == blocks and sum(runs) == trials
+
+    # reference: the seeds simulate_trials spawns, one trial at a time
+    drawn.clear()
+    spec = plan_two_user(m, n1, n2, time_weights=time_weights)
+    failures, solves, ill, max_cond, max_res = [], 0, 0, 0.0, 0.0
+    for i, child in enumerate(np.random.SeedSequence(11).spawn(trials)):
+        ch_seed, sym_seed = child.spawn(2)
+        transcript = real_run(spec, channels(spec, ch_seed), draw_symbols(spec, sym_seed))
+        try:
+            report = decode(transcript)
+        except SingularChannelError as err:
+            failures.append((i, err.slot, err.cond))
+            continue
+        solves += report.solves
+        ill += report.ill_conditioned
+        max_cond = max(max_cond, report.max_condition)
+        max_res = max(max_res, report.residual_user1, report.residual_user2)
+    assert [f[:2] for f in failures] == [(i, slot) for i, (_, slot) in sorted(zeroed.items())]
+    assert summary.failures == tuple(failures)
+    assert (summary.solves, summary.ill_conditioned) == (solves, ill)
+    assert summary.max_condition == max_cond
+    assert summary.max_residual == max_res
+
+
 def test_simulate_trials_reproducible():
     a = simulate_trials(3, 2, 1, trials=5, seed=40)
     b = simulate_trials(3, 2, 1, trials=5, seed=40)
