@@ -12,6 +12,10 @@ Provided operations: membership, exact linear-objective maximization
 basis enumeration (K <= 4), redundancy removal, and point-set equality of
 two regions via mutual inclusion.  Vertices come from basis enumeration
 over one fraction-free integer solver, which ``solve_square`` also uses.
+Redundancy removal runs one simplex LP per row, except that a row
+dominated coefficient by coefficient needs no LP and, when the rows
+determine a unique facet set, one LP decides a whole orbit of rows under
+the coordinate permutations that preserve them.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
 
 
 MAX_VERTEX_K = 4  # largest dimension vertex_enumerate accepts
+MAX_REDUNDANCY_WORK = 5 * 10**5  # largest orbits x rows^2 remove_redundant accepts
 
 
 class GeometryError(ValueError):
@@ -178,13 +183,19 @@ _ONE = Fraction(1)
 
 
 def _pivot(tab, basis, row, col):
+    """Pivot on tab[row][col] in place.
+
+    Rows are updated only in the pivot row's nonzero columns: a slack
+    tableau is mostly zeros, and the skipped updates would subtract 0.
+    """
     piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    prow = tab[row]
+    prow = tab[row] = [v / piv for v in tab[row]]
+    nonzero = [j for j, p in enumerate(prow) if p]
     for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [v - f * p for v, p in zip(r, prow)]
+        f = r[col]
+        if i != row and f != 0:
+            for j in nonzero:
+                r[j] -= f * prow[j]
     basis[row] = col
 
 
@@ -419,27 +430,95 @@ def vertex_enumerate(region: DoFRegion):
     return sorted(found)
 
 
+def _orbit_keys(region: DoFRegion):
+    """One key per row; rows with equal keys get the same redundancy verdict.
+
+    Each row is keyed by its index unless the set of facets is unique (see
+    ``remove_redundant``).  Then the coordinates split into classes that
+    the symmetries of the normalized rows permute freely, and a row's key
+    is its normalized coefficients sorted within each class.
+    """
+    rows = region.halfspaces
+    if any(hs.bound <= 0 for hs in rows):
+        return list(range(len(rows)))
+    normed = [tuple(c / hs.bound for c in hs.coeffs) for hs in rows]
+    row_set = set(normed)
+    if len(row_set) < len(normed):
+        return list(range(len(rows)))
+    label = list(range(region.dimension))
+    for i, j in combinations(range(region.dimension), 2):
+        if label[i] != label[j] and all(_swapped(r, i, j) in row_set for r in normed):
+            old = label[j]
+            label = [label[i] if x == old else x for x in label]
+    classes = [[c for c in range(region.dimension) if label[c] == x] for x in sorted(set(label))]
+    return [tuple(tuple(sorted(r[c] for c in cls)) for cls in classes) for r in normed]
+
+
+def _swapped(row, i, j):
+    out = list(row)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _dominates(a: HalfSpace, b: HalfSpace) -> bool:
+    """True iff ``a`` implies ``b`` on d >= 0 coefficient by coefficient."""
+    return a.bound <= b.bound and all(x >= y for x, y in zip(a.coeffs, b.coeffs))
+
+
 def remove_redundant(region: DoFRegion) -> DoFRegion:
     """Drop every half-space implied by the remaining ones.
 
-    A half-space is redundant iff maximizing its left side subject to the
-    others (and nonnegativity) stays <= its bound; a sub-problem that
+    The rows are visited in order.  A half-space is redundant iff
+    maximizing its left side subject to the current survivors other than
+    itself (and nonnegativity) stays <= its bound; a sub-problem that
     becomes unbounded means the half-space is load-bearing and is kept.
+    Survivors keep their input order.
+
+    Two exact shortcuts give the same verdict as that LP without solving it:
+
+    * Dominance.  A survivor with componentwise >= coefficients and a bound
+      <= this row's bound implies it on d >= 0, so the row is dropped.  The
+      LP cannot be infeasible, because the region is nonempty and the
+      survivors describe it at every step.
+    * Orbits.  Suppose every bound is > 0 and no two rows are equal after
+      dividing each by its bound.  Then eps * (1, ..., 1) is an interior
+      point, the region is full-dimensional and each row is its own
+      hyperplane.  A row is then redundant against any system that still
+      describes the region iff it does not define a facet, so each verdict
+      is independent of the visiting order.  A coordinate permutation that
+      maps the normalized rows onto themselves maps the region, and so its
+      facets, onto itself.  The transpositions with that property are
+      merged into classes of coordinates, each permuted freely, and rows
+      with the same coefficients sorted within each class
+      (``_orbit_keys``) share one verdict, decided at the first of them.
+      Any other input keys each row by itself.
+
+    Raises UnsupportedDimensionError before any LP when orbits x rows^2
+    exceeds MAX_REDUNDANCY_WORK.
     """
     assert_bounded(region)
-    survivors = list(region.halfspaces)
-    i = 0
-    while i < len(survivors):
-        hs = survivors[i]
-        others = survivors[:i] + survivors[i + 1 :]
-        status, value, _ = _solve_lp(
-            [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
+    rows = region.halfspaces
+    keys = _orbit_keys(region)
+    orbits = len(set(keys))
+    if orbits * len(rows) ** 2 > MAX_REDUNDANCY_WORK:
+        raise UnsupportedDimensionError(
+            "redundancy removal supports orbits x rows^2 <= %d, got %d x %d^2"
+            % (MAX_REDUNDANCY_WORK, orbits, len(rows))
         )
-        if status == _OPTIMAL and value <= hs.bound:
-            survivors.pop(i)
-        else:
-            i += 1
-    return DoFRegion(region.dimension, tuple(survivors))
+    keep = [True] * len(rows)
+    redundant = {}
+    for i, hs in enumerate(rows):
+        if keys[i] not in redundant:
+            others = [o for j, o in enumerate(rows) if keep[j] and j != i]
+            if any(_dominates(o, hs) for o in others):
+                redundant[keys[i]] = True
+            else:
+                status, value, _ = _solve_lp(
+                    [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
+                )
+                redundant[keys[i]] = status == _OPTIMAL and value <= hs.bound
+        keep[i] = not redundant[keys[i]]
+    return DoFRegion(region.dimension, tuple(hs for hs, k in zip(rows, keep) if k))
 
 
 def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:

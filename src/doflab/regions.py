@@ -113,9 +113,12 @@ def permutation_inequalities(config: AntennaConfig):
 def outer_bound_region(config: AntennaConfig) -> DoFRegion:
     """Outer bound on the delayed-CSIT DoF region, redundancy-reduced.
 
-    Refuses K > MAX_OUTER_K up front: redundancy removal runs one exact LP
-    per distinct one of the K! permutation inequalities, each over all the
-    others, which is already the slowest step of the K=5 bound.
+    Refuses K > MAX_OUTER_K before building the K! permutation
+    inequalities.  Permuting users with equal N_i maps the distinct
+    inequalities onto themselves, so ``remove_redundant`` decides each
+    orbit of them with at most one exact LP.  With few equal N_i there are
+    many orbits; it refuses orbits x rows^2 above MAX_REDUNDANCY_WORK
+    before any LP.
     """
     if config.K > MAX_OUTER_K:
         raise UnsupportedDimensionError(

@@ -7,6 +7,7 @@ maximization over enumerated vertices for the simplex.
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 import sympy
@@ -23,6 +24,7 @@ from doflab.exactgeom import (
     HalfSpace,
     UnboundedRegionError,
     UnsupportedDimensionError,
+    assert_bounded,
     contains,
     dot,
     is_bounded,
@@ -35,7 +37,13 @@ from doflab.exactgeom import (
     solve_square,
     vertex_enumerate,
 )
-from doflab.regions import AntennaConfig, outer_bound_region, three_user_region, two_user_region
+from doflab.regions import (
+    AntennaConfig,
+    outer_bound_region,
+    permutation_inequalities,
+    three_user_region,
+    two_user_region,
+)
 from doflab.serialize import halfspaces_to_csv, parse_vertices_csv, vertices_to_csv
 
 
@@ -186,6 +194,154 @@ def test_remove_redundant_unbounded_error():
     region = DoFRegion(2, (HalfSpace((1, -1), 1),))
     with pytest.raises(UnboundedRegionError):
         remove_redundant(region)
+
+
+def sequential_remove_redundant(region):
+    """Reference: one cold LP per row against the current survivors, in order."""
+    assert_bounded(region)
+    survivors = list(region.halfspaces)
+    i = 0
+    while i < len(survivors):
+        hs = survivors[i]
+        others = survivors[:i] + survivors[i + 1 :]
+        status, value, _ = exactgeom._solve_lp(
+            [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
+        )
+        if status == exactgeom._OPTIMAL and value <= hs.bound:
+            survivors.pop(i)
+        else:
+            i += 1
+    return DoFRegion(region.dimension, tuple(survivors))
+
+
+_COEFF = st.builds(F, st.integers(-1, 5), st.integers(1, 3))
+_BOUND = st.builds(F, st.integers(-1, 6), st.integers(1, 3))
+
+
+@st.composite
+def redundancy_regions(draw):
+    """K=2..4 rows, some closed under within-class coordinate permutations,
+    some with a duplicate, a proportional or a bound <= 0 row."""
+    k = draw(st.integers(2, 4))
+    rows = [
+        (tuple(draw(st.lists(_COEFF, min_size=k, max_size=k))), draw(_BOUND))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    rows = [(c, b) for c, b in rows if any(c)] or [((F(1),) * k, F(1))]
+    if draw(st.booleans()):
+        label = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        perms = [p for p in permutations(range(k)) if all(label[p[j]] == label[j] for j in range(k))]
+        closed = []
+        for c, b in rows:
+            for p in perms:
+                row = (tuple(c[p[j]] for j in range(k)), b)
+                if row not in closed:
+                    closed.append(row)
+        rows = closed[:16]
+    extra = draw(st.sampled_from(["none", "duplicate", "proportional", "nonpositive"]))
+    c, b = draw(st.sampled_from(rows))
+    if extra == "duplicate":
+        rows.append((c, b))
+    elif extra == "proportional":
+        scale = draw(st.sampled_from([F(1, 2), F(2), F(3, 2)]))
+        rows.append((tuple(x * scale for x in c), b * scale))
+    elif extra == "nonpositive":
+        rows.append((c, draw(st.sampled_from([F(0), F(-1, 2)]))))
+    rows = draw(st.permutations(rows))
+    return DoFRegion(k, tuple(HalfSpace(c, b) for c, b in rows))
+
+
+@settings(max_examples=120, deadline=None)
+@given(redundancy_regions())
+def test_remove_redundant_matches_sequential_lp_loop(region):
+    try:
+        expected = sequential_remove_redundant(region)
+    except GeometryError as err:
+        with pytest.raises(type(err)):
+            remove_redundant(region)
+        return
+    assert remove_redundant(region).halfspaces == expected.halfspaces
+
+
+def _raw_outer_bound(config):
+    return DoFRegion(config.K, tuple(dict.fromkeys(permutation_inequalities(config))))
+
+
+FIXED_REDUNDANCY_REGIONS = [
+    _raw_outer_bound(AntennaConfig(3, (2, 1, 1, 1, 1))),
+    _raw_outer_bound(AntennaConfig(5, (2, 2, 1, 1))),
+    # the single point (1, 1): symmetric rows, negative bounds, no interior,
+    # so which of the two mirrored rows survives depends on the order
+    DoFRegion(2, (HalfSpace((-2, -1), -3), HalfSpace((-1, -2), -3), HalfSpace((2, 0), 2), HalfSpace((0, 2), 2))),
+    # mirrored rows, but d2 <= 1/2 breaks the swap: (2, 1) is kept, (1, 2) dropped
+    DoFRegion(2, (HalfSpace((2, 1), 2), HalfSpace((1, 2), 2), HalfSpace((0, 1), F(1, 2)))),
+    # larger coefficients but a larger bound: no dominance, both kept
+    DoFRegion(2, (HalfSpace((1, 0), F(3, 2)), HalfSpace((1, 1), 2))),
+]
+
+
+@pytest.mark.parametrize("region", FIXED_REDUNDANCY_REGIONS)
+def test_remove_redundant_matches_sequential_lp_loop_on_fixed_regions(region):
+    assert remove_redundant(region).halfspaces == sequential_remove_redundant(region).halfspaces
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    real = exactgeom._solve_lp
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactgeom, "_solve_lp", counting)
+    return calls
+
+
+def test_remove_redundant_decides_each_orbit_once(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    assert len(outer_bound_region(AntennaConfig(3, (1,) * 5)).halfspaces) == 20
+    assert len(calls) == 1
+    calls.clear()
+    assert len(outer_bound_region(AntennaConfig(4, (1,) * 5)).halfspaces) == 60
+    assert len(calls) == 1
+    calls.clear()
+    config = AntennaConfig(5, (2, 2, 1, 1))
+    raw = _raw_outer_bound(config)
+    keys = set(exactgeom._orbit_keys(raw))
+    assert len(raw.halfspaces) == 22 and len(keys) < 22
+    assert len(outer_bound_region(config).halfspaces) == 14
+    assert len(calls) <= len(keys)
+
+
+def test_remove_redundant_drops_dominated_row_without_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    region = two_user_region(3, 3, 2)
+    assert remove_redundant(region).halfspaces == region.halfspaces[:1]
+    assert len(calls) == 1
+
+
+def dense_pivot(tab, row, col):
+    """Reference: every entry of every row updated, zeros included."""
+    piv = tab[row][col]
+    prow = [v / piv for v in tab[row]]
+    return [prow if i == row else [v - r[col] * p for v, p in zip(r, prow)]
+            for i, r in enumerate(tab)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_pivot_matches_dense_update(data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 6))
+    small = st.one_of(st.just(F(0)), _RATIONAL)
+    tab = [data.draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    row = data.draw(st.integers(0, m - 1))
+    col = data.draw(st.integers(0, n - 1))
+    tab[row][col] = data.draw(_RATIONAL.filter(bool))
+    expected = dense_pivot(tab, row, col)
+    basis = [None] * m
+    exactgeom._pivot(tab, basis, row, col)
+    assert tab == expected and basis[row] == col
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Region constructors, plane-slice geometry, and achievability plans."""
 
+import importlib.util
 import json
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ from doflab.regions import (
 )
 from doflab.serialize import plan_document, plan_to_csv, region_document
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 ALLOWED_SOURCES = {SOURCE_TWO_USER, SOURCE_SINGLE_USER, SOURCE_TIME_DIVISION, SOURCE_EXTERNAL}
 
 
@@ -93,6 +96,39 @@ def test_outer_bound_refuses_six_users_fast():
     with pytest.raises(UnsupportedDimensionError, match="K <= 5, got K=6"):
         outer_bound_region(AntennaConfig(4, (1,) * 6))
     assert time.perf_counter() - start < 1.0
+
+
+def _no_lp(*args):
+    raise AssertionError("an LP ran")
+
+
+@pytest.mark.parametrize("m", [12, 15])
+def test_outer_bound_refuses_runaway_five_user_inputs_fast(monkeypatch, m):
+    # All receiver counts distinct: no symmetry, one orbit per row.
+    monkeypatch.setattr(exactgeom, "_solve_lp", _no_lp)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedDimensionError, match="orbits x rows"):
+        outer_bound_region(AntennaConfig(m, (5, 4, 3, 2, 1)))
+    assert time.perf_counter() - start < 1.0
+
+
+def _benchmark_geometry_configs():
+    spec = importlib.util.spec_from_file_location("doflab_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {(op[1], tuple(op[2])) for slot in workloads.GEOMETRY_SLOTS
+            for candidate in slot for op in candidate}
+
+
+def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkeypatch):
+    # Every LP reports "kept", so this checks only that the guard lets the
+    # config through; the real results are pinned elsewhere.
+    monkeypatch.setattr(exactgeom, "_solve_lp", lambda *args: (exactgeom._UNBOUNDED, None, None))
+    golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1))}
+    configs = _benchmark_geometry_configs() | golden | {(4, (1,) * 5)}
+    assert len(configs) > 100
+    for m, n in sorted(configs):
+        outer_bound_region(AntennaConfig(m, n))
 
 
 def test_outer_bound_is_reduced():
@@ -319,6 +355,21 @@ def test_plane_slice_reduces_once(monkeypatch):
     slc = plane_slice(2, 1, F(1, 2))
     assert len(calls) == 1
     assert slc.redundant_bounds == {"L0"}
+
+
+def test_outer_bound_reduces_once(monkeypatch):
+    calls = []
+    real = regions.remove_redundant
+
+    def counting(region):
+        calls.append(region)
+        return real(region)
+
+    monkeypatch.setattr(regions, "remove_redundant", counting)
+    for config in (AntennaConfig(3, (1, 1, 1)), AntennaConfig(5, (2, 2, 1, 1))):
+        calls.clear()
+        outer_bound_region(config)
+        assert len(calls) == 1
 
 
 def test_plane_slice_errors():
