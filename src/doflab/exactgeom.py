@@ -9,13 +9,12 @@ for bit.
 
 Provided operations: membership, exact linear-objective maximization
 (two-phase rational simplex with Bland's rule), vertex enumeration by
-basis enumeration (K <= 4), redundancy removal, and point-set equality of
-two regions via mutual inclusion.  Vertices come from basis enumeration
-over one fraction-free integer solver, which ``solve_square`` also uses.
-Redundancy removal runs one simplex LP per row, except that a row
-dominated coefficient by coefficient needs no LP and, when the rows
-determine a unique facet set, one LP decides a whole orbit of rows under
-the coordinate permutations that preserve them.
+double description over integer rays (K <= 5), redundancy removal, and
+point-set equality of two regions via mutual inclusion.  ``solve_square``
+runs a fraction-free integer solver.  Redundancy removal runs one simplex
+LP per row, except that a row dominated coefficient by coefficient needs
+no LP and, when the rows determine a unique facet set, one LP decides a
+whole orbit of rows under the coordinate permutations that preserve them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "GeometryError",
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-MAX_VERTEX_K = 4  # largest dimension vertex_enumerate accepts
+MAX_VERTEX_K = 5  # largest dimension vertex_enumerate accepts
 MAX_REDUNDANCY_WORK = 5 * 10**5  # largest orbits x rows^2 remove_redundant accepts
 
 
@@ -405,11 +404,26 @@ def solve_square(matrix, rhs):
 
 
 def vertex_enumerate(region: DoFRegion):
-    """Exact vertex set by exhaustive K-subset basis enumeration.
+    """Exact vertex set by double description.
 
-    Each returned point is a basic feasible solution: K linearly
-    independent constraints (half-spaces or axes) active, all constraints
-    satisfied.  Output is deduplicated and sorted lexicographically.
+    The region is homogenized to the cone {(d, t) >= 0 : bound * t -
+    coeffs . d >= 0 for every row}.  It starts as the orthant, whose
+    extreme rays are the K+1 unit vectors, and takes the rows one at a
+    time in input order (Motzkin et al. 1953; Fukuda & Prodon 1996).
+
+    Invariant: the rays are exactly the extreme rays of the cone cut so
+    far, each a gcd-normalized tuple of ints with its zero set, the
+    bitmask of the constraints it meets with equality.  A new row keeps
+    the rays on its nonnegative side and, for each ray p strictly inside
+    and n strictly outside that are adjacent, adds the positive
+    combination of p and n on its hyperplane.  The cone is pointed, since
+    it lies in the orthant, so p and n are adjacent iff no third ray's
+    zero set contains Z(p) & Z(n).  The constraints have rank K+1, so
+    adjacency also needs |Z(p) & Z(n)| >= K-1, which is checked first.
+
+    The region is bounded, so every final ray has t > 0, and the
+    vertices are the rays divided by t: the basic feasible solutions.
+    Output is deduplicated and sorted lexicographically.
     """
     k = region.dimension
     if k > MAX_VERTEX_K:
@@ -417,17 +431,42 @@ def vertex_enumerate(region: DoFRegion):
             "vertex enumeration supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
         )
     assert_bounded(region)
-    rows = [_integer_row(hs.coeffs + (hs.bound,)) for hs in region.halfspaces]
-    axes = [[int(j == i) for j in range(k)] + [0] for i in range(k)]
-    found = set()
-    for basis in combinations(rows + axes, k):
-        sol = _solve_int(basis)
-        if sol is None:
-            continue
-        num, det = sol
-        if min(num) >= 0 and all(sum(c * x for c, x in zip(row, num)) <= row[k] * det for row in rows):
-            found.add(tuple(Fraction(x, det) for x in num))
-    return sorted(found)
+    rays = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
+    zeros = [((1 << (k + 1)) - 1) ^ (1 << i) for i in range(k + 1)]
+    for bit, hs in enumerate(region.halfspaces, start=k + 1):
+        *coeffs, bound = _integer_row(hs.coeffs + (hs.bound,))
+        row = [-c for c in coeffs] + [bound]
+        flag = 1 << bit
+        vals = [sum(a * x for a, x in zip(row, r)) for r in rays]
+        outside = [(n, vn) for n, vn in enumerate(vals) if vn < 0]
+        added_rays = []
+        added_zeros = []
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for n, vn in outside:
+                common = zeros[p] & zeros[n]
+                if common.bit_count() < k - 1 or _contained_in_third(common, zeros):
+                    continue
+                ray = [vp * b - vn * a for a, b in zip(rays[p], rays[n])]
+                g = gcd(*ray)
+                added_rays.append(tuple(x // g for x in ray))
+                added_zeros.append(common | flag)
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in keep] + added_rays
+        zeros = [zeros[i] | flag if vals[i] == 0 else zeros[i] for i in keep] + added_zeros
+    return sorted({tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays})
+
+
+def _contained_in_third(common, zeros):
+    """True iff a third zero set besides the pair's own two contains ``common``."""
+    found = 0
+    for z in zeros:
+        if z & common == common:
+            found += 1
+            if found > 2:
+                return True
+    return False
 
 
 def _orbit_keys(region: DoFRegion):

@@ -95,20 +95,26 @@ class AntennaConfig:
 
 
 def permutation_inequalities(config: AntennaConfig):
-    """The raw outer-bound inequalities, one per user permutation.
+    """The distinct raw outer-bound inequalities, in permutation order.
 
     For permutation pi, the inequality reads
     sum_i d_{pi(i)} / min(M, N_{pi(i)} + ... + N_{pi(K)}) <= 1.
+    Permutations that give the same coefficients (users with equal N_i,
+    or tails capped at M) yield one half-space, at the first of them; rows
+    are keyed by their integer denominators, so a repeat builds nothing.
     """
-    k = config.K
-    out = []
-    for pi in permutations(range(k)):
-        coeffs = [_ZERO] * k
-        for i in range(k):
-            tail = sum(config.N[pi[j]] for j in range(i, k))
-            coeffs[pi[i]] = Fraction(1, min(config.M, tail))
-        out.append(HalfSpace(tuple(coeffs), _ONE))
-    return out
+    rows = {}
+    for pi in permutations(range(config.K)):
+        caps = [0] * config.K
+        tail = 0
+        for user in reversed(pi):
+            tail += config.N[user]
+            caps[user] = min(config.M, tail)
+        caps = tuple(caps)
+        if caps not in rows:
+            rows[caps] = HalfSpace(tuple(Fraction(1, c) for c in caps), _ONE)
+    return list(rows.values())
+
 
 def outer_bound_region(config: AntennaConfig) -> DoFRegion:
     """Outer bound on the delayed-CSIT DoF region, redundancy-reduced.
@@ -124,13 +130,7 @@ def outer_bound_region(config: AntennaConfig) -> DoFRegion:
         raise UnsupportedDimensionError(
             "outer bound supports K <= %d, got K=%d" % (MAX_OUTER_K, config.K)
         )
-    raw = []
-    seen = set()
-    for hs in permutation_inequalities(config):
-        if hs not in seen:
-            seen.add(hs)
-            raw.append(hs)
-    return remove_redundant(DoFRegion(config.K, tuple(raw)))
+    return remove_redundant(DoFRegion(config.K, tuple(permutation_inequalities(config))))
 
 
 def two_user_region(M: int, N1: int, N2: int) -> DoFRegion:

@@ -91,12 +91,12 @@ def test_region_usage_errors(capsys):
 
 
 def test_region_outer_beyond_vertex_limit_fails_fast(capsys):
-    # building the K=5 outer bound alone takes tens of seconds
+    # K=6 is refused before its 720 permutation inequalities are built
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "region", "--model", "outer", "--M", "4", "--N", "1,1,1,1,1")
+    code, _, err = run_cli(capsys, "region", "--model", "outer", "--M", "4", "--N", "1,1,1,1,1,1")
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE
-    assert "K <= 4, got K=5" in err
+    assert "K <= 5, got K=6" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Exact-geometry layer: membership, LP, vertices, redundancy, equality.
 
 Derived expectations are checked against independent oracles: a float LP
-solved by scipy (HiGHS) for support values and redundancy, and brute
-maximization over enumerated vertices for the simplex.
+solved by scipy (HiGHS) for support values and redundancy, brute
+maximization over enumerated vertices for the simplex, and enumeration of
+every basis for the double-description vertex enumeration.
 """
 
 import random
+import time
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import sympy
@@ -89,6 +91,7 @@ TEST_REGIONS = [
     three_user_region(2, 1),
     three_user_region(3, 2),
     outer_bound_region(AntennaConfig(4, (1, 1, 1, 1))),
+    outer_bound_region(AntennaConfig(3, (2, 1, 1, 1, 1))),
 ]
 
 
@@ -408,9 +411,79 @@ def test_vertices_feasible_with_full_active_rank(region):
 
 
 def test_vertices_unsupported_dimension():
-    region = DoFRegion(5, (HalfSpace((1,) * 5, 1),))
+    region = DoFRegion(6, (HalfSpace((1,) * 6, 1),))
     with pytest.raises(UnsupportedDimensionError):
         vertex_enumerate(region)
+
+
+def test_vertices_five_single_antenna_users_fast():
+    # One vertex per set S of served users: d_i = x_s on S, 0 elsewhere, with
+    # x_s = 1 / sum_{i<=s} 1/min(M, i) from the permutation bound on S alone.
+    region = outer_bound_region(AntennaConfig(4, (1,) * 5))
+    start = time.perf_counter()
+    verts = vertex_enumerate(region)
+    assert time.perf_counter() - start < 1.0
+    level = [F(0)] + [1 / sum(F(1, min(4, i)) for i in range(1, s + 1)) for s in range(1, 6)]
+    assert level[1:] == [F(1), F(2, 3), F(6, 11), F(12, 25), F(3, 7)]
+    served = [tuple(int(b) for b in format(mask, "05b")) for mask in range(32)]
+    assert verts == sorted(tuple(level[sum(on)] * b for b in on) for on in served)
+    for vertex in verts:
+        assert contains(region, vertex)
+        assert _active_rank(region, vertex) == 5
+
+
+def basis_vertex_enumerate(region):
+    """Reference: every basic feasible solution, one integer solve per K-subset
+    of the rows and axes."""
+    k = region.dimension
+    assert_bounded(region)
+    rows = [exactgeom._integer_row(hs.coeffs + (hs.bound,)) for hs in region.halfspaces]
+    axes = [[int(j == i) for j in range(k)] + [0] for i in range(k)]
+    found = set()
+    for basis in combinations(rows + axes, k):
+        sol = exactgeom._solve_int(basis)
+        if sol is None:
+            continue
+        num, det = sol
+        if min(num) >= 0 and all(sum(c * x for c, x in zip(row, num)) <= row[k] * det for row in rows):
+            found.add(tuple(F(x, det) for x in num))
+    return sorted(found)
+
+
+@st.composite
+def vertex_regions(draw):
+    """K=1..4 rows with negative coefficients, zero and negative bounds, and
+    duplicated or proportional rows: empty, degenerate and lower-dimensional
+    regions included."""
+    k = draw(st.integers(1, 4))
+    rows = [
+        (tuple(draw(st.lists(_COEFF, min_size=k, max_size=k))), draw(_BOUND))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    rows = [(c, b) for c, b in rows if any(c)] or [((F(1),) * k, F(1))]
+    for _ in range(draw(st.integers(0, 2))):
+        c, b = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from([F(1), F(1, 2), F(3)]))
+        rows.insert(draw(st.integers(0, len(rows))), (tuple(x * scale for x in c), b * scale))
+    return DoFRegion(k, tuple(HalfSpace(c, b) for c, b in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_regions())
+def test_vertex_enumerate_matches_basis_enumeration(region):
+    try:
+        expected = basis_vertex_enumerate(region)
+    except GeometryError as err:
+        with pytest.raises(type(err)):
+            vertex_enumerate(region)
+        return
+    assert vertex_enumerate(region) == expected
+
+
+@pytest.mark.parametrize("n", [(3, 1, 1, 1, 1), (2, 1, 1, 1, 1)])
+def test_vertex_enumerate_matches_basis_enumeration_at_five_users(n):
+    region = outer_bound_region(AntennaConfig(3, n))
+    assert vertex_enumerate(region) == basis_vertex_enumerate(region)
 
 
 def test_vertices_unbounded_error():

@@ -43,6 +43,7 @@ CLI_CASES = [
     ("region-outer-4-32", ["region", "--model", "outer", "--M", "4", "--N", "3,2"], ("csv", "json"), 0),
     ("region-outer-3-111", ["region", "--model", "outer", "--M", "3", "--N", "1,1,1"], ("csv", "json"), 0),
     ("region-outer-3-1111", ["region", "--model", "outer", "--M", "3", "--N", "1,1,1,1"], ("csv", "json"), 0),
+    ("region-outer-4-11111", ["region", "--model", "outer", "--M", "4", "--N", "1,1,1,1,1"], ("csv", "json"), 0),
     ("region-two-user-4-32", ["region", "--model", "two-user", "--M", "4", "--N", "3,2"], ("csv", "json"), 0),
     ("region-two-user-2-32", ["region", "--model", "two-user", "--M", "2", "--N", "3,2"], ("csv", "json"), 0),
     ("region-two-user-6-22", ["region", "--model", "two-user", "--M", "6", "--N", "2,2"], ("csv", "json"), 0),

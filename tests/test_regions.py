@@ -5,6 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,20 @@ def test_permutation_inequalities_three_single_antenna_users():
         assert hs.bound == 1
 
 
+def test_permutation_inequalities_keep_first_occurrence_of_each_row():
+    # M=3 caps the first tail (4 antennas) at 3, so the first two users of
+    # every permutation weigh 1/3: 4!/2! = 12 distinct rows of 24.
+    expected = []
+    for pi in permutations(range(4)):
+        coeffs = [None] * 4
+        for i, user in enumerate(pi):
+            coeffs[user] = F(1, min(3, 4 - i))
+        if HalfSpace(tuple(coeffs), 1) not in expected:
+            expected.append(HalfSpace(tuple(coeffs), 1))
+    assert len(expected) == 12
+    assert permutation_inequalities(AntennaConfig(3, (1, 1, 1, 1))) == expected
+
+
 def test_outer_bound_432_is_the_two_theorem_lines():
     region = outer_bound_region(AntennaConfig(4, (3, 2)))
     assert set(region.halfspaces) == {
@@ -124,8 +139,8 @@ def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkey
     # Every LP reports "kept", so this checks only that the guard lets the
     # config through; the real results are pinned elsewhere.
     monkeypatch.setattr(exactgeom, "_solve_lp", lambda *args: (exactgeom._UNBOUNDED, None, None))
-    golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1))}
-    configs = _benchmark_geometry_configs() | golden | {(4, (1,) * 5)}
+    golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (4, (1,) * 5)}
+    configs = _benchmark_geometry_configs() | golden
     assert len(configs) > 100
     for m, n in sorted(configs):
         outer_bound_region(AntennaConfig(m, n))
