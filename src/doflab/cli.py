@@ -103,10 +103,6 @@ def _line_endpoints(hs):
 def _build_region(args):
     if args.model == "outer":
         config = AntennaConfig(args.M, tuple(args.N))
-        if config.K > exactgeom.MAX_VERTEX_K:
-            # the region would be built in full, then fail in vertex enumeration
-            raise CliError("vertex enumeration supports K <= %d, got K=%d"
-                           % (exactgeom.MAX_VERTEX_K, config.K))
         return config, regions.outer_bound_region(config)
     if args.model == "two-user":
         if len(args.N) != 2:
@@ -137,6 +133,8 @@ def _region_svg(config, region, verts):
 
 def cmd_region(args) -> int:
     config, region = _build_region(args)
+    if args.out and args.format == "svg" and region.dimension != 2:
+        raise CliError("svg output needs a 2-dimensional region")
     verts = exactgeom.vertex_enumerate(region)
     print("model=%s M=%d N=%s" % (args.model, config.M, ",".join(map(str, config.N))))
     print("halfspaces:")
@@ -154,8 +152,6 @@ def cmd_region(args) -> int:
         elif args.format == "json":
             _write(args.out, serialize.json_text(serialize.region_document(config, region, verts)))
         elif args.format == "svg":
-            if region.dimension != 2:
-                raise CliError("svg output needs a 2-dimensional region")
             _write(args.out, _region_svg(config, region, verts))
     return EXIT_OK
 
@@ -202,6 +198,8 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _simulate_two_user(args, seed) -> int:
+    if args.target is not None:
+        raise CliError("--target applies only to three-user simulation")
     n1, n2 = args.N
     curve = None
     if args.snr_db:  # a bad SNR list fails before any trial runs
@@ -223,6 +221,8 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("three-user simulation needs equal receiver counts")
     if args.target is None:
         raise CliError("three-user simulation needs --target d1,d2,d3")
+    if args.snr_db is not None:
+        raise CliError("--snr-db applies only to two-user simulation")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
     runs = []  # (status, failures, max_residual) per component

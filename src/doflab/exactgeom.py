@@ -11,17 +11,15 @@ Provided operations: membership, exact linear-objective maximization
 (two-phase rational simplex with Bland's rule), vertex enumeration by
 double description over integer rays (K <= 5), redundancy removal, and
 point-set equality of two regions via mutual inclusion.  ``solve_square``
-runs a fraction-free integer solver.  Redundancy removal runs one simplex
-LP per row, except that a row dominated coefficient by coefficient needs
-no LP and, when the rows determine a unique facet set, one LP decides a
-whole orbit of rows under the coordinate permutations that preserve them.
+runs a fraction-free integer solver.  Redundancy removal reads the facets
+off the double description's vertex-constraint incidence when the rows
+determine a unique facet set, and otherwise runs one simplex LP per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 __all__ = [
@@ -49,7 +47,7 @@ __all__ = [
 
 
 MAX_VERTEX_K = 5  # largest dimension vertex_enumerate accepts
-MAX_REDUNDANCY_WORK = 5 * 10**5  # largest orbits x rows^2 remove_redundant accepts
+MAX_REDUNDANCY_WORK = 5 * 10**5  # largest rows^3 the LP loop of remove_redundant accepts
 
 
 class GeometryError(ValueError):
@@ -403,8 +401,8 @@ def solve_square(matrix, rhs):
     return tuple(Fraction(x, det) for x in num)
 
 
-def vertex_enumerate(region: DoFRegion):
-    """Exact vertex set by double description.
+def _double_description(region: DoFRegion):
+    """Extreme rays of the homogenized region and their zero sets.
 
     The region is homogenized to the cone {(d, t) >= 0 : bound * t -
     coeffs . d >= 0 for every row}.  It starts as the orthant, whose
@@ -413,7 +411,8 @@ def vertex_enumerate(region: DoFRegion):
 
     Invariant: the rays are exactly the extreme rays of the cone cut so
     far, each a gcd-normalized tuple of ints with its zero set, the
-    bitmask of the constraints it meets with equality.  A new row keeps
+    bitmask of the constraints it meets with equality: bit i < K for
+    d_i >= 0, bit K for t >= 0 and bit K+1+j for row j.  A new row keeps
     the rays on its nonnegative side and, for each ray p strictly inside
     and n strictly outside that are adjacent, adds the positive
     combination of p and n on its hyperplane.  The cone is pointed, since
@@ -421,9 +420,9 @@ def vertex_enumerate(region: DoFRegion):
     zero set contains Z(p) & Z(n).  The constraints have rank K+1, so
     adjacency also needs |Z(p) & Z(n)| >= K-1, which is checked first.
 
-    The region is bounded, so every final ray has t > 0, and the
-    vertices are the rays divided by t: the basic feasible solutions.
-    Output is deduplicated and sorted lexicographically.
+    The region is bounded, so every final ray has t > 0: divided by t,
+    the rays are the vertices, and the zero sets their incidence with
+    the constraints.
     """
     k = region.dimension
     if k > MAX_VERTEX_K:
@@ -455,7 +454,7 @@ def vertex_enumerate(region: DoFRegion):
         keep = [i for i, v in enumerate(vals) if v >= 0]
         rays = [rays[i] for i in keep] + added_rays
         zeros = [zeros[i] | flag if vals[i] == 0 else zeros[i] for i in keep] + added_zeros
-    return sorted({tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays})
+    return rays, zeros
 
 
 def _contained_in_third(common, zeros):
@@ -469,39 +468,14 @@ def _contained_in_third(common, zeros):
     return False
 
 
-def _orbit_keys(region: DoFRegion):
-    """One key per row; rows with equal keys get the same redundancy verdict.
+def vertex_enumerate(region: DoFRegion):
+    """Exact vertex set by double description (``_double_description``).
 
-    Each row is keyed by its index unless the set of facets is unique (see
-    ``remove_redundant``).  Then the coordinates split into classes that
-    the symmetries of the normalized rows permute freely, and a row's key
-    is its normalized coefficients sorted within each class.
+    Output is deduplicated and sorted lexicographically.
     """
-    rows = region.halfspaces
-    if any(hs.bound <= 0 for hs in rows):
-        return list(range(len(rows)))
-    normed = [tuple(c / hs.bound for c in hs.coeffs) for hs in rows]
-    row_set = set(normed)
-    if len(row_set) < len(normed):
-        return list(range(len(rows)))
-    label = list(range(region.dimension))
-    for i, j in combinations(range(region.dimension), 2):
-        if label[i] != label[j] and all(_swapped(r, i, j) in row_set for r in normed):
-            old = label[j]
-            label = [label[i] if x == old else x for x in label]
-    classes = [[c for c in range(region.dimension) if label[c] == x] for x in sorted(set(label))]
-    return [tuple(tuple(sorted(r[c] for c in cls)) for cls in classes) for r in normed]
-
-
-def _swapped(row, i, j):
-    out = list(row)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
-
-
-def _dominates(a: HalfSpace, b: HalfSpace) -> bool:
-    """True iff ``a`` implies ``b`` on d >= 0 coefficient by coefficient."""
-    return a.bound <= b.bound and all(x >= y for x, y in zip(a.coeffs, b.coeffs))
+    k = region.dimension
+    rays, _ = _double_description(region)
+    return sorted({tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays})
 
 
 def remove_redundant(region: DoFRegion) -> DoFRegion:
@@ -513,50 +487,48 @@ def remove_redundant(region: DoFRegion) -> DoFRegion:
     becomes unbounded means the half-space is load-bearing and is kept.
     Survivors keep their input order.
 
-    Two exact shortcuts give the same verdict as that LP without solving it:
+    When every bound is > 0 and no two rows are equal after dividing each
+    by its bound, the verdicts are read off the double description with
+    no LP.  Then eps * (1, ..., 1) is an interior point, so the region is
+    a full-dimensional polytope, and the K coordinate hyperplanes and the
+    rows' hyperplanes are all distinct.  A row is then redundant against
+    any system that still describes the region iff it does not define a
+    facet, whatever the visiting order.  Let T(c) be the set of vertices
+    tight on constraint c.  Row j defines a facet iff no other constraint
+    has T(c) a strict superset of T(j): a face is the convex hull of its
+    vertices, the facets are the maximal proper faces, and every face that
+    is not a facet, the empty one included, lies in a facet, which some
+    constraint of the system defines.
 
-    * Dominance.  A survivor with componentwise >= coefficients and a bound
-      <= this row's bound implies it on d >= 0, so the row is dropped.  The
-      LP cannot be infeasible, because the region is nonempty and the
-      survivors describe it at every step.
-    * Orbits.  Suppose every bound is > 0 and no two rows are equal after
-      dividing each by its bound.  Then eps * (1, ..., 1) is an interior
-      point, the region is full-dimensional and each row is its own
-      hyperplane.  A row is then redundant against any system that still
-      describes the region iff it does not define a facet, so each verdict
-      is independent of the visiting order.  A coordinate permutation that
-      maps the normalized rows onto themselves maps the region, and so its
-      facets, onto itself.  The transpositions with that property are
-      merged into classes of coordinates, each permuted freely, and rows
-      with the same coefficients sorted within each class
-      (``_orbit_keys``) share one verdict, decided at the first of them.
-      Any other input keys each row by itself.
-
-    Raises UnsupportedDimensionError before any LP when orbits x rows^2
-    exceeds MAX_REDUNDANCY_WORK.
+    Any other input runs one LP per row, and is refused with
+    UnsupportedDimensionError before the first of them when rows^3
+    exceeds MAX_REDUNDANCY_WORK.  The double description refuses K >
+    MAX_VERTEX_K.
     """
-    assert_bounded(region)
     rows = region.halfspaces
-    keys = _orbit_keys(region)
-    orbits = len(set(keys))
-    if orbits * len(rows) ** 2 > MAX_REDUNDANCY_WORK:
+    # every bound > 0 and no two rows equal after dividing each by its bound
+    if len({tuple(c / hs.bound for c in hs.coeffs) for hs in rows if hs.bound > 0}) == len(rows):
+        _, zeros = _double_description(region)
+        tight = [
+            sum(1 << r for r, z in enumerate(zeros) if z >> c & 1)
+            for c in range(region.dimension + 1 + len(rows))
+        ]
+        return DoFRegion(region.dimension, tuple(
+            hs for hs, t in zip(rows, tight[region.dimension + 1 :])
+            if not any(u != t and u & t == t for u in tight)
+        ))
+    assert_bounded(region)
+    if len(rows) ** 3 > MAX_REDUNDANCY_WORK:
         raise UnsupportedDimensionError(
-            "redundancy removal supports orbits x rows^2 <= %d, got %d x %d^2"
-            % (MAX_REDUNDANCY_WORK, orbits, len(rows))
+            "redundancy removal supports rows^3 <= %d, got %d^3" % (MAX_REDUNDANCY_WORK, len(rows))
         )
     keep = [True] * len(rows)
-    redundant = {}
     for i, hs in enumerate(rows):
-        if keys[i] not in redundant:
-            others = [o for j, o in enumerate(rows) if keep[j] and j != i]
-            if any(_dominates(o, hs) for o in others):
-                redundant[keys[i]] = True
-            else:
-                status, value, _ = _solve_lp(
-                    [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
-                )
-                redundant[keys[i]] = status == _OPTIMAL and value <= hs.bound
-        keep[i] = not redundant[keys[i]]
+        others = [o for j, o in enumerate(rows) if keep[j] and j != i]
+        status, value, _ = _solve_lp(
+            [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
+        )
+        keep[i] = not (status == _OPTIMAL and value <= hs.bound)
     return DoFRegion(region.dimension, tuple(hs for hs, k in zip(rows, keep) if k))
 
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .exactgeom import (
+    MAX_VERTEX_K,
     DoFRegion,
     GeometryError,
     HalfSpace,
@@ -61,7 +62,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-MAX_OUTER_K = 5  # largest user count outer_bound_region accepts
 
 
 class ThreeUserScopeError(GeometryError):
@@ -119,16 +119,14 @@ def permutation_inequalities(config: AntennaConfig):
 def outer_bound_region(config: AntennaConfig) -> DoFRegion:
     """Outer bound on the delayed-CSIT DoF region, redundancy-reduced.
 
-    Refuses K > MAX_OUTER_K before building the K! permutation
-    inequalities.  Permuting users with equal N_i maps the distinct
-    inequalities onto themselves, so ``remove_redundant`` decides each
-    orbit of them with at most one exact LP.  With few equal N_i there are
-    many orbits; it refuses orbits x rows^2 above MAX_REDUNDANCY_WORK
-    before any LP.
+    Refuses K > MAX_VERTEX_K before building the K! permutation
+    inequalities.  Every inequality has bound 1 and they are distinct, so
+    ``remove_redundant`` reads the facets off the double description and
+    runs no LP.
     """
-    if config.K > MAX_OUTER_K:
+    if config.K > MAX_VERTEX_K:
         raise UnsupportedDimensionError(
-            "outer bound supports K <= %d, got K=%d" % (MAX_OUTER_K, config.K)
+            "outer bound supports K <= %d, got K=%d" % (MAX_VERTEX_K, config.K)
         )
     return remove_redundant(DoFRegion(config.K, tuple(permutation_inequalities(config))))
 

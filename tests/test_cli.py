@@ -3,7 +3,7 @@
 import json
 import time
 
-from doflab import scheme
+from doflab import exactgeom, scheme
 from doflab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -79,6 +79,22 @@ def test_region_svg_needs_two_dimensions(tmp_path, capsys):
         "--out", str(tmp_path / "x.svg"), "--format", "svg",
     )
     assert code == EXIT_USAGE
+
+
+def test_region_svg_checks_dimension_before_vertex_enumeration(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertices were enumerated before the svg dimension was checked")
+
+    monkeypatch.setattr(exactgeom, "vertex_enumerate", refuse)
+    out = tmp_path / "x.svg"
+    code, stdout, err = run_cli(
+        capsys, "region", "--model", "outer", "--M", "4", "--N", "3,2,1",
+        "--out", str(out), "--format", "svg",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "svg output needs a 2-dimensional region" in err
+    assert not out.exists()
 
 
 def test_region_usage_errors(capsys):
@@ -203,6 +219,33 @@ def test_simulate_overflowing_snr_is_usage_error(capsys):
     assert code == EXIT_USAGE
     assert "overflows the rate computation" in err
     assert "rate_slopes" not in stdout
+
+
+def _refuse_trials(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trials ran before the flags were checked")
+
+    monkeypatch.setattr(scheme, "simulate_trials", refuse)
+
+
+def test_simulate_two_user_refuses_target(capsys, monkeypatch):
+    _refuse_trials(monkeypatch)
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "4", "--N", "3,2", "--target", "1,1,1", "--trials", "3",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--target applies only to three-user simulation" in err
+
+
+def test_simulate_three_user_refuses_snr_list(capsys, monkeypatch):
+    _refuse_trials(monkeypatch)
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "3", "--N", "2,2,2", "--target", "1,1,0", "--snr-db", "10,20,30",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--snr-db applies only to two-user simulation" in err
 
 
 def _refuse_draws(monkeypatch):

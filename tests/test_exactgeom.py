@@ -223,9 +223,9 @@ _BOUND = st.builds(F, st.integers(-1, 6), st.integers(1, 3))
 
 @st.composite
 def redundancy_regions(draw):
-    """K=2..4 rows, some closed under within-class coordinate permutations,
+    """K=2..5 rows, some closed under within-class coordinate permutations,
     some with a duplicate, a proportional or a bound <= 0 row."""
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 5))
     rows = [
         (tuple(draw(st.lists(_COEFF, min_size=k, max_size=k))), draw(_BOUND))
         for _ in range(draw(st.integers(1, 4)))
@@ -300,27 +300,32 @@ def _count_lps(monkeypatch):
     return calls
 
 
-def test_remove_redundant_decides_each_orbit_once(monkeypatch):
+def test_remove_redundant_reads_outer_bound_facets_without_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert len(outer_bound_region(AntennaConfig(3, (1,) * 5)).halfspaces) == 20
-    assert len(calls) == 1
-    calls.clear()
     assert len(outer_bound_region(AntennaConfig(4, (1,) * 5)).halfspaces) == 60
-    assert len(calls) == 1
-    calls.clear()
     config = AntennaConfig(5, (2, 2, 1, 1))
-    raw = _raw_outer_bound(config)
-    keys = set(exactgeom._orbit_keys(raw))
-    assert len(raw.halfspaces) == 22 and len(keys) < 22
+    assert len(_raw_outer_bound(config).halfspaces) == 22
     assert len(outer_bound_region(config).halfspaces) == 14
-    assert len(calls) <= len(keys)
+    assert len(calls) == 0
 
 
 def test_remove_redundant_drops_dominated_row_without_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
     region = two_user_region(3, 3, 2)
     assert remove_redundant(region).halfspaces == region.halfspaces[:1]
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_remove_redundant_refuses_large_lp_fallback_before_any_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    # a bound of 0 rules out the incidence path: 80^3 > MAX_REDUNDANCY_WORK
+    rows = [HalfSpace((1, j), j) for j in range(1, 80)] + [HalfSpace((1, 1), 0)]
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedDimensionError, match="rows\\^3"):
+        remove_redundant(DoFRegion(2, tuple(rows)))
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 0
 
 
 def dense_pivot(tab, row, col):

@@ -47,6 +47,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import plan_document, plan_to_csv, region_document
+from test_exactgeom import scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 ALLOWED_SOURCES = {SOURCE_TWO_USER, SOURCE_SINGLE_USER, SOURCE_TIME_DIVISION, SOURCE_EXTERNAL}
@@ -117,14 +118,19 @@ def _no_lp(*args):
     raise AssertionError("an LP ran")
 
 
-@pytest.mark.parametrize("m", [12, 15])
-def test_outer_bound_refuses_runaway_five_user_inputs_fast(monkeypatch, m):
-    # All receiver counts distinct: no symmetry, one orbit per row.
+@pytest.mark.parametrize("m, kept", [(12, 60), (15, 120)], ids=["12", "15"])
+def test_outer_bound_completes_five_distinct_user_inputs_fast(monkeypatch, m, kept):
+    # All receiver counts distinct: no symmetry among the rows.
     monkeypatch.setattr(exactgeom, "_solve_lp", _no_lp)
+    config = AntennaConfig(m, (5, 4, 3, 2, 1))
     start = time.perf_counter()
-    with pytest.raises(UnsupportedDimensionError, match="orbits x rows"):
-        outer_bound_region(AntennaConfig(m, (5, 4, 3, 2, 1)))
-    assert time.perf_counter() - start < 1.0
+    region = outer_bound_region(config)
+    assert time.perf_counter() - start < 2.0
+    assert len(region.halfspaces) == kept
+    monkeypatch.undo()
+    raw = DoFRegion(config.K, tuple(permutation_inequalities(config)))
+    for i, hs in enumerate(raw.halfspaces):
+        assert scipy_redundant_oracle(raw, i) == (hs not in region.halfspaces), hs.render()
 
 
 def _benchmark_geometry_configs():
@@ -136,9 +142,9 @@ def _benchmark_geometry_configs():
 
 
 def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkeypatch):
-    # Every LP reports "kept", so this checks only that the guard lets the
-    # config through; the real results are pinned elsewhere.
-    monkeypatch.setattr(exactgeom, "_solve_lp", lambda *args: (exactgeom._UNBOUNDED, None, None))
+    # No LP may run: every outer bound takes the incidence path, so no
+    # work limit applies; the real results are pinned elsewhere.
+    monkeypatch.setattr(exactgeom, "_solve_lp", _no_lp)
     golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (4, (1,) * 5)}
     configs = _benchmark_geometry_configs() | golden
     assert len(configs) > 100
