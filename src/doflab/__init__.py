@@ -3,8 +3,9 @@ alignment for broadcast channels with delayed CSIT.
 
 The package splits into four layers:
 
-* ``exactgeom``: exact rational half-space regions (membership, simplex
-  LP, vertex enumeration, redundancy removal, equality).
+* ``exactgeom``: exact rational half-space regions (membership, and from
+  one double description: linear maximization, vertex enumeration,
+  redundancy removal, equality).
 * ``regions``: the region/point/scalar constructors and the three-user
   plane-slice geometry with exact time-sharing decompositions.
 * ``scheme``: a seeded simulator of the two-user three-phase alignment

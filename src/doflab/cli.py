@@ -163,6 +163,8 @@ def cmd_region(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.N) != 2:
         raise CliError("compare needs --N N1,N2")
+    if not args.M:
+        raise CliError("compare needs at least one --M value")
     n1, n2 = args.N
     sweep = []
     for m in args.M:

@@ -3,19 +3,20 @@
 Regions live in the nonnegative orthant of dimension K: a ``DoFRegion``
 stores explicit half-spaces ``coeffs . d <= bound`` while the constraints
 ``d_i >= 0`` are implicit and always enforced.  Every number in this module
-is a ``fractions.Fraction``, or an ``int`` inside the linear solver; no
-floating point enters any computation, so all results are reproducible bit
-for bit.
+is a ``fractions.Fraction``, or an ``int`` inside the double description
+and the linear solver; no floating point enters any computation, so all
+results are reproducible bit for bit.
 
-Provided operations: membership, exact linear-objective maximization
-(two-phase rational simplex with Bland's rule), vertex enumeration by
-double description over integer rays (K <= 5), redundancy removal, and
-point-set equality of two regions via mutual inclusion.  ``solve_square``
-runs a fraction-free integer solver.  Redundancy removal reads the facets
-off the double description's vertex-constraint incidence when the rows
-determine a unique facet set, and otherwise runs one simplex LP per row.
+Provided operations: membership, exact linear-objective maximization,
+boundedness, vertex enumeration, redundancy removal, and point-set
+equality of two regions via mutual inclusion.  All but membership are
+read off one engine, the double description over integer rays (K <= 5):
+its rays with t > 0 are the vertices and those with t = 0 the recession
+directions.  ``solve_square`` runs a fraction-free integer solver.
+Redundancy removal reads the facets off the vertex-constraint incidence
+when the rows determine a unique facet set, and otherwise runs one double
+description per row.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ __all__ = [
 ]
 
 
-MAX_VERTEX_K = 5  # largest dimension vertex_enumerate accepts
-MAX_REDUNDANCY_WORK = 5 * 10**5  # largest rows^3 the LP loop of remove_redundant accepts
+MAX_VERTEX_K = 5  # largest dimension any double-description query accepts
+MAX_REDUNDANCY_WORK = 75 * 10**3  # largest rows^3 the fallback loop of remove_redundant accepts
 
 
 class GeometryError(ValueError):
@@ -168,162 +169,22 @@ def contains(region: DoFRegion, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex (Bland's rule, guaranteed termination)
+# Linear objectives and boundedness, read off the double description
 # ---------------------------------------------------------------------------
 
-_OPTIMAL = "optimal"
-_UNBOUNDED = "unbounded"
-_INFEASIBLE = "infeasible"
-
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(tab, basis, row, col):
-    """Pivot on tab[row][col] in place.
-
-    Rows are updated only in the pivot row's nonzero columns: a slack
-    tableau is mostly zeros, and the skipped updates would subtract 0.
-    """
-    piv = tab[row][col]
-    prow = tab[row] = [v / piv for v in tab[row]]
-    nonzero = [j for j, p in enumerate(prow) if p]
-    for i, r in enumerate(tab):
-        f = r[col]
-        if i != row and f != 0:
-            for j in nonzero:
-                r[j] -= f * prow[j]
-    basis[row] = col
-
-
-def _run_simplex(tab, basis, m, ncols):
-    """Maximize with objective in tab[m]; Bland's rule on both choices."""
-    while True:
-        enter = -1
-        obj = tab[m]
-        for j in range(ncols):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return _OPTIMAL
-        leave = -1
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return _UNBOUNDED
-        _pivot(tab, basis, leave, enter)
-
-
-def _canonical_objective(tab, basis, m, ncols, costs):
-    """Install objective row tab[m] = reduced costs of ``costs`` w.r.t. basis."""
-    row = list(costs) + [_ZERO] * (ncols - len(costs)) + [_ZERO]
-    for i in range(m):
-        c = row[basis[i]]
-        if c != 0:
-            row = [v - c * t for v, t in zip(row, tab[i])]
-    tab[m] = row
-
-
-def _solve_lp(a_rows, b_vals, objective):
-    """max objective . x  s.t.  a_rows x <= b_vals, x >= 0  (all Fractions).
-
-    Returns (status, value, x) with exact rationals.
-    """
-    m = len(a_rows)
-    n = len(objective)
-    # Equality form with one slack per row; rows with negative rhs are negated
-    # and receive an artificial variable.
-    art_of_row = {}
-    rows = []
-    for i in range(m):
-        row = list(a_rows[i]) + [_ZERO] * m
-        row[n + i] = _ONE
-        rhs = b_vals[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-            art_of_row[i] = None
-        rows.append((row, rhs))
-    n_art = len(art_of_row)
-    ncols = n + m + n_art
-    for k, i in enumerate(sorted(art_of_row)):
-        art_of_row[i] = n + m + k
-
-    tab = []
-    basis = []
-    for i, (row, rhs) in enumerate(rows):
-        full = row + [_ZERO] * n_art + [rhs]
-        if i in art_of_row:
-            full[art_of_row[i]] = _ONE
-            basis.append(art_of_row[i])
-        else:
-            basis.append(n + i)
-        tab.append(full)
-    tab.append([_ZERO] * (ncols + 1))
-
-    if n_art:
-        phase1 = [_ZERO] * ncols
-        for col in art_of_row.values():
-            phase1[col] = Fraction(-1)
-        _canonical_objective(tab, basis, m, ncols, phase1)
-        status = _run_simplex(tab, basis, m, ncols)
-        assert status == _OPTIMAL, "phase 1 cannot be unbounded"
-        if tab[m][-1] != 0:  # -value != 0  =>  some artificial stayed positive
-            return _INFEASIBLE, None, None
-        # Drive any basic artificials left at zero out of the basis.
-        art_cols = set(art_of_row.values())
-        for i in range(m):
-            if basis[i] in art_cols:
-                for j in range(n + m):
-                    if tab[i][j] != 0:
-                        _pivot(tab, basis, i, j)
-                        break
-        # Discard the artificial columns so they can never re-enter; a row
-        # whose artificial could not leave is redundant and is dropped.
-        keep = [i for i in range(m) if basis[i] not in art_cols]
-        ncols = n + m
-        tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-        tab.append([_ZERO] * (ncols + 1))
-
-    _canonical_objective(tab, basis, m, ncols, list(objective))
-    status = _run_simplex(tab, basis, m, ncols)
-    if status == _UNBOUNDED:
-        return _UNBOUNDED, None, None
-    x = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
-    return _OPTIMAL, -tab[m][-1], tuple(x)
-
-
-def _support(region: DoFRegion, objective):
-    a_rows = [hs.coeffs for hs in region.halfspaces]
-    b_vals = [hs.bound for hs in region.halfspaces]
-    return _solve_lp(a_rows, b_vals, [rat(c) for c in objective])
-
-
 def lp_argmax(region: DoFRegion, objective):
-    """Exact maximum of objective . d over the region, with a maximizer.
+    """Exact maximum of objective . d over the region, with a vertex attaining it.
 
     Raises EmptyRegionError / UnboundedRegionError accordingly.
     """
     if len(objective) != region.dimension:
         raise DimensionMismatchError("objective length != region dimension")
-    status, value, x = _support(region, objective)
-    if status == _INFEASIBLE:
-        raise EmptyRegionError("region is empty")
-    if status == _UNBOUNDED:
-        raise UnboundedRegionError("objective unbounded over region")
-    return value, x
+    objective = [rat(c) for c in objective]
+    value, ray = _support(_double_description(region)[0], objective)
+    return value, tuple(Fraction(x, ray[-1]) for x in ray[:-1])
 
 
 def lp_max(region: DoFRegion, objective) -> Fraction:
@@ -332,20 +193,16 @@ def lp_max(region: DoFRegion, objective) -> Fraction:
 
 
 def is_bounded(region: DoFRegion) -> bool:
-    """True iff every coordinate is bounded above (d >= 0 bounds below).
+    """True iff the region is bounded; raises EmptyRegionError if it is empty.
 
-    When every coefficient and bound is nonnegative, the origin is feasible
-    and coordinate i is bounded iff some half-space has c_i > 0, which is
-    read off the rows.  Otherwise, with d >= 0 each coordinate is at most
-    d1 + ... + dK, so one LP on the all-ones objective decides it.
+    With d >= 0 each coordinate is at most d1 + ... + dK, so the region is
+    bounded iff the all-ones objective is.
     """
-    rows = region.halfspaces
-    if all(hs.bound >= 0 and min(hs.coeffs) >= 0 for hs in rows):
-        return all(any(hs.coeffs[i] > 0 for hs in rows) for i in range(region.dimension))
-    status, _, _ = _support(region, [_ONE] * region.dimension)
-    if status == _INFEASIBLE:
-        raise EmptyRegionError("region is empty")
-    return status != _UNBOUNDED
+    try:
+        _support(_double_description(region)[0], [_ONE] * region.dimension)
+    except UnboundedRegionError:
+        return False
+    return True
 
 
 def assert_bounded(region: DoFRegion) -> DoFRegion:
@@ -356,7 +213,7 @@ def assert_bounded(region: DoFRegion) -> DoFRegion:
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration and redundancy removal
+# Double description: vertex enumeration, redundancy removal, every query
 # ---------------------------------------------------------------------------
 
 def _integer_row(values):
@@ -401,6 +258,7 @@ def solve_square(matrix, rhs):
     return tuple(Fraction(x, det) for x in num)
 
 
+
 def _double_description(region: DoFRegion):
     """Extreme rays of the homogenized region and their zero sets.
 
@@ -420,16 +278,18 @@ def _double_description(region: DoFRegion):
     zero set contains Z(p) & Z(n).  The constraints have rank K+1, so
     adjacency also needs |Z(p) & Z(n)| >= K-1, which is checked first.
 
-    The region is bounded, so every final ray has t > 0: divided by t,
-    the rays are the vertices, and the zero sets their incidence with
-    the constraints.
+    The region is a pointed polyhedron, so it is the convex hull of the
+    final rays with t > 0, divided by t, plus the cone of those with
+    t = 0 (Minkowski-Weyl).  The first are the vertices, with the zero
+    sets their incidence with the constraints; the second are the extreme
+    recession directions.  No ray with t > 0 means the region is empty.
+    Refuses K > MAX_VERTEX_K before any work.
     """
     k = region.dimension
     if k > MAX_VERTEX_K:
         raise UnsupportedDimensionError(
-            "vertex enumeration supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
+            "exact geometry supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
         )
-    assert_bounded(region)
     rays = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
     zeros = [((1 << (k + 1)) - 1) ^ (1 << i) for i in range(k + 1)]
     for bit, hs in enumerate(region.halfspaces, start=k + 1):
@@ -468,13 +328,40 @@ def _contained_in_third(common, zeros):
     return False
 
 
+def _polytope_rays(region: DoFRegion):
+    """``_double_description`` of a region that must be a nonempty polytope."""
+    rays, zeros = _double_description(region)
+    if not rays or not all(r[-1] for r in rays):  # empty or unbounded: _support says which
+        _support(rays, [_ONE] * region.dimension)
+    return rays, zeros
+
+
+def _support(rays, objective):
+    """Maximum of ``objective . d`` over the region with these final rays,
+    and the first ray with t > 0 that attains it.
+
+    A linear objective over a nonempty pointed polyhedron either grows
+    along a recession ray (t = 0) or attains its maximum at a vertex.
+    Raises EmptyRegionError when no ray has t > 0 and UnboundedRegionError
+    when the objective is positive on a ray with t = 0.
+    """
+    k = len(objective)
+    if not any(r[k] for r in rays):
+        raise EmptyRegionError("region is empty")
+    values = [(sum(c * x for c, x in zip(objective, r)), r) for r in rays]
+    if any(v > 0 and not r[k] for v, r in values):
+        raise UnboundedRegionError("objective unbounded over region")
+    return max(((Fraction(v, r[k]), r) for v, r in values if r[k]), key=lambda vr: vr[0])
+
+
 def vertex_enumerate(region: DoFRegion):
     """Exact vertex set by double description (``_double_description``).
 
-    Output is deduplicated and sorted lexicographically.
+    Raises EmptyRegionError / UnboundedRegionError unless the region is a
+    nonempty polytope.  Output is deduplicated and sorted lexicographically.
     """
     k = region.dimension
-    rays, _ = _double_description(region)
+    rays, _ = _polytope_rays(region)
     return sorted({tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays})
 
 
@@ -485,30 +372,30 @@ def remove_redundant(region: DoFRegion) -> DoFRegion:
     maximizing its left side subject to the current survivors other than
     itself (and nonnegativity) stays <= its bound; a sub-problem that
     becomes unbounded means the half-space is load-bearing and is kept.
-    Survivors keep their input order.
+    Survivors keep their input order.  The region must be a nonempty
+    polytope.
 
     When every bound is > 0 and no two rows are equal after dividing each
-    by its bound, the verdicts are read off the double description with
-    no LP.  Then eps * (1, ..., 1) is an interior point, so the region is
-    a full-dimensional polytope, and the K coordinate hyperplanes and the
-    rows' hyperplanes are all distinct.  A row is then redundant against
-    any system that still describes the region iff it does not define a
-    facet, whatever the visiting order.  Let T(c) be the set of vertices
-    tight on constraint c.  Row j defines a facet iff no other constraint
-    has T(c) a strict superset of T(j): a face is the convex hull of its
-    vertices, the facets are the maximal proper faces, and every face that
-    is not a facet, the empty one included, lies in a facet, which some
-    constraint of the system defines.
+    by its bound, the verdicts are read off the region's own double
+    description.  Then eps * (1, ..., 1) is an interior point, so the
+    region is a full-dimensional polytope, and the K coordinate
+    hyperplanes and the rows' hyperplanes are all distinct.  A row is then
+    redundant against any system that still describes the region iff it
+    does not define a facet, whatever the visiting order.  Let T(c) be the
+    set of vertices tight on constraint c.  Row j defines a facet iff no
+    other constraint has T(c) a strict superset of T(j): a face is the
+    convex hull of its vertices, the facets are the maximal proper faces,
+    and every face that is not a facet, the empty one included, lies in a
+    facet, which some constraint of the system defines.
 
-    Any other input runs one LP per row, and is refused with
-    UnsupportedDimensionError before the first of them when rows^3
-    exceeds MAX_REDUNDANCY_WORK.  The double description refuses K >
-    MAX_VERTEX_K.
+    Any other input runs the visit literally, one double description of
+    the survivors per row, and is refused with UnsupportedDimensionError
+    before the first of them when rows^3 exceeds MAX_REDUNDANCY_WORK.
     """
     rows = region.halfspaces
     # every bound > 0 and no two rows equal after dividing each by its bound
     if len({tuple(c / hs.bound for c in hs.coeffs) for hs in rows if hs.bound > 0}) == len(rows):
-        _, zeros = _double_description(region)
+        _, zeros = _polytope_rays(region)
         tight = [
             sum(1 << r for r, z in enumerate(zeros) if z >> c & 1)
             for c in range(region.dimension + 1 + len(rows))
@@ -517,29 +404,33 @@ def remove_redundant(region: DoFRegion) -> DoFRegion:
             hs for hs, t in zip(rows, tight[region.dimension + 1 :])
             if not any(u != t and u & t == t for u in tight)
         ))
-    assert_bounded(region)
     if len(rows) ** 3 > MAX_REDUNDANCY_WORK:
         raise UnsupportedDimensionError(
             "redundancy removal supports rows^3 <= %d, got %d^3" % (MAX_REDUNDANCY_WORK, len(rows))
         )
+    _polytope_rays(region)
     keep = [True] * len(rows)
     for i, hs in enumerate(rows):
-        others = [o for j, o in enumerate(rows) if keep[j] and j != i]
-        status, value, _ = _solve_lp(
-            [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
-        )
-        keep[i] = not (status == _OPTIMAL and value <= hs.bound)
+        others = DoFRegion(region.dimension, tuple(o for j, o in enumerate(rows) if keep[j] and j != i))
+        try:
+            value, _ = _support(_double_description(others)[0], hs.coeffs)
+        except UnboundedRegionError:  # the survivors contain the region, so are never empty
+            continue
+        keep[i] = value > hs.bound
     return DoFRegion(region.dimension, tuple(hs for hs, k in zip(rows, keep) if k))
 
 
 def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
-    """True iff inner is a subset of outer (exact, via support LPs)."""
+    """True iff inner is a subset of outer (exact).
+
+    Inner lies in outer iff no row of outer is exceeded by inner's support
+    in that row's direction.  The supports are read off inner's double
+    description, built once; they raise as ``lp_max`` on inner would.
+    """
     if outer.dimension != inner.dimension:
         raise DimensionMismatchError("regions of dimension %d vs %d" % (outer.dimension, inner.dimension))
-    for hs in outer.halfspaces:
-        if lp_max(inner, hs.coeffs) > hs.bound:
-            return False
-    return True
+    rays, _ = _double_description(inner)
+    return all(_support(rays, hs.coeffs)[0] <= hs.bound for hs in outer.halfspaces)
 
 
 def regions_equal(a: DoFRegion, b: DoFRegion) -> bool:

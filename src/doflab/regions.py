@@ -121,8 +121,7 @@ def outer_bound_region(config: AntennaConfig) -> DoFRegion:
 
     Refuses K > MAX_VERTEX_K before building the K! permutation
     inequalities.  Every inequality has bound 1 and they are distinct, so
-    ``remove_redundant`` reads the facets off the double description and
-    runs no LP.
+    ``remove_redundant`` reads the facets off one double description.
     """
     if config.K > MAX_VERTEX_K:
         raise UnsupportedDimensionError(

@@ -140,6 +140,18 @@ def test_compare_single_m_triangle(capsys):
     assert "1,1,1,1" in stdout.splitlines()
 
 
+def test_compare_refuses_empty_m_list(tmp_path, capsys):
+    for fmt in ("csv", "json", "svg"):
+        out = tmp_path / ("sweep." + fmt)
+        code, stdout, err = run_cli(
+            capsys, "compare", "--N", "3,2", "--M", "", "--out", str(out), "--format", fmt,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "at least one --M" in err
+        assert not out.exists()
+
+
 def test_compare_svg(tmp_path, capsys):
     out = tmp_path / "sweep.svg"
     code, _, _ = run_cli(

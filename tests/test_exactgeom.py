@@ -1,9 +1,10 @@
 """Exact-geometry layer: membership, LP, vertices, redundancy, equality.
 
 Derived expectations are checked against independent oracles: a float LP
-solved by scipy (HiGHS) for support values and redundancy, brute
-maximization over enumerated vertices for the simplex, and enumeration of
-every basis for the double-description vertex enumeration.
+solved by scipy (HiGHS) for support values and redundancy, an exact
+rational simplex (``reference_simplex``) for support values, boundedness
+and the in-order redundancy loop, and enumeration of every basis for the
+double-description vertex enumeration.
 """
 
 import random
@@ -26,7 +27,6 @@ from doflab.exactgeom import (
     HalfSpace,
     UnboundedRegionError,
     UnsupportedDimensionError,
-    assert_bounded,
     contains,
     dot,
     is_bounded,
@@ -34,6 +34,7 @@ from doflab.exactgeom import (
     lp_max,
     rat,
     rat_str,
+    region_includes,
     regions_equal,
     remove_redundant,
     solve_square,
@@ -47,6 +48,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import halfspaces_to_csv, parse_vertices_csv, vertices_to_csv
+from reference_simplex import _OPTIMAL, _solve_lp, reference_is_bounded, reference_lp_argmax
 
 
 def scipy_support_oracle(region, objective):
@@ -199,18 +201,23 @@ def test_remove_redundant_unbounded_error():
         remove_redundant(region)
 
 
+def _reference_assert_bounded(region):
+    if not reference_is_bounded(region):
+        raise UnboundedRegionError("region is unbounded")
+
+
 def sequential_remove_redundant(region):
-    """Reference: one cold LP per row against the current survivors, in order."""
-    assert_bounded(region)
+    """Reference: one cold simplex LP per row against the current survivors, in order."""
+    _reference_assert_bounded(region)
     survivors = list(region.halfspaces)
     i = 0
     while i < len(survivors):
         hs = survivors[i]
         others = survivors[:i] + survivors[i + 1 :]
-        status, value, _ = exactgeom._solve_lp(
+        status, value, _ = _solve_lp(
             [o.coeffs for o in others], [o.bound for o in others], list(hs.coeffs)
         )
-        if status == exactgeom._OPTIMAL and value <= hs.bound:
+        if status == _OPTIMAL and value <= hs.bound:
             survivors.pop(i)
         else:
             i += 1
@@ -288,68 +295,53 @@ def test_remove_redundant_matches_sequential_lp_loop_on_fixed_regions(region):
     assert remove_redundant(region).halfspaces == sequential_remove_redundant(region).halfspaces
 
 
-def _count_lps(monkeypatch):
+def count_double_descriptions(monkeypatch):
+    """Record the region of every ``_double_description`` call."""
     calls = []
-    real = exactgeom._solve_lp
+    real = exactgeom._double_description
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(region):
+        calls.append(region)
+        return real(region)
 
-    monkeypatch.setattr(exactgeom, "_solve_lp", counting)
+    monkeypatch.setattr(exactgeom, "_double_description", counting)
     return calls
 
 
 def test_remove_redundant_reads_outer_bound_facets_without_lp(monkeypatch):
-    calls = _count_lps(monkeypatch)
+    # one double description per outer bound; the fallback would run one per row
+    calls = count_double_descriptions(monkeypatch)
     assert len(outer_bound_region(AntennaConfig(3, (1,) * 5)).halfspaces) == 20
     assert len(outer_bound_region(AntennaConfig(4, (1,) * 5)).halfspaces) == 60
     config = AntennaConfig(5, (2, 2, 1, 1))
     assert len(_raw_outer_bound(config).halfspaces) == 22
     assert len(outer_bound_region(config).halfspaces) == 14
-    assert len(calls) == 0
+    assert len(calls) == 3
 
 
 def test_remove_redundant_drops_dominated_row_without_lp(monkeypatch):
-    calls = _count_lps(monkeypatch)
+    calls = count_double_descriptions(monkeypatch)
     region = two_user_region(3, 3, 2)
     assert remove_redundant(region).halfspaces == region.halfspaces[:1]
-    assert len(calls) == 0
+    assert calls == [region]
 
 
 def test_remove_redundant_refuses_large_lp_fallback_before_any_lp(monkeypatch):
-    calls = _count_lps(monkeypatch)
+    calls = count_double_descriptions(monkeypatch)
     # a bound of 0 rules out the incidence path: 80^3 > MAX_REDUNDANCY_WORK
     rows = [HalfSpace((1, j), j) for j in range(1, 80)] + [HalfSpace((1, 1), 0)]
     start = time.perf_counter()
     with pytest.raises(UnsupportedDimensionError, match="rows\\^3"):
         remove_redundant(DoFRegion(2, tuple(rows)))
     assert time.perf_counter() - start < 1.0
+    # 43 rows is the smallest input refused
+    with pytest.raises(UnsupportedDimensionError, match="rows\\^3"):
+        remove_redundant(DoFRegion(2, tuple(rows[-43:])))
     assert len(calls) == 0
-
-
-def dense_pivot(tab, row, col):
-    """Reference: every entry of every row updated, zeros included."""
-    piv = tab[row][col]
-    prow = [v / piv for v in tab[row]]
-    return [prow if i == row else [v - r[col] * p for v, p in zip(r, prow)]
-            for i, r in enumerate(tab)]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_pivot_matches_dense_update(data):
-    m = data.draw(st.integers(1, 5))
-    n = data.draw(st.integers(1, 6))
-    small = st.one_of(st.just(F(0)), _RATIONAL)
-    tab = [data.draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
-    row = data.draw(st.integers(0, m - 1))
-    col = data.draw(st.integers(0, n - 1))
-    tab[row][col] = data.draw(_RATIONAL.filter(bool))
-    expected = dense_pivot(tab, row, col)
-    basis = [None] * m
-    exactgeom._pivot(tab, basis, row, col)
-    assert tab == expected and basis[row] == col
+    # the largest input accepted: one double description of the region, then one per row
+    region = DoFRegion(2, tuple(rows[-42:]))
+    assert remove_redundant(region).halfspaces == sequential_remove_redundant(region).halfspaces
+    assert len(calls) == 43
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +413,40 @@ def test_vertices_unsupported_dimension():
         vertex_enumerate(region)
 
 
+SIX = DoFRegion(6, (HalfSpace((1,) * 6, 1),))
+# a bound of 0 sends remove_redundant to its fallback loop
+SIX_WITH_ZERO_BOUND = DoFRegion(6, SIX.halfspaces + (HalfSpace((1, 0, 0, 0, 0, 0), 0),))
+
+
+@pytest.mark.parametrize("query", [
+    lambda: lp_max(SIX, (1,) * 6),
+    lambda: lp_argmax(SIX, (1,) * 6),
+    lambda: is_bounded(SIX),
+    lambda: region_includes(SIX, SIX),
+    lambda: regions_equal(SIX, SIX),
+    lambda: remove_redundant(SIX),
+    lambda: remove_redundant(SIX_WITH_ZERO_BOUND),
+], ids=[
+    "lp_max", "lp_argmax", "is_bounded", "region_includes", "regions_equal",
+    "remove_redundant-incidence", "remove_redundant-fallback",
+])
+def test_every_query_refuses_six_dimensions_before_any_work(monkeypatch, query):
+    # the double description converts each row to integers before anything else
+    def refuse(values):
+        raise AssertionError("work started on a K=6 region")
+
+    monkeypatch.setattr(exactgeom, "_integer_row", refuse)
+    with pytest.raises(UnsupportedDimensionError, match="K <= 5, got K=6"):
+        query()
+
+
+def test_membership_and_square_solves_have_no_dimension_limit():
+    assert contains(SIX, (F(1, 6),) * 6)
+    assert not contains(SIX, (F(1, 5),) * 6)
+    identity = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    assert solve_square(identity, [F(j) for j in range(6)]) == tuple(F(j) for j in range(6))
+
+
 def test_vertices_five_single_antenna_users_fast():
     # One vertex per set S of served users: d_i = x_s on S, 0 elsewhere, with
     # x_s = 1 / sum_{i<=s} 1/min(M, i) from the permutation bound on S alone.
@@ -441,7 +467,7 @@ def basis_vertex_enumerate(region):
     """Reference: every basic feasible solution, one integer solve per K-subset
     of the rows and axes."""
     k = region.dimension
-    assert_bounded(region)
+    _reference_assert_bounded(region)
     rows = [exactgeom._integer_row(hs.coeffs + (hs.bound,)) for hs in region.halfspaces]
     axes = [[int(j == i) for j in range(k)] + [0] for i in range(k)]
     found = set()
@@ -489,6 +515,15 @@ def test_vertex_enumerate_matches_basis_enumeration(region):
 def test_vertex_enumerate_matches_basis_enumeration_at_five_users(n):
     region = outer_bound_region(AntennaConfig(3, n))
     assert vertex_enumerate(region) == basis_vertex_enumerate(region)
+
+
+def test_vertices_empty_region_error():
+    # the homogenized cone is {0}: no ray at all, so no vertex
+    region = DoFRegion(1, (HalfSpace((1,), -1),))
+    with pytest.raises(EmptyRegionError):
+        vertex_enumerate(region)
+    with pytest.raises(EmptyRegionError):
+        remove_redundant(region)
 
 
 def test_vertices_unbounded_error():
@@ -607,19 +642,17 @@ def test_is_bounded():
 
 
 def test_nonnegative_region_bounded_without_lp(monkeypatch):
-    # nonnegative coefficients and bounds: the origin is feasible and each
-    # coordinate is bounded iff some row weighs it, so no LP is needed
+    # vertex enumeration reads boundedness off its own rays, with no separate
+    # pass; is_bounded is one double description whatever the signs
     region = outer_bound_region(AntennaConfig(3, (2, 2, 1)))
     expected = vertex_enumerate(region)
-
-    def refuse(*args):
-        raise AssertionError("boundedness of a nonnegative region ran an LP")
-
-    monkeypatch.setattr(exactgeom, "_solve_lp", refuse)
+    calls = count_double_descriptions(monkeypatch)
     assert vertex_enumerate(region) == expected
+    assert len(calls) == 1
     assert is_bounded(DoFRegion(2, (HalfSpace((1, 0), 1), HalfSpace((0, F(1, 2)), 0))))
     assert not is_bounded(DoFRegion(3, (HalfSpace((1, 1, 0), 1), HalfSpace((2, 0, 0), 3))))
     assert not is_bounded(DoFRegion(1, ()))
+    assert len(calls) == 4
 
 
 def test_lp_with_lower_bound_row():
@@ -633,12 +666,46 @@ def test_lp_with_lower_bound_row():
     assert lp_max(region, (F(5, 2),)) == F(105, 4)
 
 
+@st.composite
+def lp_regions(draw):
+    """K=1..5 regions with an objective: negative coefficients and zero or
+    negative bounds make unbounded and empty regions as well as polytopes."""
+    k = draw(st.integers(1, 5))
+    rows = [
+        (tuple(draw(st.lists(_COEFF, min_size=k, max_size=k))), draw(_BOUND))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    region = DoFRegion(k, tuple(HalfSpace(c, b) for c, b in rows if any(c)))
+    return region, tuple(draw(st.lists(_COEFF, min_size=k, max_size=k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_regions())
+def test_lp_argmax_and_is_bounded_match_reference_simplex(case):
+    region, objective = case
+    try:
+        expected, _ = reference_lp_argmax(region, objective)
+    except GeometryError as err:
+        with pytest.raises(type(err)):
+            lp_argmax(region, objective)
+    else:
+        value, point = lp_argmax(region, objective)
+        assert value == expected
+        assert contains(region, point) and dot(objective, point) == value
+    try:
+        bounded = reference_is_bounded(region)
+    except GeometryError as err:
+        with pytest.raises(type(err)):
+            is_bounded(region)
+    else:
+        assert is_bounded(region) == bounded
+
+
 def test_lp_differential_against_scipy_random_instances():
     # Random constraint systems, negative bounds included.  Wherever HiGHS
-    # certifies an optimum, the rational simplex must agree on the value;
-    # our reported maximizer must always be feasible.
+    # certifies an optimum, lp_argmax must agree on the value; our reported
+    # maximizer must always be feasible.
     rng = random.Random(314159)
-    from doflab.exactgeom import _solve_lp
 
     optima = 0
     for _ in range(400):
@@ -647,7 +714,15 @@ def test_lp_differential_against_scipy_random_instances():
         a_rows = [[F(rng.randint(-4, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
         b_vals = [F(rng.randint(-3, 8), rng.randint(1, 2)) for _ in range(m)]
         cost = [F(rng.randint(-3, 5), rng.randint(1, 2)) for _ in range(n)]
-        status, value, x = _solve_lp(a_rows, b_vals, cost)
+        # a zero row 0 <= b is no half-space: it holds always or never
+        region = DoFRegion(n, tuple(HalfSpace(a, b) for a, b in zip(a_rows, b_vals) if any(a)))
+        status = None
+        if all(b >= 0 for a, b in zip(a_rows, b_vals) if not any(a)):
+            try:
+                value, x = lp_argmax(region, cost)
+                status = "optimal"
+            except (EmptyRegionError, UnboundedRegionError):
+                pass
         res = linprog(
             c=[-float(v) for v in cost],
             A_ub=[[float(v) for v in row] for row in a_rows],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doflab import exactgeom, regions
+from doflab import regions
 from doflab.exactgeom import (
     DoFRegion,
     GeometryError,
@@ -47,7 +47,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import plan_document, plan_to_csv, region_document
-from test_exactgeom import scipy_redundant_oracle
+from test_exactgeom import count_double_descriptions, scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 ALLOWED_SOURCES = {SOURCE_TWO_USER, SOURCE_SINGLE_USER, SOURCE_TIME_DIVISION, SOURCE_EXTERNAL}
@@ -114,20 +114,16 @@ def test_outer_bound_refuses_six_users_fast():
     assert time.perf_counter() - start < 1.0
 
 
-def _no_lp(*args):
-    raise AssertionError("an LP ran")
-
-
 @pytest.mark.parametrize("m, kept", [(12, 60), (15, 120)], ids=["12", "15"])
 def test_outer_bound_completes_five_distinct_user_inputs_fast(monkeypatch, m, kept):
     # All receiver counts distinct: no symmetry among the rows.
-    monkeypatch.setattr(exactgeom, "_solve_lp", _no_lp)
+    calls = count_double_descriptions(monkeypatch)
     config = AntennaConfig(m, (5, 4, 3, 2, 1))
     start = time.perf_counter()
     region = outer_bound_region(config)
     assert time.perf_counter() - start < 2.0
     assert len(region.halfspaces) == kept
-    monkeypatch.undo()
+    assert len(calls) == 1
     raw = DoFRegion(config.K, tuple(permutation_inequalities(config)))
     for i, hs in enumerate(raw.halfspaces):
         assert scipy_redundant_oracle(raw, i) == (hs not in region.halfspaces), hs.render()
@@ -142,14 +138,16 @@ def _benchmark_geometry_configs():
 
 
 def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkeypatch):
-    # No LP may run: every outer bound takes the incidence path, so no
-    # work limit applies; the real results are pinned elsewhere.
-    monkeypatch.setattr(exactgeom, "_solve_lp", _no_lp)
+    # One double description per bound: every outer bound takes the
+    # incidence path, so no work limit applies; the real results are pinned
+    # elsewhere.
+    calls = count_double_descriptions(monkeypatch)
     golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (4, (1,) * 5)}
     configs = _benchmark_geometry_configs() | golden
     assert len(configs) > 100
     for m, n in sorted(configs):
         outer_bound_region(AntennaConfig(m, n))
+    assert len(calls) == len(configs)
 
 
 def test_outer_bound_is_reduced():
@@ -237,13 +235,11 @@ def test_three_user_21():
 
 def test_closed_form_regions_solve_no_lp(monkeypatch):
     # positive coefficients bound these regions by construction
-    def refuse(*args):
-        raise AssertionError("closed-form constructor ran an LP")
-
-    monkeypatch.setattr(exactgeom, "_solve_lp", refuse)
+    calls = count_double_descriptions(monkeypatch)
     assert len(two_user_region(4, 3, 2).halfspaces) == 2
     assert len(three_user_region(1, 1).halfspaces) == 1
     assert len(three_user_region(2, 1).halfspaces) == 3
+    assert len(calls) == 0
 
 
 def test_three_user_out_of_scope():
@@ -342,6 +338,15 @@ def test_plane_slice_redundancy_pattern(m, n):
     assert "L0" in mid.redundant_bounds
     b = d3_mid(m, n)
     assert mid.special_points["P12"] == (b, b, b)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3)])
+def test_plane_slice_runs_one_double_description(monkeypatch, m, n):
+    # slice bounds are positive with distinct directions: no fallback loop
+    calls = count_double_descriptions(monkeypatch)
+    for d3 in (F(0), d3_mid(m, n), d3_max(m, n)):
+        plane_slice(m, n, d3)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3)])
