@@ -204,7 +204,7 @@ def _simulate_two_user(args, seed) -> int:
         raise CliError("--target applies only to three-user simulation")
     n1, n2 = args.N
     curve = None
-    if args.snr_db:  # a bad SNR list fails before any trial runs
+    if args.snr_db is not None:  # a bad SNR list, empty too, fails before any trial runs
         curve = scheme.rate_slope_estimate(scheme.plan_two_user(args.M, n1, n2), seed, args.snr_db)
     summary = scheme.simulate_trials(args.M, n1, n2, args.trials, seed)
     print("achieved_dof = %s; failures %d" % (_point_str(summary.achieved), len(summary.failures)))
@@ -227,6 +227,13 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("--snr-db applies only to two-user simulation")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
+    # a two-user component runs the (M, n, n) plan, a single-user one a 1-slot plan
+    sources = {comp.source for comp in plan.components}
+    slots = (scheme.plan_two_user(args.M, n, n).total_slots if regions.SOURCE_TWO_USER in sources
+             else 1 if regions.SOURCE_SINGLE_USER in sources else 0)
+    if args.trials * slots > scheme.MAX_SLOT_TRIALS:
+        raise CliError("%d trials of %d slots exceed the limit of %d slot-trials"
+                       % (args.trials, slots, scheme.MAX_SLOT_TRIALS))
     runs = []  # (status, failures, max_residual) per component
     ok = True
     seeds = np.random.SeedSequence(seed).spawn(max(len(plan.components), 1))
@@ -257,6 +264,8 @@ def _simulate_three_user(args, seed) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _default_seed(args)
+    if args.trials < 1:
+        raise CliError("need at least one trial")
     if len(args.N) == 2:
         return _simulate_two_user(args, seed)
     if len(args.N) == 3:

@@ -38,7 +38,6 @@ __all__ = [
     "lp_max",
     "lp_argmax",
     "is_bounded",
-    "assert_bounded",
     "vertex_enumerate",
     "remove_redundant",
     "region_includes",
@@ -134,9 +133,11 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class DoFRegion:
-    """Bounded region {d >= 0 : coeffs_j . d <= bound_j for all j}.
+    """Region {d >= 0 : coeffs_j . d <= bound_j for all j}.
 
     Nonnegativity is implicit: it is never stored as a user half-space.
+    The region may be empty or unbounded; the queries that need a vertex or
+    a finite optimum raise EmptyRegionError or UnboundedRegionError.
     """
 
     dimension: int
@@ -203,13 +204,6 @@ def is_bounded(region: DoFRegion) -> bool:
     except UnboundedRegionError:
         return False
     return True
-
-
-def assert_bounded(region: DoFRegion) -> DoFRegion:
-    """The region itself; raises UnboundedRegionError if it is unbounded."""
-    if not is_bounded(region):
-        raise UnboundedRegionError("region is unbounded")
-    return region
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ Plan geometry for effective antenna count E = min(M, N1+N2):
 * each phase-3 slot carries N1 user-1-destined LCs on antennas 1..N1 and
   N2 user-2-destined LCs on the last N2 effective antennas; when
   E < N1 + N2 the overlapping antennas transmit sums.
+* phase 3 forwards each user's LCs once, in (source slot, row) order, N_i
+  per slot: the routing is a row-major reshape of the (T_i, E - N_i) LC
+  array into (T3, N_i).
 
 M <= N1 needs no alignment: plain time division between single-user
 transmissions traces the region's dominant face.  It runs through the same
@@ -23,9 +26,9 @@ min(M, N) antennas that gives user 1 all the air time.
 
 Decoding is by exact linear solves; the noiseless decode certifies the
 DoF corner by symbol accounting.  The Monte Carlo wrapper runs and decodes
-its trials in blocks, as arrays over a leading trial axis: the phase-3
-routing is a set of index arrays, and every kind of matrix a trial inverts
-gets one condition-number pass and one batched solve over the whole block.
+its trials in blocks, as arrays over a leading trial axis, and every kind
+of matrix a trial inverts gets one condition-number pass and one batched
+solve over the whole block.
 A trial that fails the conditioning check is still reported with its slot.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
 end-to-end linear model, with the receivers' noisy side information
@@ -49,7 +52,6 @@ from .regions import DominantFace, point_Q
 __all__ = [
     "SchemeError",
     "SingularChannelError",
-    "Phase3Slot",
     "SchemeSpec",
     "ChannelRealization",
     "Transcript",
@@ -57,7 +59,6 @@ __all__ = [
     "TrialSummary",
     "RateCurve",
     "plan_two_user",
-    "validate_routing",
     "generate_channels",
     "draw_symbols",
     "run_phases",
@@ -91,20 +92,6 @@ class SingularChannelError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Phase3Slot:
-    """LC placement for one alignment slot.
-
-    ``user1_lcs`` ride on antenna positions 0..N1-1 and ``user2_lcs`` on
-    the last N2 effective positions; each entry is (source_slot, row),
-    naming the receive antenna row whose overheard combination is being
-    forwarded.
-    """
-
-    user1_lcs: tuple
-    user2_lcs: tuple
-
-
-@dataclass(frozen=True)
 class SchemeSpec:
     M: int
     N1: int
@@ -113,7 +100,6 @@ class SchemeSpec:
     effective_m: int
     phase_lengths: tuple  # (T1, T2, T3) slot counts
     symbols_per_slot: tuple  # fresh symbols per slot in phases 1 and 2
-    lc_routing: tuple  # Phase3Slot per alignment slot; empty in case A
     time_weights: tuple | None  # case A split between the two users
 
     @property
@@ -140,23 +126,6 @@ class SchemeSpec:
         total = self.total_slots
         n1, n2 = self.symbol_counts
         return (Fraction(n1, total), Fraction(n2, total))
-
-
-def _build_routing(t1: int, t2: int, n1: int, n2: int, need1: int, need2: int):
-    """Deterministic LC partition: lexicographic by (source slot, antenna row)."""
-    ids1 = [(t, r) for t in range(t1) for r in range(need1)]
-    ids2 = [(t1 + t, r) for t in range(t2) for r in range(need2)]
-    t3 = len(ids1) // n1
-    assert len(ids1) == t3 * n1 and len(ids2) == t3 * n2
-    slots = []
-    for k in range(t3):
-        slots.append(
-            Phase3Slot(
-                tuple(ids1[k * n1 : (k + 1) * n1]),
-                tuple(ids2[k * n2 : (k + 1) * n2]),
-            )
-        )
-    return tuple(slots)
 
 
 def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
@@ -189,7 +158,6 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
             effective_m=M,
             phase_lengths=(t1, t2, 0),
             symbols_per_slot=(min(M, N1), min(M, N2), 0),
-            lc_routing=(),
             time_weights=(w1, w2),
         )
 
@@ -200,8 +168,6 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
     t1 = N1 * (eff - N2)
     t2 = N2 * (eff - N1)
     t3 = (eff - N1) * (eff - N2)
-    routing = _build_routing(t1, t2, N1, N2, eff - N1, eff - N2)
-    assert len(routing) == t3
     return SchemeSpec(
         M=M,
         N1=N1,
@@ -210,37 +176,8 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
         effective_m=eff,
         phase_lengths=(t1, t2, t3),
         symbols_per_slot=(eff, eff, 0),
-        lc_routing=routing,
         time_weights=None,
     )
-
-
-def validate_routing(spec: SchemeSpec):
-    """Structural checks on the phase-3 placement map.
-
-    Verifies the partition property (each overheard LC forwarded exactly
-    once), the per-slot delivery counts, and side-information sufficiency:
-    every LC a receiver must subtract is a row of its own earlier received
-    signal.
-    """
-    t1, t2, t3 = spec.phase_lengths
-    seen1, seen2 = set(), set()
-    for slot in spec.lc_routing:
-        if len(slot.user1_lcs) != spec.N1 or len(slot.user2_lcs) != spec.N2:
-            raise SchemeError("phase-3 slot must carry N1 + N2 combinations")
-        for src, row in slot.user1_lcs:
-            # overheard at user 2 during phase 1, subtracted by user 2 later
-            if not (0 <= src < t1 and 0 <= row < spec.needed1 and row < spec.N2):
-                raise SchemeError("user-1-destined LC (%d, %d) is not observable" % (src, row))
-            seen1.add((src, row))
-        for src, row in slot.user2_lcs:
-            if not (t1 <= src < t1 + t2 and 0 <= row < spec.needed2 and row < spec.N1):
-                raise SchemeError("user-2-destined LC (%d, %d) is not observable" % (src, row))
-            seen2.add((src, row))
-    if len(seen1) != t3 * spec.N1 or len(seen2) != t3 * spec.N2:
-        raise SchemeError("LC partition must forward every combination exactly once")
-    if len(seen1) != t1 * spec.needed1 or len(seen2) != t2 * spec.needed2:
-        raise SchemeError("LC totals do not match the per-slot deficits")
 
 
 @dataclass(eq=False)
@@ -249,7 +186,6 @@ class ChannelRealization:
 
     h1: np.ndarray  # ([trials,] total_slots, N1, M)
     h2: np.ndarray  # ([trials,] total_slots, N2, M)
-    seed: object  # one seed, or a tuple of them for a stack of trials
 
     @property
     def total_slots(self) -> int:
@@ -272,7 +208,7 @@ def generate_channels(spec: SchemeSpec, seed) -> ChannelRealization:
     t = spec.total_slots
     h1 = _crandn(rng, (t, spec.N1, spec.M))
     h2 = _crandn(rng, (t, spec.N2, spec.M))
-    return ChannelRealization(h1=h1, h2=h2, seed=seed)
+    return ChannelRealization(h1=h1, h2=h2)
 
 
 def draw_symbols(spec: SchemeSpec, seed, power: float = 1.0):
@@ -303,17 +239,6 @@ class Transcript:
     y1: np.ndarray  # ([trials,] T, N1) received signals
     y2: np.ndarray  # ([trials,] T, N2)
     noise_std: float
-
-
-def _routing_indices(spec: SchemeSpec):
-    """The phase-3 routing as index arrays (src1, row1, src2, row2).
-
-    Entry [k, j] of the user-i pair names the LC that slot k carries at
-    position j of user i's antennas; each array has shape (T3, N_i).
-    """
-    lcs1 = np.array([s.user1_lcs for s in spec.lc_routing], dtype=np.intp).reshape(-1, spec.N1, 2)
-    lcs2 = np.array([s.user2_lcs for s in spec.lc_routing], dtype=np.intp).reshape(-1, spec.N2, 2)
-    return lcs1[..., 0], lcs1[..., 1], lcs2[..., 0], lcs2[..., 1]
 
 
 def _phase3_windows(spec: SchemeSpec, h1, h2):
@@ -351,7 +276,7 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
     """
     u1, u2 = symbols
     h1, h2 = channels.h1, channels.h2
-    t1, t2, _ = spec.phase_lengths
+    t1, t2, t3 = spec.phase_lengths
     s1, s2, _ = spec.symbols_per_slot
     eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
     total = spec.total_slots
@@ -372,10 +297,9 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
     # overheard combinations, reconstructed from delayed CSI
     lc1 = _apply(h2[..., :t1, : spec.needed1, :s1], np.swapaxes(u1, -1, -2))
     lc2 = _apply(h1[..., t1 : t1 + t2, : spec.needed2, :s2], np.swapaxes(u2, -1, -2))
-    if spec.lc_routing:  # phase 3 forwards every overheard LC once
-        src1, row1, src2, row2 = _routing_indices(spec)
-        x[..., t1 + t2 :, :n1] += lc1[..., src1, row1]
-        x[..., t1 + t2 :, eff - n2 : eff] += lc2[..., src2 - t1, row2]
+    if t3:  # phase 3 forwards every overheard LC once: the routing reshape
+        x[..., t1 + t2 :, :n1] += lc1.reshape(trials + (t3, n1))
+        x[..., t1 + t2 :, eff - n2 : eff] += lc2.reshape(trials + (t3, n2))
 
     y1 = np.einsum("...tnm,...tm->...tn", h1, x)
     y2 = np.einsum("...tnm,...tm->...tn", h2, x)
@@ -431,7 +355,7 @@ def decode(transcript: Transcript) -> DecodingReport:
     spec = transcript.spec
     t1, t2, t3 = spec.phase_lengths
     s1, s2, _ = spec.symbols_per_slot
-    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
+    n1, n2 = spec.N1, spec.N2
     single = transcript.u1.ndim == 2
     h1, h2, y1, y2, u1, u2 = (
         a[None] if single else a
@@ -462,14 +386,13 @@ def decode(transcript: Transcript) -> DecodingReport:
     ok = ~failed
     align1, align2, data1, data2 = (m[ok] for m in matrices)
     h1_side, h2_side, y1, y2, u1, u2 = (a[ok] for a in (h1_side, h2_side, y1, y2, u1, u2))
-    src1, row1, src2, row2 = _routing_indices(spec)
-
-    # user 1 cancels the user-2-destined LCs: rows of its own phase-2 signal
-    rec1 = np.empty((len(y1), t1, spec.needed1), dtype=complex)
-    rec1[:, src1, row1] = _solve(align1, y1[:, p3] - _apply(h1_side, y1[:, src2, row2]))
-    # user 2 cancels the user-1-destined LCs: rows of its phase-1 signal
-    rec2 = np.empty((len(y2), t2, spec.needed2), dtype=complex)
-    rec2[:, src2 - t1, row2] = _solve(align2, y2[:, p3] - _apply(h2_side, y2[:, src1, row1]))
+    decoded = len(y1)  # trials that decode, possibly none
+    # the routing reshape: user 1 cancels the user-2-destined LCs, rows of its
+    # own phase-2 signal, and user 2 the user-1-destined rows of its phase 1
+    side1 = y1[:, p2, : spec.needed2].reshape(decoded, t3, n2)
+    side2 = y2[:, p1, : spec.needed1].reshape(decoded, t3, n1)
+    rec1 = _solve(align1, y1[:, p3] - _apply(h1_side, side1)).reshape(decoded, t1, spec.needed1)
+    rec2 = _solve(align2, y2[:, p3] - _apply(h2_side, side2)).reshape(decoded, t2, spec.needed2)
     u1_hat = _solve(data1, np.concatenate([y1[:, p1], rec1], axis=2)[:, :, :s1])
     u2_hat = _solve(data2, np.concatenate([y2[:, p2], rec2], axis=2)[:, :, :s2])
 
@@ -530,7 +453,6 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
         channels = ChannelRealization(
             h1=np.stack([c.h1 for c, _ in draws]),
             h2=np.stack([c.h2 for c, _ in draws]),
-            seed=tuple(c.seed for c, _ in draws),
         )
         symbols = tuple(np.stack(u) for u in zip(*(sym for _, sym in draws)))
         report = decode(run_phases(spec, channels, symbols))
@@ -621,18 +543,14 @@ def _user_models(spec: SchemeSpec, channels: ChannelRealization):
     h1, h2 = channels.h1, channels.h2
     scale = 1.0 / np.sqrt(spec.effective_m)
     h1_own, h1_side, h2_side, h2_own = _phase3_windows(spec, h1, h2)
-    src1, row1, src2, row2 = _routing_indices(spec)
-    slot3 = np.arange(t3)[:, None]
 
-    # row j of slot k's user-1 map picks the symbols of LC (src1, row1)[k, j]
-    amap = np.zeros((t3, n1, t1, s1), dtype=complex)
-    amap[slot3, np.arange(n1), src1] = h2[src1, row1, :s1]
-    g1 = scale * h1_own @ amap.reshape(t3, n1, s1 * t1)
+    # user i's LCs as a block-diagonal map from its symbols, N_i rows per slot
+    amap = _block_diagonal(h2[:t1, : spec.needed1, :s1]).reshape(t3, n1, s1 * t1)
+    g1 = scale * h1_own @ amap
     cov1 = np.eye(n1) + (scale ** 2) * h1_side @ np.swapaxes(h1_side.conj(), 1, 2)
 
-    bmap = np.zeros((t3, n2, t2, s2), dtype=complex)
-    bmap[slot3, np.arange(n2), src2 - t1] = h1[src2, row2, :s2]
-    g2 = scale * h2_own @ bmap.reshape(t3, n2, s2 * t2)
+    bmap = _block_diagonal(h1[t1 : t1 + t2, : spec.needed2, :s2]).reshape(t3, n2, s2 * t2)
+    g2 = scale * h2_own @ bmap
     cov2 = np.eye(n2) + (scale ** 2) * h2_side @ np.swapaxes(h2_side.conj(), 1, 2)
     return (
         (_block_diagonal(h1[:t1, :, :s1]), g1, cov1),

@@ -15,6 +15,13 @@ import numpy as np
 
 from .exactgeom import DimensionMismatchError, GeometryError, rat_str
 
+__all__ = [
+    "json_text", "vertices_to_csv", "halfspaces_to_csv", "parse_vertices_csv",
+    "region_document", "sweep_to_csv", "sweep_document", "slice_to_csv", "slice_document",
+    "plan_to_csv", "plan_document", "plan_run_document", "trials_document",
+    "transcript_document", "report_document", "rate_curve_to_csv",
+]
+
 
 def _rats(values) -> list:
     return [rat_str(x) for x in values]

@@ -203,7 +203,7 @@ def test_simulate_with_rates(capsys):
 
 
 def test_simulate_degenerate_snr_list_is_usage_error(capsys):
-    for snr_db in ("30,30,30", "30,40,nan"):
+    for snr_db in ("30,30,30", "30,40,nan", ","):
         code, _, err = run_cli(
             capsys, "simulate", "--M", "4", "--N", "3,2", "--trials", "2", "--snr-db", snr_db,
         )
@@ -258,6 +258,21 @@ def test_simulate_three_user_refuses_snr_list(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert "--snr-db applies only to two-user simulation" in err
+
+
+def test_simulate_three_user_checks_trials_before_any_output(capsys, monkeypatch):
+    _refuse_trials(monkeypatch)
+    for target, trials, message in (
+        ("0,0,0", "0", "need at least one trial"),  # no component is simulated
+        ("1,1/2,0", "0", "need at least one trial"),  # single-user components
+        ("1/2,1/2,1/2", "200001", "exceed the limit of %d slot-trials" % scheme.MAX_SLOT_TRIALS),
+    ):
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--M", "3", "--N", "2,2,2", "--target", target, "--trials", trials,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert message in err
 
 
 def _refuse_draws(monkeypatch):

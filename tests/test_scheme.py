@@ -19,7 +19,6 @@ from doflab.scheme import (
     run_phases,
     simulate_single_user,
     simulate_trials,
-    validate_routing,
 )
 from doflab.serialize import report_document, transcript_document
 
@@ -75,7 +74,7 @@ def test_plan_case_a():
     assert spec.case == "A"
     assert spec.phase_lengths == (1, 1, 0)
     assert spec.symbols_per_slot == (1, 1, 0)
-    assert spec.lc_routing == ()
+    assert spec.needed1 == spec.needed2 == 0  # nothing is overheard, nothing forwarded
 
 
 def test_plan_case_a_weights():
@@ -100,7 +99,6 @@ def test_plan_rejects_bad_antennas():
 @pytest.mark.parametrize("m,n1,n2", SCHEME_CONFIGS)
 def test_routing_structure(m, n1, n2):
     spec = plan_two_user(m, n1, n2)
-    validate_routing(spec)
     t1, t2, t3 = spec.phase_lengths
     e = spec.effective_m
     if spec.case == "B":
@@ -109,20 +107,44 @@ def test_routing_structure(m, n1, n2):
     else:
         assert e == n1 + n2
         assert (t1, t2, t3) == (n1 * n1, n2 * n2, n1 * n2)
+    # side information: each LC one receiver owes the other is a row the
+    # other receiver observed, so it can subtract it in phase 3
+    assert spec.needed1 <= n2
+    assert spec.needed2 <= n1
     # conservation: T3*N1 forwarded = T1*(E-N1) owed, same for user 2
     assert t3 * n1 == t1 * spec.needed1
     assert t3 * n2 == t2 * spec.needed2
-    for slot in spec.lc_routing:
-        assert len(slot.user1_lcs) == n1
-        assert len(slot.user2_lcs) == n2
 
 
 def test_routing_is_lexicographic():
-    spec = plan_two_user(4, 3, 2)
-    assert spec.lc_routing[0].user1_lcs == ((0, 0), (1, 0), (2, 0))
-    assert spec.lc_routing[1].user1_lcs == ((3, 0), (4, 0), (5, 0))
-    assert spec.lc_routing[0].user2_lcs == ((6, 0), (6, 1))
-    assert spec.lc_routing[1].user2_lcs == ((7, 0), (7, 1))
+    # (4,3,2), slots 0-based: x[9] carries the user-1 LCs of phase-1 slots
+    # 3..5 and both user-2 LCs of phase-2 slot 7, after the ones x[8] carries
+    _, tr = _run(4, 3, 2)
+    lc1, lc2 = tr.lc_user1, tr.lc_user2
+    assert np.array_equal(tr.x[9], [lc1[3, 0], lc1[4, 0], lc1[5, 0] + lc2[1, 0], lc2[1, 1]])
+
+
+def _phase3_reference(spec, tr):
+    """Phase-3 signals built slot by slot: each user's LCs are taken in
+    (source slot, row) order, N_i of them per slot."""
+    t1, t2, t3 = spec.phase_lengths
+    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
+    lcs1 = [tr.lc_user1[t, r] for t in range(t1) for r in range(spec.needed1)]
+    lcs2 = [tr.lc_user2[t, r] for t in range(t2) for r in range(spec.needed2)]
+    x3 = np.zeros((t3, spec.M), dtype=complex)
+    for k in range(t3):
+        for j in range(n1):
+            x3[k, j] += lcs1[k * n1 + j]
+        for j in range(n2):
+            x3[k, eff - n2 + j] += lcs2[k * n2 + j]
+    return x3
+
+
+@pytest.mark.parametrize("m,n1,n2", SCHEME_CONFIGS)
+def test_phase3_matches_slot_by_slot_reference(m, n1, n2):
+    spec, tr = _run(m, n1, n2)
+    t1, t2, _ = spec.phase_lengths
+    assert np.array_equal(tr.x[t1 + t2 :], _phase3_reference(spec, tr))
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +185,26 @@ def test_transmit_structure_432():
     # phase-1/2 slots put one symbol on each of the 4 antennas
     assert np.array_equal(tr.x[0], tr.u1[:, 0])
     assert np.array_equal(tr.x[6], tr.u2[:, 0])
-    # slot 9 of the worked example: entries 1,2 carry user-1 LCs, entry 3 a
-    # sum of one user-1 and one user-2 LC, entry 4 a user-2 LC
+    # slot 9 of the worked example: entries 1,2 carry the user-1 LCs of
+    # phase-1 slots 1,2, entry 3 the sum of phase-1 slot 3's user-1 LC and
+    # the first user-2 LC of phase-2 slot 7, entry 4 that slot's second
     x9 = tr.x[8]
-    slot = spec.lc_routing[0]
-    assert x9[0] == tr.lc_user1[slot.user1_lcs[0]]
-    assert x9[1] == tr.lc_user1[slot.user1_lcs[1]]
-    assert x9[2] == tr.lc_user1[slot.user1_lcs[2]] + tr.lc_user2[slot.user2_lcs[0][0] - 6, slot.user2_lcs[0][1]]
-    assert x9[3] == tr.lc_user2[slot.user2_lcs[1][0] - 6, slot.user2_lcs[1][1]]
+    lc1, lc2 = tr.lc_user1, tr.lc_user2
+    assert x9[0] == lc1[0, 0]
+    assert x9[1] == lc1[1, 0]
+    assert x9[2] == lc1[2, 0] + lc2[0, 0]
+    assert x9[3] == lc2[0, 1]
 
 
 def test_transmit_case_c_has_no_overlap():
     spec, tr = _run(3, 2, 1)
     t1, t2, t3 = spec.phase_lengths
-    for k in range(t3):
-        x = tr.x[t1 + t2 + k]
-        # positions 0..N1-1 and N1..N1+N2-1 are disjoint at M = N1+N2
-        slot = spec.lc_routing[k]
-        for j, lc in enumerate(slot.user1_lcs):
-            assert x[j] == tr.lc_user1[lc]
-        for j, lc in enumerate(slot.user2_lcs):
-            assert x[spec.effective_m - spec.N2 + j] == tr.lc_user2[lc[0] - t1, lc[1]]
+    # (3,2,1): user 1 owes one LC per phase-1 slot 0..3, user 2 two in slot 4
+    assert (t1, t2, t3) == (4, 1, 2)
+    # positions 0..N1-1 and N1..N1+N2-1 are disjoint at M = N1+N2: no sums
+    lc1, lc2 = tr.lc_user1, tr.lc_user2
+    assert np.array_equal(tr.x[5], [lc1[0, 0], lc1[1, 0], lc2[0, 0]])
+    assert np.array_equal(tr.x[6], [lc1[2, 0], lc1[3, 0], lc2[0, 1]])
 
 
 def test_overheard_lcs_match_channel_rows_exactly():
@@ -243,6 +264,19 @@ def test_decode_singular_channel_reports_slot():
     with pytest.raises(SingularChannelError) as err:
         decode(tr)
     assert err.value.slot == 8
+
+
+def test_decode_stack_in_which_every_trial_fails():
+    spec = plan_two_user(4, 3, 2)
+    channels = [generate_channels(spec, seed) for seed in (1, 2)]
+    stack = scheme.ChannelRealization(h1=np.stack([c.h1 for c in channels]),
+                                      h2=np.stack([c.h2 for c in channels]))
+    stack.h1[:, 8] = 0.0
+    symbols = tuple(np.stack(u) for u in zip(draw_symbols(spec, 3), draw_symbols(spec, 4)))
+    report = decode(run_phases(spec, stack, symbols))
+    assert [f[:2] for f in report.failures] == [(0, 8), (1, 8)]
+    assert report.solves == 0
+    assert report.residual_user1 == report.residual_user2 == 0.0
 
 
 def test_decode_with_noise_still_solves():
