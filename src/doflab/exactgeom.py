@@ -14,8 +14,7 @@ read off one engine, the double description over integer rays (K <= 5):
 its rays with t > 0 are the vertices and those with t = 0 the recession
 directions.  ``solve_square`` runs a fraction-free integer solver.
 Redundancy removal reads the facets off the vertex-constraint incidence
-when the rows determine a unique facet set, and otherwise runs one double
-description per row.
+and needs every bound > 0.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ __all__ = [
     "dot",
     "contains",
     "lp_max",
-    "lp_argmax",
     "is_bounded",
     "vertex_enumerate",
     "remove_redundant",
@@ -47,7 +45,6 @@ __all__ = [
 
 
 MAX_VERTEX_K = 5  # largest dimension any double-description query accepts
-MAX_REDUNDANCY_WORK = 75 * 10**3  # largest rows^3 the fallback loop of remove_redundant accepts
 
 
 class GeometryError(ValueError):
@@ -176,21 +173,14 @@ def contains(region: DoFRegion, point) -> bool:
 _ONE = Fraction(1)
 
 
-def lp_argmax(region: DoFRegion, objective):
-    """Exact maximum of objective . d over the region, with a vertex attaining it.
+def lp_max(region: DoFRegion, objective) -> Fraction:
+    """Exact maximum of objective . d over the region.
 
     Raises EmptyRegionError / UnboundedRegionError accordingly.
     """
     if len(objective) != region.dimension:
         raise DimensionMismatchError("objective length != region dimension")
-    objective = [rat(c) for c in objective]
-    value, ray = _support(_double_description(region)[0], objective)
-    return value, tuple(Fraction(x, ray[-1]) for x in ray[:-1])
-
-
-def lp_max(region: DoFRegion, objective) -> Fraction:
-    value, _ = lp_argmax(region, objective)
-    return value
+    return _support(_double_description(region)[0], [rat(c) for c in objective])
 
 
 def is_bounded(region: DoFRegion) -> bool:
@@ -331,8 +321,7 @@ def _polytope_rays(region: DoFRegion):
 
 
 def _support(rays, objective):
-    """Maximum of ``objective . d`` over the region with these final rays,
-    and the first ray with t > 0 that attains it.
+    """Maximum of ``objective . d`` over the region with these final rays.
 
     A linear objective over a nonempty pointed polyhedron either grows
     along a recession ray (t = 0) or attains its maximum at a vertex.
@@ -342,10 +331,10 @@ def _support(rays, objective):
     k = len(objective)
     if not any(r[k] for r in rays):
         raise EmptyRegionError("region is empty")
-    values = [(sum(c * x for c, x in zip(objective, r)), r) for r in rays]
-    if any(v > 0 and not r[k] for v, r in values):
+    values = [(sum(c * x for c, x in zip(objective, r)), r[k]) for r in rays]
+    if any(v > 0 and not t for v, t in values):
         raise UnboundedRegionError("objective unbounded over region")
-    return max(((Fraction(v, r[k]), r) for v, r in values if r[k]), key=lambda vr: vr[0])
+    return max(Fraction(v, t) for v, t in values if t)
 
 
 def vertex_enumerate(region: DoFRegion):
@@ -362,56 +351,40 @@ def vertex_enumerate(region: DoFRegion):
 def remove_redundant(region: DoFRegion) -> DoFRegion:
     """Drop every half-space implied by the remaining ones.
 
-    The rows are visited in order.  A half-space is redundant iff
-    maximizing its left side subject to the current survivors other than
-    itself (and nonnegativity) stays <= its bound; a sub-problem that
-    becomes unbounded means the half-space is load-bearing and is kept.
-    Survivors keep their input order.  The region must be a nonempty
-    polytope.
+    The region must be a nonempty polytope, else EmptyRegionError or
+    UnboundedRegionError, and then every bound must be > 0, else
+    GeometryError.  The result is that of visiting the rows in order and
+    dropping each one implied by the current survivors other than itself
+    (and nonnegativity); survivors keep their input order.
 
-    When every bound is > 0 and no two rows are equal after dividing each
-    by its bound, the verdicts are read off the region's own double
-    description.  Then eps * (1, ..., 1) is an interior point, so the
-    region is a full-dimensional polytope, and the K coordinate
-    hyperplanes and the rows' hyperplanes are all distinct.  A row is then
-    redundant against any system that still describes the region iff it
-    does not define a facet, whatever the visiting order.  Let T(c) be the
-    set of vertices tight on constraint c.  Row j defines a facet iff no
-    other constraint has T(c) a strict superset of T(j): a face is the
-    convex hull of its vertices, the facets are the maximal proper faces,
-    and every face that is not a facet, the empty one included, lies in a
-    facet, which some constraint of the system defines.
-
-    Any other input runs the visit literally, one double description of
-    the survivors per row, and is refused with UnsupportedDimensionError
-    before the first of them when rows^3 exceeds MAX_REDUNDANCY_WORK.
+    Every bound > 0 makes eps * (1, ..., 1) an interior point, so the
+    region is a full-dimensional polytope and no row's hyperplane is a
+    coordinate hyperplane.  Rows equal after dividing each by its bound
+    share one hyperplane; each earlier copy is implied by a later one, so
+    only the last is kept.  The other rows and the K coordinate
+    hyperplanes are then all distinct, and a row is redundant against any
+    system that still describes the region iff it does not define a facet,
+    whatever the visiting order.  The verdicts are read off the region's
+    own double description.  Let T(c) be the set of vertices tight on
+    constraint c.  Row j defines a facet iff no other constraint has T(c)
+    a strict superset of T(j): a face is the convex hull of its vertices,
+    the facets are the maximal proper faces, and every face that is not a
+    facet, the empty one included, lies in a facet, which some constraint
+    of the system defines.
     """
     rows = region.halfspaces
-    # every bound > 0 and no two rows equal after dividing each by its bound
-    if len({tuple(c / hs.bound for c in hs.coeffs) for hs in rows if hs.bound > 0}) == len(rows):
-        _, zeros = _polytope_rays(region)
-        tight = [
-            sum(1 << r for r, z in enumerate(zeros) if z >> c & 1)
-            for c in range(region.dimension + 1 + len(rows))
-        ]
-        return DoFRegion(region.dimension, tuple(
-            hs for hs, t in zip(rows, tight[region.dimension + 1 :])
-            if not any(u != t and u & t == t for u in tight)
-        ))
-    if len(rows) ** 3 > MAX_REDUNDANCY_WORK:
-        raise UnsupportedDimensionError(
-            "redundancy removal supports rows^3 <= %d, got %d^3" % (MAX_REDUNDANCY_WORK, len(rows))
-        )
-    _polytope_rays(region)
-    keep = [True] * len(rows)
-    for i, hs in enumerate(rows):
-        others = DoFRegion(region.dimension, tuple(o for j, o in enumerate(rows) if keep[j] and j != i))
-        try:
-            value, _ = _support(_double_description(others)[0], hs.coeffs)
-        except UnboundedRegionError:  # the survivors contain the region, so are never empty
-            continue
-        keep[i] = value > hs.bound
-    return DoFRegion(region.dimension, tuple(hs for hs, k in zip(rows, keep) if k))
+    _, zeros = _polytope_rays(region)
+    if any(hs.bound <= 0 for hs in rows):
+        raise GeometryError("redundancy removal needs every bound > 0")
+    last = set({tuple(c / hs.bound for c in hs.coeffs): j for j, hs in enumerate(rows)}.values())
+    tight = [
+        sum(1 << r for r, z in enumerate(zeros) if z >> c & 1)
+        for c in range(region.dimension + 1 + len(rows))
+    ]
+    return DoFRegion(region.dimension, tuple(
+        hs for j, (hs, t) in enumerate(zip(rows, tight[region.dimension + 1 :]))
+        if j in last and not any(u != t and u & t == t for u in tight)
+    ))
 
 
 def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
@@ -424,7 +397,7 @@ def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
     if outer.dimension != inner.dimension:
         raise DimensionMismatchError("regions of dimension %d vs %d" % (outer.dimension, inner.dimension))
     rays, _ = _double_description(inner)
-    return all(_support(rays, hs.coeffs)[0] <= hs.bound for hs in outer.halfspaces)
+    return all(_support(rays, hs.coeffs) <= hs.bound for hs in outer.halfspaces)
 
 
 def regions_equal(a: DoFRegion, b: DoFRegion) -> bool:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from .exactgeom import (
@@ -120,8 +119,8 @@ def outer_bound_region(config: AntennaConfig) -> DoFRegion:
     """Outer bound on the delayed-CSIT DoF region, redundancy-reduced.
 
     Refuses K > MAX_VERTEX_K before building the K! permutation
-    inequalities.  Every inequality has bound 1 and they are distinct, so
-    ``remove_redundant`` reads the facets off one double description.
+    inequalities.  Every inequality has bound 1, as ``remove_redundant``
+    needs, so it reads the facets off one double description.
     """
     if config.K > MAX_VERTEX_K:
         raise UnsupportedDimensionError(
@@ -376,12 +375,6 @@ def convex_decompose_2d(target, corners):
     raise GeometryError("point (%s, %s) is not in the hull of the corners" % (rat_str(tx), rat_str(ty)))
 
 
-@lru_cache(maxsize=None)
-def _pair_corners(M: int, N: int):
-    """Vertices of the equal-antenna two-user region (plans reuse these a lot)."""
-    return tuple(vertex_enumerate(two_user_region(M, N, N)))
-
-
 def _embed(pair_values, axes):
     point = [_ZERO] * 3
     for axis, value in zip(axes, pair_values):
@@ -417,7 +410,8 @@ class _PlanBuilder:
 
     def add_pair_point(self, weight, users, value_first, value_second):
         """Point (value_first, value_second) of the two-user region on ``users``."""
-        corners = _pair_corners(self.M, self.N)
+        n = Fraction(self.N)  # the corners are the vertices of two_user_region(M, N, N)
+        corners = ((_ZERO, _ZERO), (n, _ZERO), (_ZERO, n), (self.q, self.q))
         for corner, w in convex_decompose_2d((value_first, value_second), corners):
             if corner == (_ZERO, _ZERO):
                 self.add_origin(weight * w)

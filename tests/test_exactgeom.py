@@ -30,7 +30,6 @@ from doflab.exactgeom import (
     contains,
     dot,
     is_bounded,
-    lp_argmax,
     lp_max,
     rat,
     rat_str,
@@ -199,6 +198,14 @@ def test_remove_redundant_unbounded_error():
     region = DoFRegion(2, (HalfSpace((1, -1), 1),))
     with pytest.raises(UnboundedRegionError):
         remove_redundant(region)
+    # the region is checked before the bounds
+    with pytest.raises(UnboundedRegionError):
+        remove_redundant(DoFRegion(2, (HalfSpace((1, -1), 0),)))
+
+
+def test_remove_redundant_empty_error():
+    with pytest.raises(EmptyRegionError):
+        remove_redundant(DoFRegion(2, (HalfSpace((1, 1), -1), HalfSpace((1, 0), 1))))
 
 
 def _reference_assert_bounded(region):
@@ -270,7 +277,14 @@ def test_remove_redundant_matches_sequential_lp_loop(region):
         with pytest.raises(type(err)):
             remove_redundant(region)
         return
-    assert remove_redundant(region).halfspaces == expected.halfspaces
+    if all(hs.bound > 0 for hs in region.halfspaces):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_double_descriptions(mp)
+            assert remove_redundant(region).halfspaces == expected.halfspaces
+        assert calls == [region]
+    else:
+        with pytest.raises(GeometryError, match="every bound > 0"):
+            remove_redundant(region)
 
 
 def _raw_outer_bound(config):
@@ -280,19 +294,21 @@ def _raw_outer_bound(config):
 FIXED_REDUNDANCY_REGIONS = [
     _raw_outer_bound(AntennaConfig(3, (2, 1, 1, 1, 1))),
     _raw_outer_bound(AntennaConfig(5, (2, 2, 1, 1))),
-    # the single point (1, 1): symmetric rows, negative bounds, no interior,
-    # so which of the two mirrored rows survives depends on the order
-    DoFRegion(2, (HalfSpace((-2, -1), -3), HalfSpace((-1, -2), -3), HalfSpace((2, 0), 2), HalfSpace((0, 2), 2))),
     # mirrored rows, but d2 <= 1/2 breaks the swap: (2, 1) is kept, (1, 2) dropped
     DoFRegion(2, (HalfSpace((2, 1), 2), HalfSpace((1, 2), 2), HalfSpace((0, 1), F(1, 2)))),
     # larger coefficients but a larger bound: no dominance, both kept
     DoFRegion(2, (HalfSpace((1, 0), F(3, 2)), HalfSpace((1, 1), 2))),
+    # (1,1) <= 1 and (2,2) <= 2 are one half-space, so only the last copy is
+    # kept, and (1,0) <= 2 is implied by it
+    DoFRegion(2, (HalfSpace((1, 1), 1), HalfSpace((2, 2), 2), HalfSpace((1, 0), 2))),
 ]
 
 
 @pytest.mark.parametrize("region", FIXED_REDUNDANCY_REGIONS)
-def test_remove_redundant_matches_sequential_lp_loop_on_fixed_regions(region):
+def test_remove_redundant_matches_sequential_lp_loop_on_fixed_regions(monkeypatch, region):
+    calls = count_double_descriptions(monkeypatch)
     assert remove_redundant(region).halfspaces == sequential_remove_redundant(region).halfspaces
+    assert calls == [region]
 
 
 def count_double_descriptions(monkeypatch):
@@ -309,7 +325,7 @@ def count_double_descriptions(monkeypatch):
 
 
 def test_remove_redundant_reads_outer_bound_facets_without_lp(monkeypatch):
-    # one double description per outer bound; the fallback would run one per row
+    # one double description per outer bound, whatever its number of rows
     calls = count_double_descriptions(monkeypatch)
     assert len(outer_bound_region(AntennaConfig(3, (1,) * 5)).halfspaces) == 20
     assert len(outer_bound_region(AntennaConfig(4, (1,) * 5)).halfspaces) == 60
@@ -326,22 +342,17 @@ def test_remove_redundant_drops_dominated_row_without_lp(monkeypatch):
     assert calls == [region]
 
 
-def test_remove_redundant_refuses_large_lp_fallback_before_any_lp(monkeypatch):
+@pytest.mark.parametrize("region", [
+    # the single point (1, 1): symmetric rows with negative bounds, no interior
+    DoFRegion(2, (HalfSpace((-2, -1), -3), HalfSpace((-1, -2), -3), HalfSpace((2, 0), 2), HalfSpace((0, 2), 2))),
+    DoFRegion(2, tuple(HalfSpace((1, j), j) for j in range(1, 80)) + (HalfSpace((1, 1), 0),)),
+    DoFRegion(3, (HalfSpace((1, 1, 1), 1), HalfSpace((0, 1, 0), 0))),
+], ids=["point", "80-rows", "zero-bound"])
+def test_remove_redundant_refuses_nonpositive_bound_after_one_double_description(monkeypatch, region):
     calls = count_double_descriptions(monkeypatch)
-    # a bound of 0 rules out the incidence path: 80^3 > MAX_REDUNDANCY_WORK
-    rows = [HalfSpace((1, j), j) for j in range(1, 80)] + [HalfSpace((1, 1), 0)]
-    start = time.perf_counter()
-    with pytest.raises(UnsupportedDimensionError, match="rows\\^3"):
-        remove_redundant(DoFRegion(2, tuple(rows)))
-    assert time.perf_counter() - start < 1.0
-    # 43 rows is the smallest input refused
-    with pytest.raises(UnsupportedDimensionError, match="rows\\^3"):
-        remove_redundant(DoFRegion(2, tuple(rows[-43:])))
-    assert len(calls) == 0
-    # the largest input accepted: one double description of the region, then one per row
-    region = DoFRegion(2, tuple(rows[-42:]))
-    assert remove_redundant(region).halfspaces == sequential_remove_redundant(region).halfspaces
-    assert len(calls) == 43
+    with pytest.raises(GeometryError, match="every bound > 0"):
+        remove_redundant(region)
+    assert calls == [region]
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +425,20 @@ def test_vertices_unsupported_dimension():
 
 
 SIX = DoFRegion(6, (HalfSpace((1,) * 6, 1),))
-# a bound of 0 sends remove_redundant to its fallback loop
+# a bound of 0 is refused only after the dimension check
 SIX_WITH_ZERO_BOUND = DoFRegion(6, SIX.halfspaces + (HalfSpace((1, 0, 0, 0, 0, 0), 0),))
 
 
 @pytest.mark.parametrize("query", [
     lambda: lp_max(SIX, (1,) * 6),
-    lambda: lp_argmax(SIX, (1,) * 6),
     lambda: is_bounded(SIX),
     lambda: region_includes(SIX, SIX),
     lambda: regions_equal(SIX, SIX),
     lambda: remove_redundant(SIX),
     lambda: remove_redundant(SIX_WITH_ZERO_BOUND),
 ], ids=[
-    "lp_max", "lp_argmax", "is_bounded", "region_includes", "regions_equal",
-    "remove_redundant-incidence", "remove_redundant-fallback",
+    "lp_max", "is_bounded", "region_includes", "regions_equal",
+    "remove_redundant-incidence", "remove_redundant-zero-bound",
 ])
 def test_every_query_refuses_six_dimensions_before_any_work(monkeypatch, query):
     # the double description converts each row to integers before anything else
@@ -550,12 +560,6 @@ def test_lp_max_single_user_corner():
 def test_lp_max_three_user_permutation_outer():
     region = outer_bound_region(AntennaConfig(3, (1, 1, 1)))
     assert lp_max(region, (F(1), F(1), F(1))) == F(18, 11)
-
-
-def test_lp_argmax_point_is_feasible_and_tight():
-    value, point = lp_argmax(REGION_432, (F(1), F(1)))
-    assert contains(REGION_432, point)
-    assert dot(point, (F(1), F(1))) == value
 
 
 def test_lp_max_empty_region_error():
@@ -681,17 +685,15 @@ def lp_regions(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(lp_regions())
-def test_lp_argmax_and_is_bounded_match_reference_simplex(case):
+def test_lp_max_and_is_bounded_match_reference_simplex(case):
     region, objective = case
     try:
         expected, _ = reference_lp_argmax(region, objective)
     except GeometryError as err:
         with pytest.raises(type(err)):
-            lp_argmax(region, objective)
+            lp_max(region, objective)
     else:
-        value, point = lp_argmax(region, objective)
-        assert value == expected
-        assert contains(region, point) and dot(objective, point) == value
+        assert lp_max(region, objective) == expected
     try:
         bounded = reference_is_bounded(region)
     except GeometryError as err:
@@ -703,8 +705,7 @@ def test_lp_argmax_and_is_bounded_match_reference_simplex(case):
 
 def test_lp_differential_against_scipy_random_instances():
     # Random constraint systems, negative bounds included.  Wherever HiGHS
-    # certifies an optimum, lp_argmax must agree on the value; our reported
-    # maximizer must always be feasible.
+    # certifies an optimum, lp_max must agree on the value.
     rng = random.Random(314159)
 
     optima = 0
@@ -719,7 +720,7 @@ def test_lp_differential_against_scipy_random_instances():
         status = None
         if all(b >= 0 for a, b in zip(a_rows, b_vals) if not any(a)):
             try:
-                value, x = lp_argmax(region, cost)
+                value = lp_max(region, cost)
                 status = "optimal"
             except (EmptyRegionError, UnboundedRegionError):
                 pass
@@ -730,14 +731,10 @@ def test_lp_differential_against_scipy_random_instances():
             bounds=[(0, None)] * n,
             method="highs",
         )
+        assert (res.status == 0) == (status == "optimal")
         if res.status == 0:
             optima += 1
-            assert status == "optimal"
             assert float(value) == pytest.approx(-res.fun, rel=1e-9, abs=1e-9)
-        if status == "optimal":
-            assert all(xi >= 0 for xi in x)
-            for row, bound in zip(a_rows, b_vals):
-                assert sum(r * xi for r, xi in zip(row, x)) <= bound
     assert optima > 100  # the comparison actually exercised many optima
 
 
@@ -810,8 +807,6 @@ def test_halfspaces_csv():
 
 
 def test_everything_stays_rational():
-    value, point = lp_argmax(REGION_432, (F(1), F(1)))
-    assert isinstance(value, F)
-    assert all(isinstance(x, F) for x in point)
+    assert isinstance(lp_max(REGION_432, (F(1), F(1))), F)
     for v in vertex_enumerate(three_user_region(3, 2)):
         assert all(isinstance(x, F) for x in v)

@@ -138,9 +138,8 @@ def _benchmark_geometry_configs():
 
 
 def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkeypatch):
-    # One double description per bound: every outer bound takes the
-    # incidence path, so no work limit applies; the real results are pinned
-    # elsewhere.
+    # One double description per bound, with no work limit beyond K <= 5;
+    # the real results are pinned elsewhere.
     calls = count_double_descriptions(monkeypatch)
     golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (4, (1,) * 5)}
     configs = _benchmark_geometry_configs() | golden
@@ -342,7 +341,7 @@ def test_plane_slice_redundancy_pattern(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3)])
 def test_plane_slice_runs_one_double_description(monkeypatch, m, n):
-    # slice bounds are positive with distinct directions: no fallback loop
+    # slice bounds are positive: one double description per slice
     calls = count_double_descriptions(monkeypatch)
     for d3 in (F(0), d3_mid(m, n), d3_max(m, n)):
         plane_slice(m, n, d3)
