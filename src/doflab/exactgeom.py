@@ -12,15 +12,19 @@ boundedness, vertex enumeration, redundancy removal, and point-set
 equality of two regions via mutual inclusion.  All but membership are
 read off one engine, the double description over integer rays (K <= 5):
 its rays with t > 0 are the vertices and those with t = 0 the recession
-directions.  ``solve_square`` runs a fraction-free integer solver.
-Redundancy removal reads the facets off the vertex-constraint incidence
-and needs every bound > 0.
+directions.  Each region object builds it at most once, on its first
+query, and keeps it; ``remove_redundant`` hands it on to the reduced
+region, so reducing a region and then querying the result builds one.
+``solve_square`` runs a fraction-free integer solver.  Redundancy
+removal reads the facets off the vertex-constraint incidence and needs
+every bound > 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational, Real
 
 __all__ = [
     "GeometryError",
@@ -70,9 +74,12 @@ class EmptyRegionError(GeometryError):
 def rat(x) -> Fraction:
     """Coerce an int, "p/q" string, or Fraction to an exact Fraction.
 
-    Floats are rejected: this module is exact by contract.
+    A Fraction is returned as it is.  Inexact reals (float, numpy floats)
+    are rejected: this module is exact by contract.
     """
-    if isinstance(x, float):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, Real) and not isinstance(x, Rational):
         raise TypeError("floating-point value not allowed in exact geometry: %r" % (x,))
     return Fraction(x)
 
@@ -135,10 +142,13 @@ class DoFRegion:
     Nonnegativity is implicit: it is never stored as a user half-space.
     The region may be empty or unbounded; the queries that need a vertex or
     a finite optimum raise EmptyRegionError or UnboundedRegionError.
+    ``_rays`` holds the region's double description once a query has
+    built it; it takes no part in comparison, hashing or repr.
     """
 
     dimension: int
     halfspaces: tuple
+    _rays: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
@@ -180,7 +190,7 @@ def lp_max(region: DoFRegion, objective) -> Fraction:
     """
     if len(objective) != region.dimension:
         raise DimensionMismatchError("objective length != region dimension")
-    return _support(_double_description(region)[0], [rat(c) for c in objective])
+    return _support(_rays_of(region)[0], [rat(c) for c in objective])
 
 
 def is_bounded(region: DoFRegion) -> bool:
@@ -190,7 +200,7 @@ def is_bounded(region: DoFRegion) -> bool:
     bounded iff the all-ones objective is.
     """
     try:
-        _support(_double_description(region)[0], [_ONE] * region.dimension)
+        _support(_rays_of(region)[0], [_ONE] * region.dimension)
     except UnboundedRegionError:
         return False
     return True
@@ -244,7 +254,7 @@ def solve_square(matrix, rhs):
 
 
 def _double_description(region: DoFRegion):
-    """Extreme rays of the homogenized region and their zero sets.
+    """Extreme rays of the homogenized region and their zero sets, as two tuples.
 
     The region is homogenized to the cone {(d, t) >= 0 : bound * t -
     coeffs . d >= 0 for every row}.  It starts as the orthant, whose
@@ -298,7 +308,7 @@ def _double_description(region: DoFRegion):
         keep = [i for i, v in enumerate(vals) if v >= 0]
         rays = [rays[i] for i in keep] + added_rays
         zeros = [zeros[i] | flag if vals[i] == 0 else zeros[i] for i in keep] + added_zeros
-    return rays, zeros
+    return tuple(rays), tuple(zeros)
 
 
 def _contained_in_third(common, zeros):
@@ -312,9 +322,16 @@ def _contained_in_third(common, zeros):
     return False
 
 
+def _rays_of(region: DoFRegion):
+    """The region's ``_double_description``, built on its first query only."""
+    if region._rays is None:
+        object.__setattr__(region, "_rays", _double_description(region))
+    return region._rays
+
+
 def _polytope_rays(region: DoFRegion):
-    """``_double_description`` of a region that must be a nonempty polytope."""
-    rays, zeros = _double_description(region)
+    """``_rays_of`` a region that must be a nonempty polytope."""
+    rays, zeros = _rays_of(region)
     if not rays or not all(r[-1] for r in rays):  # empty or unbounded: _support says which
         _support(rays, [_ONE] * region.dimension)
     return rays, zeros
@@ -338,14 +355,16 @@ def _support(rays, objective):
 
 
 def vertex_enumerate(region: DoFRegion):
-    """Exact vertex set by double description (``_double_description``).
+    """Exact vertex set, read off the region's double description.
 
     Raises EmptyRegionError / UnboundedRegionError unless the region is a
-    nonempty polytope.  Output is deduplicated and sorted lexicographically.
+    nonempty polytope.  Output is sorted lexicographically.  It has no
+    repeats: the extreme rays are distinct and gcd-normalized, so no two
+    are multiples of each other, and dividing by t gives distinct vertices.
     """
     k = region.dimension
     rays, _ = _polytope_rays(region)
-    return sorted({tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays})
+    return sorted(tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays)
 
 
 def remove_redundant(region: DoFRegion) -> DoFRegion:
@@ -359,32 +378,46 @@ def remove_redundant(region: DoFRegion) -> DoFRegion:
 
     Every bound > 0 makes eps * (1, ..., 1) an interior point, so the
     region is a full-dimensional polytope and no row's hyperplane is a
-    coordinate hyperplane.  Rows equal after dividing each by its bound
-    share one hyperplane; each earlier copy is implied by a later one, so
-    only the last is kept.  The other rows and the K coordinate
-    hyperplanes are then all distinct, and a row is redundant against any
-    system that still describes the region iff it does not define a facet,
-    whatever the visiting order.  The verdicts are read off the region's
-    own double description.  Let T(c) be the set of vertices tight on
+    coordinate hyperplane.  The verdicts are read off the region's own
+    double description.  Let T(c) be the set of vertices tight on
     constraint c.  Row j defines a facet iff no other constraint has T(c)
     a strict superset of T(j): a face is the convex hull of its vertices,
     the facets are the maximal proper faces, and every face that is not a
     facet, the empty one included, lies in a facet, which some constraint
-    of the system defines.
+    of the system defines.  A row that defines no facet is redundant
+    against any system that still describes the region, whatever the
+    visiting order, and is dropped.  Two rows with one T define the same
+    facet or none: the vertices of a facet span its hyperplane, since the
+    region is full-dimensional, so a row tight on all of them has that
+    hyperplane.  Rows on one hyperplane are equal after dividing each by
+    its bound, and each earlier copy is implied by a later one, so of the
+    rows with one T only the last is kept.
+
+    The reduced region keeps the rays of the input, since it is the same
+    polytope; only their zero sets lose the bits of the dropped rows, and
+    row j's bit K+1+j moves to K+1+i when j is the i-th kept row.
     """
     rows = region.halfspaces
-    _, zeros = _polytope_rays(region)
+    rays, zeros = _polytope_rays(region)
     if any(hs.bound <= 0 for hs in rows):
         raise GeometryError("redundancy removal needs every bound > 0")
-    last = set({tuple(c / hs.bound for c in hs.coeffs): j for j, hs in enumerate(rows)}.values())
+    k = region.dimension
     tight = [
         sum(1 << r for r, z in enumerate(zeros) if z >> c & 1)
-        for c in range(region.dimension + 1 + len(rows))
+        for c in range(k + 1 + len(rows))
     ]
-    return DoFRegion(region.dimension, tuple(
-        hs for j, (hs, t) in enumerate(zip(rows, tight[region.dimension + 1 :]))
+    last = set({t: j for j, t in enumerate(tight[k + 1 :])}.values())
+    kept = [
+        j for j, t in enumerate(tight[k + 1 :])
         if j in last and not any(u != t and u & t == t for u in tight)
-    ))
+    ]
+    reduced = DoFRegion(k, tuple(rows[j] for j in kept))
+    axes = (1 << (k + 1)) - 1
+    object.__setattr__(reduced, "_rays", (rays, tuple(
+        (z & axes) | sum(1 << i for i, j in enumerate(kept, start=k + 1) if z >> (k + 1 + j) & 1)
+        for z in zeros
+    )))
+    return reduced
 
 
 def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
@@ -392,11 +425,11 @@ def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
 
     Inner lies in outer iff no row of outer is exceeded by inner's support
     in that row's direction.  The supports are read off inner's double
-    description, built once; they raise as ``lp_max`` on inner would.
+    description; they raise as ``lp_max`` on inner would.
     """
     if outer.dimension != inner.dimension:
         raise DimensionMismatchError("regions of dimension %d vs %d" % (outer.dimension, inner.dimension))
-    rays, _ = _double_description(inner)
+    rays, _ = _rays_of(inner)
     return all(_support(rays, hs.coeffs) <= hs.bound for hs in outer.halfspaces)
 
 

@@ -1,0 +1,95 @@
+"""One sha256 over the exact outputs that a geometry change must leave alone.
+
+    PYTHONPATH=src python3 tests/sweep_digest.py
+
+It hashes three corpora, rendered as text:
+
+* the 860-config outer-bound sweep (K <= 4 with N_i <= 4, K = 5 with
+  N_i <= 3, receivers non-increasing, M = 1..sum(N)+1): the kept rows in
+  order and the vertex list of each bound;
+* ``plane_slice`` at d3 = j * d3_max / 6, j = 0..6, for N < M <= 2N <= 16:
+  the redundant bounds and the corners;
+* the ``plan_document`` JSON of 450 feasible three-user plans (N <= 6),
+  each target a random integer-weighted mix of the region's vertices.
+
+Run it on two checkouts and compare the lines: equal digests mean equal
+outputs.  Not a test module, so pytest does not collect it.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
+from doflab.exactgeom import rat_str, vertex_enumerate
+from doflab.regions import (
+    AntennaConfig,
+    achievability_plan,
+    d3_max,
+    outer_bound_region,
+    plane_slice,
+    three_user_region,
+)
+from doflab.serialize import json_text, plan_document
+
+PLANS = 450
+PLAN_SEED = 2026
+
+
+def _point(p):
+    return ",".join(rat_str(x) for x in p)
+
+
+def outer_bound_lines():
+    shapes = [n for k in range(1, 5) for n in combinations_with_replacement(range(4, 0, -1), k)]
+    shapes += list(combinations_with_replacement(range(3, 0, -1), 5))
+    for n in shapes:
+        for m in range(1, sum(n) + 2):
+            region = outer_bound_region(AntennaConfig(m, n))
+            yield "outer %d %s" % (m, ",".join(map(str, n)))
+            yield from ("  " + hs.render() for hs in region.halfspaces)
+            yield from ("  v " + _point(v) for v in vertex_enumerate(region))
+
+
+def slice_lines():
+    for n in range(1, 9):
+        for m in range(n + 1, 2 * n + 1):
+            for j in range(7):
+                slc = plane_slice(m, n, d3_max(m, n) * j / 6)
+                yield "slice %d %d %s redundant=%s" % (
+                    m, n, rat_str(slc.d3), ",".join(sorted(slc.redundant_bounds)))
+                yield from ("  v " + _point(v) for v in vertex_enumerate(slc.region))
+
+
+def plan_lines():
+    rng = random.Random(PLAN_SEED)
+    for _ in range(PLANS):
+        n = rng.randint(1, 6)
+        m = rng.randint(n + 1, 2 * n)
+        verts = vertex_enumerate(three_user_region(m, n))
+        weights = [0] * len(verts)
+        while not any(weights):
+            weights = [rng.randint(0, 3) for _ in verts]
+        total = sum(weights)
+        target = tuple(
+            sum((Fraction(w, total) * v[i] for w, v in zip(weights, verts)), Fraction(0))
+            for i in range(3)
+        )
+        yield "plan %d %d" % (m, n)
+        yield "  " + json_text(plan_document(achievability_plan(m, n, target)))
+
+
+def main():
+    digest = hashlib.sha256()
+    counts = []
+    for lines in (outer_bound_lines(), slice_lines(), plan_lines()):
+        headers = 0
+        for line in lines:
+            headers += not line.startswith(" ")
+            digest.update(line.encode() + b"\n")
+        counts.append(headers)
+    print("%s  outer bounds=%d slices=%d plans=%d" % (digest.hexdigest(), *counts))
+
+
+if __name__ == "__main__":
+    main()

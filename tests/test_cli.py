@@ -3,8 +3,11 @@
 import json
 import time
 
+import pytest
+
 from doflab import exactgeom, scheme
 from doflab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from test_exactgeom import count_double_descriptions
 
 
 def run_cli(capsys, *argv):
@@ -439,3 +442,24 @@ def test_slice_determinism(tmp_path, capsys):
         assert code == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# one double description per region
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, builds", [
+    (("region", "--model", "outer", "--M", "4", "--N", "3,2,1"), 1),
+    (("region", "--model", "outer", "--M", "3", "--N", "1,1,1,1,1"), 1),
+    (("compare", "--N", "3,2", "--M", "4"), 1),
+    (("compare", "--N", "3,2", "--M", "2,3,4,5,6"), 5),
+    (("slice", "--M", "5", "--N", "3", "--d3", "1"), 1),
+], ids=["region-outer", "region-outer-five-users", "compare-one-m", "compare-five-m", "slice"])
+def test_command_builds_one_double_description_per_region(tmp_path, capsys, monkeypatch, argv, builds):
+    # region: the raw outer bound, whose rays the reduced bound reuses for its
+    # vertices; compare: one per M, shared by the sum DoF and the vertices;
+    # slice: the slice polygon, shared by its redundancy and its corners
+    calls = count_double_descriptions(monkeypatch)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.json"), "--format", "json")
+    assert code == EXIT_OK
+    assert len(calls) == builds

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -97,10 +98,13 @@ TEST_REGIONS = [
 
 
 def test_rat_rejects_floats():
-    with pytest.raises(TypeError):
-        rat(0.5)
+    for inexact in (0.5, np.float32(0.5), np.float64(0.5)):
+        with pytest.raises(TypeError, match="floating-point value not allowed"):
+            rat(inexact)
     assert rat("12/5") == F(12, 5)
     assert rat(3) == F(3)
+    third = F(1, 3)
+    assert rat(third) is third
 
 
 def test_rat_str():
@@ -306,6 +310,7 @@ FIXED_REDUNDANCY_REGIONS = [
 
 @pytest.mark.parametrize("region", FIXED_REDUNDANCY_REGIONS)
 def test_remove_redundant_matches_sequential_lp_loop_on_fixed_regions(monkeypatch, region):
+    region = fresh(region)
     calls = count_double_descriptions(monkeypatch)
     assert remove_redundant(region).halfspaces == sequential_remove_redundant(region).halfspaces
     assert calls == [region]
@@ -322,6 +327,16 @@ def count_double_descriptions(monkeypatch):
 
     monkeypatch.setattr(exactgeom, "_double_description", counting)
     return calls
+
+
+def fresh(region):
+    """An equal region that has not built its double description yet.
+
+    A region keeps its double description after its first query, so a test
+    that counts builds on a shared region takes a copy, and its count does
+    not depend on which test queried the region first.
+    """
+    return DoFRegion(region.dimension, region.halfspaces)
 
 
 def test_remove_redundant_reads_outer_bound_facets_without_lp(monkeypatch):
@@ -349,6 +364,7 @@ def test_remove_redundant_drops_dominated_row_without_lp(monkeypatch):
     DoFRegion(3, (HalfSpace((1, 1, 1), 1), HalfSpace((0, 1, 0), 0))),
 ], ids=["point", "80-rows", "zero-bound"])
 def test_remove_redundant_refuses_nonpositive_bound_after_one_double_description(monkeypatch, region):
+    region = fresh(region)
     calls = count_double_descriptions(monkeypatch)
     with pytest.raises(GeometryError, match="every bound > 0"):
         remove_redundant(region)
@@ -649,14 +665,60 @@ def test_nonnegative_region_bounded_without_lp(monkeypatch):
     # vertex enumeration reads boundedness off its own rays, with no separate
     # pass; is_bounded is one double description whatever the signs
     region = outer_bound_region(AntennaConfig(3, (2, 2, 1)))
-    expected = vertex_enumerate(region)
     calls = count_double_descriptions(monkeypatch)
-    assert vertex_enumerate(region) == expected
-    assert len(calls) == 1
+    # the reduced region came with the rays of the raw rows
+    expected = vertex_enumerate(region)
+    assert is_bounded(region)
+    assert len(calls) == 0
+    copy = fresh(region)
+    assert vertex_enumerate(copy) == expected
+    assert is_bounded(copy)
+    assert calls == [copy]
     assert is_bounded(DoFRegion(2, (HalfSpace((1, 0), 1), HalfSpace((0, F(1, 2)), 0))))
     assert not is_bounded(DoFRegion(3, (HalfSpace((1, 1, 0), 1), HalfSpace((2, 0, 0), 3))))
     assert not is_bounded(DoFRegion(1, ()))
     assert len(calls) == 4
+
+
+def _geometry_op(m, n):
+    """One ``geometry`` benchmark op: the outer bound, its vertices (K <= 4)
+    and its equality with the closed form where one exists."""
+    region = outer_bound_region(AntennaConfig(m, n))
+    if len(n) <= 4:
+        vertex_enumerate(region)
+    closed = None
+    if len(n) == 2:
+        closed = two_user_region(m, *n)
+    elif len(n) == 3 and n[0] == n[2] and m <= 2 * n[0]:
+        closed = three_user_region(m, n[0])
+    if closed is not None:
+        assert regions_equal(region, closed)
+    return closed
+
+
+@pytest.mark.parametrize("m, n", [
+    (4, (2, 1)), (7, (4, 2)), (2, (1, 1, 1)), (3, (1, 1, 1)), (4, (2, 2, 1)),
+    (4, (2, 1, 1, 1)), (3, (2, 1, 1, 1, 1)),
+], ids=["4-21", "7-42", "2-111", "3-111", "4-221", "4-2111", "3-21111"])
+def test_geometry_op_builds_each_region_once(monkeypatch, m, n):
+    # the raw rows once, and the closed form once where there is one; the
+    # reduced bound reuses the raw rows' double description
+    calls = count_double_descriptions(monkeypatch)
+    closed = _geometry_op(m, n)
+    assert calls[0].halfspaces == tuple(permutation_inequalities(AntennaConfig(m, n)))
+    assert calls[1:] == ([] if closed is None else [closed])
+
+
+def test_cached_double_description_is_invisible_to_equality_hash_and_repr():
+    raw = DoFRegion(3, tuple(permutation_inequalities(AntennaConfig(4, (2, 2, 1)))))
+    reduced = remove_redundant(raw)
+    for region in (raw, reduced):
+        copy = fresh(region)
+        assert region._rays is not None and copy._rays is None
+        assert region == copy and hash(region) == hash(copy) and repr(region) == repr(copy)
+        # a built copy stays equal, and each keeps its own rays
+        vertex_enumerate(copy)
+        assert copy == region and copy._rays is not region._rays
 
 
 def test_lp_with_lower_bound_row():

@@ -5,14 +5,14 @@ import json
 import random
 import time
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doflab import regions
+from doflab import exactgeom, regions
 from doflab.exactgeom import (
     DoFRegion,
     GeometryError,
@@ -47,7 +47,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import plan_document, plan_to_csv, region_document
-from test_exactgeom import count_double_descriptions, scipy_redundant_oracle
+from test_exactgeom import count_double_descriptions, fresh, scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 ALLOWED_SOURCES = {SOURCE_TWO_USER, SOURCE_SINGLE_USER, SOURCE_TIME_DIVISION, SOURCE_EXTERNAL}
@@ -135,6 +135,26 @@ def _benchmark_geometry_configs():
     spec.loader.exec_module(workloads)
     return {(op[1], tuple(op[2])) for slot in workloads.GEOMETRY_SLOTS
             for candidate in slot for op in candidate}
+
+
+def test_reduced_region_keeps_the_rays_of_a_fresh_build():
+    # remove_redundant hands its input's rays to the reduced region, with the
+    # zero sets remapped to the kept rows; a fresh build of the kept rows must
+    # give the same rays and zero sets, in some order
+    five = sorted((m, n) for m, n in _benchmark_geometry_configs() if len(n) == 5)
+    five += [(4, (1,) * 5), (12, (5, 4, 3, 2, 1))]
+    assert len(five) == 5
+    # every K <= 4 config with N_i <= 3 and M <= sum(N) + 1, and the five above
+    small = [(m, n) for k in range(1, 5) for n in combinations_with_replacement(range(3, 0, -1), k)
+             for m in range(1, sum(n) + 2)]
+    reduced = [outer_bound_region(AntennaConfig(m, n)) for m, n in small + five]
+    reduced += [remove_redundant(plane_slice(m, n, d3_max(m, n) * j / 4).region)
+                for n in range(1, 5) for m in range(n + 1, 2 * n + 1) for j in range(5)]
+    assert len(reduced) == 244 + 5 + 50
+    for region in reduced:
+        rays, zeros = region._rays
+        built = exactgeom._double_description(fresh(region))
+        assert sorted(zip(rays, zeros)) == sorted(zip(*built)), region
 
 
 def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkeypatch):
