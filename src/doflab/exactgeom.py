@@ -343,15 +343,22 @@ def _support(rays, objective):
     A linear objective over a nonempty pointed polyhedron either grows
     along a recession ray (t = 0) or attains its maximum at a vertex.
     Raises EmptyRegionError when no ray has t > 0 and UnboundedRegionError
-    when the objective is positive on a ray with t = 0.
+    when the objective is positive on a ray with t = 0.  The objective is
+    scaled to integers and the vertices compared by cross-multiplying, so
+    the one Fraction built is the maximum.
     """
     k = len(objective)
     if not any(r[k] for r in rays):
         raise EmptyRegionError("region is empty")
-    values = [(sum(c * x for c, x in zip(objective, r)), r[k]) for r in rays]
-    if any(v > 0 and not t for v, t in values):
-        raise UnboundedRegionError("objective unbounded over region")
-    return max(Fraction(v, t) for v, t in values if t)
+    coeffs, scale = _integer_row(objective), lcm(*(c.denominator for c in objective))
+    best_v, best_t = 0, 0  # no vertex yet
+    for r in rays:
+        v, t = sum(c * x for c, x in zip(coeffs, r)), r[k]
+        if not t and v > 0:
+            raise UnboundedRegionError("objective unbounded over region")
+        if t and (not best_t or v * best_t > best_v * t):
+            best_v, best_t = v, t
+    return Fraction(best_v, best_t * scale)
 
 
 def vertex_enumerate(region: DoFRegion):

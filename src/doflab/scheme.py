@@ -18,14 +18,21 @@ Plan geometry for effective antenna count E = min(M, N1+N2):
   per slot: the routing is a row-major reshape of the (T_i, E - N_i) LC
   array into (T3, N_i).
 
+The two users are handled alike.  ``_users`` states the layout once, one
+entry per user i: the slots of its own phase, the symbols s_i sent per
+slot, N_i, the LCs it is owed per slot and the first phase-3 antenna of
+those LCs (0 for user 1, E - N2 for user 2); the other user is 1 - i.
+``run_phases``, ``decode`` and the rate model each loop over that table.
+
 M <= N1 needs no alignment: plain time division between single-user
 transmissions traces the region's dominant face.  It runs through the same
 phase machinery with an empty phase 3 and no overheard combinations, and a
 single-user component of a three-user plan is a time-division plan on
 min(M, N) antennas that gives user 1 all the air time.
 
-Decoding is by exact linear solves; the noiseless decode certifies the
-DoF corner by symbol accounting.  The Monte Carlo wrapper runs and decodes
+Decoding is by floating-point LU solves (``np.linalg.solve``), checked
+against RESIDUAL_TOL; a noiseless decode within it certifies the DoF
+corner by exact symbol accounting.  The Monte Carlo wrapper runs and decodes
 its trials in blocks, as arrays over a leading trial axis, and every kind
 of matrix a trial inverts gets one condition-number pass and one batched
 solve over the whole block.
@@ -43,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +108,6 @@ class SchemeSpec:
     effective_m: int
     phase_lengths: tuple  # (T1, T2, T3) slot counts
     symbols_per_slot: tuple  # fresh symbols per slot in phases 1 and 2
-    time_weights: tuple | None  # case A split between the two users
 
     @property
     def total_slots(self) -> int:
@@ -117,15 +124,11 @@ class SchemeSpec:
 
     @property
     def symbol_counts(self) -> tuple:
-        t1, t2, _ = self.phase_lengths
-        s1, s2, _ = self.symbols_per_slot
-        return (t1 * s1, t2 * s2)
+        return tuple(t * s for t, s in zip(self.phase_lengths[:2], self.symbols_per_slot))
 
     def target_dof(self) -> tuple:
         """The exact DoF pair this plan realizes."""
-        total = self.total_slots
-        n1, n2 = self.symbol_counts
-        return (Fraction(n1, total), Fraction(n2, total))
+        return tuple(Fraction(n, self.total_slots) for n in self.symbol_counts)
 
 
 def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
@@ -158,7 +161,6 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
             effective_m=M,
             phase_lengths=(t1, t2, 0),
             symbols_per_slot=(min(M, N1), min(M, N2), 0),
-            time_weights=(w1, w2),
         )
 
     if time_weights is not None:
@@ -176,7 +178,27 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
         effective_m=eff,
         phase_lengths=(t1, t2, t3),
         symbols_per_slot=(eff, eff, 0),
-        time_weights=None,
+    )
+
+
+class _User(NamedTuple):
+    """One user's share of the two-user layout; the other user is 1 - i."""
+
+    own: slice  # the slots of the user's own phase
+    t: int  # their count, T_i
+    s: int  # fresh symbols sent per slot, s_i
+    n: int  # receive antennas, N_i
+    needed: int  # LCs the user is owed per own-phase slot
+    lo: int  # first phase-3 antenna of the user's LCs
+
+
+def _users(spec: SchemeSpec):
+    """The per-user table, user 1 then user 2 (see the module docstring)."""
+    t1, t2, _ = spec.phase_lengths
+    s1, s2, _ = spec.symbols_per_slot
+    return (
+        _User(slice(0, t1), t1, s1, spec.N1, spec.needed1, 0),
+        _User(slice(t1, t1 + t2), t2, s2, spec.N2, spec.needed2, spec.effective_m - spec.N2),
     )
 
 
@@ -205,21 +227,15 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 def generate_channels(spec: SchemeSpec, seed) -> ChannelRealization:
     """Standard complex Gaussian H_i(t), reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    t = spec.total_slots
-    h1 = _crandn(rng, (t, spec.N1, spec.M))
-    h2 = _crandn(rng, (t, spec.N2, spec.M))
-    return ChannelRealization(h1=h1, h2=h2)
+    return ChannelRealization(*(_crandn(rng, (spec.total_slots, user.n, spec.M))
+                                for user in _users(spec)))  # h1 drawn first
 
 
 def draw_symbols(spec: SchemeSpec, seed, power: float = 1.0):
     """I.i.d. complex Gaussian data symbols for both users."""
     rng = np.random.default_rng(seed)
-    t1, t2, _ = spec.phase_lengths
-    s1, s2, _ = spec.symbols_per_slot
     scale = np.sqrt(power)
-    u1 = scale * _crandn(rng, (s1, t1))
-    u2 = scale * _crandn(rng, (s2, t2))
-    return u1, u2
+    return tuple(scale * _crandn(rng, (user.s, user.t)) for user in _users(spec))  # u1 first
 
 
 @dataclass(eq=False)
@@ -241,22 +257,14 @@ class Transcript:
     noise_std: float
 
 
-def _phase3_windows(spec: SchemeSpec, h1, h2):
-    """Phase-3 channels under each user's LC positions, stacked over slots.
+def _phase3_window(spec: SchemeSpec, h, lo: int, width: int):
+    """Phase-3 channels ``h`` under antennas lo..lo+width-1, stacked over slots.
 
-    Returns (h1 under user-1 positions, h1 under user-2 positions, h2 under
-    user-1 positions, h2 under user-2 positions), shaped ([trials,] T3,
-    N_i, N_j): user-1 LCs ride on antennas 0..N1-1 and user-2 LCs on the
-    last N2 effective ones.  With M <= N1 there is no phase-3 slot and the
-    windows are empty stacks of the same shapes.
+    Shaped ([trials,] T3, N, width), N the receiver's antennas.  With M <= N1
+    there is no phase-3 slot and the window is an empty stack of that shape.
     """
     t1, t2, t3 = spec.phase_lengths
-    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
-    return tuple(
-        h[..., t1 + t2 :, :, lo : lo + k].reshape(h.shape[:-3] + (t3, n, k))
-        for h, n in ((h1, n1), (h2, n2))
-        for lo, k in ((0, n1), (eff - n2, n2))
-    )
+    return h[..., t1 + t2 :, :, lo : lo + width].reshape(h.shape[:-3] + (t3, h.shape[-2], width))
 
 
 def _apply(h, v):
@@ -274,42 +282,38 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
     and the known symbols; receiver noise (optional) only affects the
     received signals.
     """
-    u1, u2 = symbols
-    h1, h2 = channels.h1, channels.h2
-    t1, t2, t3 = spec.phase_lengths
-    s1, s2, _ = spec.symbols_per_slot
-    eff, n1, n2 = spec.effective_m, spec.N1, spec.N2
-    total = spec.total_slots
-    trials = u1.shape[:-2]
-    if u1.shape != trials + (s1, t1) or u2.shape != trials + (s2, t2):
+    users = _users(spec)
+    hs = (channels.h1, channels.h2)
+    total, t3 = spec.total_slots, spec.phase_lengths[2]
+    trials = symbols[0].shape[:-2]
+    if any(u.shape != trials + (user.s, user.t) for user, u in zip(users, symbols)):
         raise SchemeError(
-            "symbol shapes %r/%r do not match the plan" % (u1.shape, u2.shape)
+            "symbol shapes %r/%r do not match the plan" % tuple(u.shape for u in symbols)
         )
     if channels.total_slots != total:
         raise SchemeError("channel realization covers %d slots, plan needs %d"
                           % (channels.total_slots, total))
-    if h1.shape[:-3] != trials or h2.shape[:-3] != trials:
+    if any(h.shape[:-3] != trials for h in hs):
         raise SchemeError("channels and symbols stack different trial counts")
 
     x = np.zeros(trials + (total, spec.M), dtype=complex)
-    x[..., :t1, :s1] = np.swapaxes(u1, -1, -2)
-    x[..., t1 : t1 + t2, :s2] = np.swapaxes(u2, -1, -2)
-    # overheard combinations, reconstructed from delayed CSI
-    lc1 = _apply(h2[..., :t1, : spec.needed1, :s1], np.swapaxes(u1, -1, -2))
-    lc2 = _apply(h1[..., t1 : t1 + t2, : spec.needed2, :s2], np.swapaxes(u2, -1, -2))
-    if t3:  # phase 3 forwards every overheard LC once: the routing reshape
-        x[..., t1 + t2 :, :n1] += lc1.reshape(trials + (t3, n1))
-        x[..., t1 + t2 :, eff - n2 : eff] += lc2.reshape(trials + (t3, n2))
+    lcs = []
+    for i, (user, u) in enumerate(zip(users, symbols)):
+        sent = np.swapaxes(u, -1, -2)
+        x[..., user.own, : user.s] = sent
+        # the LCs the other receiver overheard, reconstructed from delayed CSI
+        lc = _apply(hs[1 - i][..., user.own, : user.needed, : user.s], sent)
+        if t3:  # phase 3 forwards every overheard LC once: the routing reshape
+            x[..., total - t3 :, user.lo : user.lo + user.n] += lc.reshape(trials + (t3, user.n))
+        lcs.append(lc)
 
-    y1 = np.einsum("...tnm,...tm->...tn", h1, x)
-    y2 = np.einsum("...tnm,...tm->...tn", h2, x)
-    if noise_std > 0.0:
+    ys = [np.einsum("...tnm,...tm->...tn", h, x) for h in hs]
+    if noise_std > 0.0:  # drawn for y1 first, then y2
         nrng = np.random.default_rng(noise_seed)
-        y1 = y1 + noise_std * _crandn(nrng, y1.shape)
-        y2 = y2 + noise_std * _crandn(nrng, y2.shape)
+        ys = [y + noise_std * _crandn(nrng, y.shape) for y in ys]
     return Transcript(
-        spec=spec, channels=channels, u1=u1, u2=u2,
-        lc_user1=lc1, lc_user2=lc2, x=x, y1=y1, y2=y2, noise_std=noise_std,
+        spec=spec, channels=channels, u1=symbols[0], u2=symbols[1],
+        lc_user1=lcs[0], lc_user2=lcs[1], x=x, y1=ys[0], y2=ys[1], noise_std=noise_std,
     )
 
 
@@ -333,11 +337,14 @@ def _solve(matrices, rhs):
 
 
 def decode(transcript: Transcript) -> DecodingReport:
-    """Recover both users' symbols by exact linear solves.
+    """Recover both users' symbols by floating-point linear solves.
 
+    Each solve is an LU solve (``np.linalg.solve``); a noiseless decode
+    certifies the corner when its largest symbol error is below
+    RESIDUAL_TOL.  Both users decode alike, by one loop over ``_users``.
     Phase 3: each receiver subtracts the forwarded LCs it already holds
-    (rows of its own earlier received signal) and inverts the square
-    submatrix of its channel under the other LCs' antenna positions.
+    (rows of its own signal in the other user's phase) and inverts the
+    square submatrix of its channel under its own LCs' antenna positions.
     Phases 1-2: each user stacks its direct observations with the
     recovered combinations and solves one square system per slot on its
     first s_i rows and columns, s_i the symbols sent per slot: the whole
@@ -353,28 +360,30 @@ def decode(transcript: Transcript) -> DecodingReport:
     failed trials in ``failures``.
     """
     spec = transcript.spec
-    t1, t2, t3 = spec.phase_lengths
-    s1, s2, _ = spec.symbols_per_slot
-    n1, n2 = spec.N1, spec.N2
+    users = _users(spec)
+    total, t3 = spec.total_slots, spec.phase_lengths[2]
     single = transcript.u1.ndim == 2
-    h1, h2, y1, y2, u1, u2 = (
-        a[None] if single else a
-        for a in (transcript.channels.h1, transcript.channels.h2,
-                  transcript.y1, transcript.y2, transcript.u1, transcript.u2)
+    hs, ys, us = (
+        [a[None] if single else a for a in pair]
+        for pair in ((transcript.channels.h1, transcript.channels.h2),
+                     (transcript.y1, transcript.y2), (transcript.u1, transcript.u2))
     )
-    p1, p2, p3 = slice(0, t1), slice(t1, t1 + t2), slice(t1 + t2, None)
-    h1_own, h1_side, h2_side, h2_own = _phase3_windows(spec, h1, h2)
-    matrices = (
-        h1_own,  # user-1 alignment solves
-        h2_own,  # user-2 alignment solves
-        np.concatenate([h1[:, p1, :, :s1], h2[:, p1, : spec.needed1, :s1]], axis=2)[:, :, :s1],
-        np.concatenate([h2[:, p2, :, :s2], h1[:, p2, : spec.needed2, :s2]], axis=2)[:, :, :s2],
-    )
-    c3a, c3b, c1, c2 = (np.linalg.cond(m) for m in matrices)
-    conds = np.concatenate([np.stack([c3a, c3b], axis=2).reshape(len(h1), 2 * t3), c1, c2], axis=1)
-    slots = np.concatenate([np.repeat(np.arange(t1 + t2, t1 + t2 + t3), 2), np.arange(t1 + t2)])
-    what = (["user-1 alignment solve", "user-2 alignment solve"] * t3
-            + ["user-1 data solve"] * t1 + ["user-2 data solve"] * t2)
+    # each user's alignment matrices, its channel under the other user's
+    # LCs, and its data matrices, cut before any trial is dropped
+    align, side, data = [], [], []
+    for i, user in enumerate(users):
+        other = users[1 - i]
+        align.append(_phase3_window(spec, hs[i], user.lo, user.n))
+        side.append(_phase3_window(spec, hs[i], other.lo, other.n))
+        data.append(np.concatenate([hs[i][:, user.own, :, : user.s],
+                                    hs[1 - i][:, user.own, : user.needed, : user.s]],
+                                   axis=2)[:, :, : user.s])
+    conds = np.concatenate(
+        [np.stack([np.linalg.cond(m) for m in align], axis=2).reshape(len(hs[0]), 2 * t3)]
+        + [np.linalg.cond(m) for m in data], axis=1)
+    slots = np.concatenate([np.repeat(np.arange(total - t3, total), 2), np.arange(total - t3)])
+    what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
+            + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
     bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
     failed, first = bad.any(axis=1), bad.argmax(axis=1)
     failures = tuple(
@@ -384,24 +393,23 @@ def decode(transcript: Transcript) -> DecodingReport:
     if single and failures:
         raise SingularChannelError(*failures[0][1:])
     ok = ~failed
-    align1, align2, data1, data2 = (m[ok] for m in matrices)
-    h1_side, h2_side, y1, y2, u1, u2 = (a[ok] for a in (h1_side, h2_side, y1, y2, u1, u2))
-    decoded = len(y1)  # trials that decode, possibly none
-    # the routing reshape: user 1 cancels the user-2-destined LCs, rows of its
-    # own phase-2 signal, and user 2 the user-1-destined rows of its phase 1
-    side1 = y1[:, p2, : spec.needed2].reshape(decoded, t3, n2)
-    side2 = y2[:, p1, : spec.needed1].reshape(decoded, t3, n1)
-    rec1 = _solve(align1, y1[:, p3] - _apply(h1_side, side1)).reshape(decoded, t1, spec.needed1)
-    rec2 = _solve(align2, y2[:, p3] - _apply(h2_side, side2)).reshape(decoded, t2, spec.needed2)
-    u1_hat = _solve(data1, np.concatenate([y1[:, p1], rec1], axis=2)[:, :, :s1])
-    u2_hat = _solve(data2, np.concatenate([y2[:, p2], rec2], axis=2)[:, :, :s2])
+    decoded = int(np.count_nonzero(ok))  # trials that decode, possibly none
+    residuals = []
+    for i, user in enumerate(users):
+        other = users[1 - i]
+        y = ys[i][ok]
+        # the routing reshape: the other user's LCs are rows of this
+        # receiver's signal in the other user's phase
+        known = y[:, other.own, : other.needed].reshape(decoded, t3, other.n)
+        rec = _solve(align[i][ok], y[:, total - t3 :] - _apply(side[i][ok], known))
+        rec = rec.reshape(decoded, user.t, user.needed)
+        u_hat = _solve(data[i][ok], np.concatenate([y[:, user.own], rec], axis=2)[:, :, : user.s])
+        residuals.append(float(np.abs(np.swapaxes(u_hat, 1, 2) - us[i][ok]).max(initial=0.0)))
 
     kept = conds[ok]
     return DecodingReport(
-        symbols_user1=s1 * t1,
-        symbols_user2=s2 * t2,
-        residual_user1=float(np.abs(np.swapaxes(u1_hat, 1, 2) - u1).max(initial=0.0)),
-        residual_user2=float(np.abs(np.swapaxes(u2_hat, 1, 2) - u2).max(initial=0.0)),
+        *spec.symbol_counts,
+        *residuals,
         max_condition=float(kept.max(initial=0.0)),
         solves=int(kept.size),
         ill_conditioned=int(np.count_nonzero(kept > ILL_CONDITIONED)),
@@ -501,24 +509,6 @@ class RateCurve:
     slopes: tuple  # fitted d rate / d log2(P) per user
 
 
-def _whitened_model(direct, g3, cov, first_slot):
-    """One receiver's whitened observation matrix.
-
-    Stacks the white ``direct`` rows over the phase-3 blocks ``g3``
-    (T3, n, cols), each whitened by the Cholesky factor of its noise
-    covariance ``cov`` (T3, n, n).  Phase-3 slot k is slot first_slot + k;
-    the first whose covariance fails the conditioning check raises.
-    """
-    cond = np.linalg.cond(cov)
-    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
-    if bad.any():
-        k = int(bad.argmax())
-        raise SingularChannelError(first_slot + k, float(cond[k]), "side-information covariance")
-    t3, n, cols = g3.shape
-    whitened = np.linalg.solve(np.linalg.cholesky(cov), g3)
-    return np.concatenate([direct, whitened.reshape(t3 * n, cols)])
-
-
 def _block_diagonal(h):
     """(T, n, s) per-slot channels as the (T n, T s) block-diagonal matrix."""
     t, n, s = h.shape
@@ -528,34 +518,35 @@ def _block_diagonal(h):
 
 
 def _user_models(spec: SchemeSpec, channels: ChannelRealization):
-    """End-to-end linear observation models (user by user).
+    """End-to-end whitened linear observation models, user by user.
 
-    Returns one (direct, g3, cov) triple per user: the direct observations
-    (white noise) as one block-diagonal matrix, and the phase-3
+    Returns one (model, cov) pair per user.  The model stacks the direct
+    observations (white noise), one block-diagonal matrix, over the phase-3
     observations after subtracting the receiver's noisy side information,
-    stacked over slots with their colored-noise covariances.  Phase-3
-    transmissions are scaled by 1/sqrt(E) so each phase meets the average
-    power constraint.
+    each phase-3 slot's rows whitened by the Cholesky factor of its
+    colored-noise covariance; ``cov`` is those covariances, (T3, N_i, N_i).
+    Each is I + S S^H / E, S the receiver's channel under the other user's
+    LCs, so every eigenvalue is at least 1 and the factorization needs no
+    conditioning check.  Phase-3 transmissions are scaled by 1/sqrt(E) so
+    each phase meets the average power constraint.
     """
-    t1, t2, t3 = spec.phase_lengths
-    s1, s2, _ = spec.symbols_per_slot
-    n1, n2 = spec.N1, spec.N2
-    h1, h2 = channels.h1, channels.h2
+    hs = (channels.h1, channels.h2)
+    users = _users(spec)
+    t3 = spec.phase_lengths[2]
     scale = 1.0 / np.sqrt(spec.effective_m)
-    h1_own, h1_side, h2_side, h2_own = _phase3_windows(spec, h1, h2)
-
-    # user i's LCs as a block-diagonal map from its symbols, N_i rows per slot
-    amap = _block_diagonal(h2[:t1, : spec.needed1, :s1]).reshape(t3, n1, s1 * t1)
-    g1 = scale * h1_own @ amap
-    cov1 = np.eye(n1) + (scale ** 2) * h1_side @ np.swapaxes(h1_side.conj(), 1, 2)
-
-    bmap = _block_diagonal(h1[t1 : t1 + t2, : spec.needed2, :s2]).reshape(t3, n2, s2 * t2)
-    g2 = scale * h2_own @ bmap
-    cov2 = np.eye(n2) + (scale ** 2) * h2_side @ np.swapaxes(h2_side.conj(), 1, 2)
-    return (
-        (_block_diagonal(h1[:t1, :, :s1]), g1, cov1),
-        (_block_diagonal(h2[t1 : t1 + t2, :, :s2]), g2, cov2),
-    )
+    models = []
+    for i, user in enumerate(users):
+        other = users[1 - i]
+        # the user's LCs as a block-diagonal map from its symbols, N_i rows per slot
+        lcmap = _block_diagonal(hs[1 - i][user.own, : user.needed, : user.s])
+        g3 = scale * _phase3_window(spec, hs[i], user.lo, user.n) @ lcmap.reshape(
+            t3, user.n, user.s * user.t)
+        side = _phase3_window(spec, hs[i], other.lo, other.n)
+        cov = np.eye(user.n) + (scale ** 2) * side @ np.swapaxes(side.conj(), 1, 2)
+        whitened = np.linalg.solve(np.linalg.cholesky(cov), g3).reshape(t3 * user.n, user.s * user.t)
+        direct = _block_diagonal(hs[i][user.own, :, : user.s])
+        models.append((np.concatenate([direct, whitened]), cov))
+    return models
 
 
 def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
@@ -575,28 +566,21 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
                           % (max(spec.symbol_counts), MAX_GRAM_COLUMNS))
     channels = generate_channels(spec, seed)
     total = spec.total_slots
-    t1, t2, _ = spec.phase_lengths
+    eigs = [np.maximum(np.linalg.eigvalsh(gw.conj().T @ gw), 0.0)
+            for gw, _ in _user_models(spec, channels)]
 
-    eigs = []
-    for model in _user_models(spec, channels):  # user 1's blocks are checked first
-        gw = _whitened_model(*model, first_slot=t1 + t2)
-        eigs.append(np.maximum(np.linalg.eigvalsh(gw.conj().T @ gw), 0.0))
+    # case A spreads each slot's power over its s_i symbols, cases B/C over N1 + N2
+    sym_power = [1.0 / (user.s if spec.case == "A" else spec.N1 + spec.N2)
+                 for user in _users(spec)]
 
-    if spec.case == "A":
-        s1, s2, _ = spec.symbols_per_slot
-        sym_power = (1.0 / s1, 1.0 / s2)
-    else:
-        per_symbol = 1.0 / (spec.N1 + spec.N2)
-        sym_power = (per_symbol, per_symbol)
-
-    rates = np.zeros((len(snr_db), 2))
+    rates = np.zeros((len(snr_db), len(eigs)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, snr in enumerate(snr_db):
             p = np.float64(10.0) ** (snr / 10.0)  # inf, not OverflowError, past ~3080 dB
-            for u in (0, 1):
-                rates[i, u] = float(np.sum(np.log2(1.0 + p * sym_power[u] * eigs[u]))) / total
+            for u, (power, eig) in enumerate(zip(sym_power, eigs)):
+                rates[i, u] = float(np.sum(np.log2(1.0 + p * power * eig))) / total
     if not np.isfinite(rates).all():
         raise SchemeError("SNR of %g dB overflows the rate computation" % max(snr_db))
     log2p = np.array([snr / 10.0 * np.log2(10.0) for snr in snr_db])
-    slopes = tuple(float(np.polyfit(log2p, rates[:, u], 1)[0]) for u in (0, 1))
+    slopes = tuple(float(np.polyfit(log2p, rates[:, u], 1)[0]) for u in range(len(eigs)))
     return RateCurve(snr_db=snr_db, rates=rates, slopes=slopes)

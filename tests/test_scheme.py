@@ -279,6 +279,39 @@ def test_decode_stack_in_which_every_trial_fails():
     assert report.residual_user1 == report.residual_user2 == 0.0
 
 
+# trial -> channel slots zeroed, and the (slot, what) its decode fails at:
+# alignment before data, user 1 before user 2 within a phase-3 slot
+FAILURE_KINDS = [
+    ((("h1", 8), ("h2", 8)), (8, "user-1 alignment solve")),
+    ((("h2", 8),), (8, "user-2 alignment solve")),
+    ((("h1", 0), ("h2", 9)), (9, "user-2 alignment solve")),
+    ((("h2", 6),), (6, "user-2 data solve")),
+    ((("h2", 0),), (0, "user-1 data solve")),
+    ((("h1", 7),), (7, "user-2 data solve")),
+]
+
+
+def test_decode_failure_kinds_and_tie_order():
+    spec = plan_two_user(4, 3, 2)
+    assert spec.phase_lengths == (6, 2, 2)
+    channels = [generate_channels(spec, 40 + i) for i in range(len(FAILURE_KINDS))]
+    for ch, (zeroed, _) in zip(channels, FAILURE_KINDS):
+        for name, slot in zeroed:
+            getattr(ch, name)[slot] = 0.0
+    stack = scheme.ChannelRealization(h1=np.stack([c.h1 for c in channels]),
+                                      h2=np.stack([c.h2 for c in channels]))
+    symbols = [draw_symbols(spec, 50 + i) for i in range(len(FAILURE_KINDS))]
+    report = decode(run_phases(spec, stack, tuple(np.stack(u) for u in zip(*symbols))))
+    assert [(i, slot, what) for i, slot, _, what in report.failures] == [
+        (i, *expected) for i, (_, expected) in enumerate(FAILURE_KINDS)
+    ]
+    assert report.solves == 0
+    # a single run raises the same kind at the same slot
+    with pytest.raises(SingularChannelError) as err:
+        decode(run_phases(spec, channels[3], symbols[3]))
+    assert (err.value.slot, err.value.what) == (6, "user-2 data solve")
+
+
 def test_decode_with_noise_still_solves():
     spec = plan_two_user(4, 3, 2)
     channels = generate_channels(spec, 11)
@@ -310,6 +343,20 @@ def test_case_a_decode_on_dominant_face():
     face = point_Q(2, 3, 2)
     assert isinstance(face, DominantFace)
     assert face.line.active((F(2), F(0)))
+
+
+@pytest.mark.parametrize("m,n1,n2", SCHEME_CONFIGS)
+def test_rate_model_covariances_are_at_least_identity(m, n1, n2):
+    # each side-information covariance is I + S S^H / E, so its smallest
+    # eigenvalue is 1 and the Cholesky whitening needs no conditioning check
+    spec = plan_two_user(m, n1, n2)
+    models = scheme._user_models(spec, generate_channels(spec, m * 100 + n1 * 10 + n2))
+    *own, t3 = spec.phase_lengths
+    assert len(models) == 2
+    for (model, cov), t, n, symbols in zip(models, own, (n1, n2), spec.symbol_counts):
+        assert model.shape == ((t + t3) * n, symbols)  # direct rows over phase-3 rows
+        assert cov.shape == (t3, n, n)
+        assert np.linalg.eigvalsh(cov).min() >= 1 - 1e-12
 
 
 # ---------------------------------------------------------------------------
