@@ -30,9 +30,7 @@ EXIT_VERIFY = 2
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: ``main`` prints it and exits with EXIT_USAGE."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliError("%s: %s" % (self.prog, message), EXIT_USAGE)
+        raise CliError("%s: %s" % (self.prog, message))
 
 
 def _int_list(text):
@@ -109,18 +107,16 @@ def _build_region(args):
             raise CliError("two-user model needs --N N1,N2")
         config = AntennaConfig(args.M, tuple(args.N))
         return config, regions.two_user_region(args.M, args.N[0], args.N[1])
-    if args.model == "three-user":
-        if len(args.N) != 1:
-            raise CliError("three-user model needs --N N (one equal receiver count)")
-        n = args.N[0]
-        config = AntennaConfig(args.M, (n, n, n))
-        return config, regions.three_user_region(args.M, n)
-    raise CliError("unknown model %r" % args.model)
+    if len(args.N) != 1:  # three-user, the last of the --model choices
+        raise CliError("three-user model needs --N N (one equal receiver count)")
+    n = args.N[0]
+    config = AntennaConfig(args.M, (n, n, n))
+    return config, regions.three_user_region(args.M, n)
 
 
 def _region_svg(config, region, verts):
-    axis_max = min(config.M, config.N[0] + (config.N[1] if config.K > 1 else 0))
-    fig = RegionFigure(axis_max=max(axis_max, 1), title="M=%d N=%s" % (config.M, ",".join(map(str, config.N))))
+    axis_max = min(config.M, config.N[0] + config.N[1])
+    fig = RegionFigure(axis_max=axis_max, title="M=%d N=%s" % (config.M, ",".join(map(str, config.N))))
     fig.add_polygon([(v[0], v[1]) for v in verts])
     for i, hs in enumerate(region.halfspaces, start=1):
         p, q = _line_endpoints(hs)
@@ -280,10 +276,7 @@ def cmd_slice(args) -> int:
     if len(args.N) != 1:
         raise CliError("slice needs --N N (one equal receiver count)")
     n = args.N[0]
-    try:
-        slc = regions.plane_slice(args.M, n, args.d3)
-    except ValueError as err:
-        raise CliError(str(err))
+    slc = regions.plane_slice(args.M, n, args.d3)
     corners = exactgeom.vertex_enumerate(slc.region)
     print("slice M=%d N=%d d3=%s" % (args.M, n, rat_str(slc.d3)))
     print("bounds:")
@@ -363,10 +356,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return err.code
-    except (ValueError, scheme.SchemeError, exactgeom.GeometryError) as err:
+    except (CliError, ValueError) as err:  # SchemeError and GeometryError are ValueErrors
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
 

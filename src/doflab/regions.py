@@ -190,7 +190,7 @@ def point_Q(M: int, N1: int, N2: int):
     if not 1 <= N2 <= N1:
         raise ValueError("need N1 >= N2 >= 1")
     if M <= N1:
-        line = HalfSpace((Fraction(1, min(M, N1 + N2)), Fraction(1, min(M, N2))), _ONE)
+        line = two_user_region(M, N1, N2).halfspaces[0]  # L1; refuses M < 1
         ends = ((Fraction(min(M, N1)), _ZERO), (_ZERO, Fraction(min(M, N2))))
         return DominantFace(line, ends)
     if M < N1 + N2:
@@ -221,6 +221,7 @@ def benchmark_sum_dof(config: AntennaConfig, csit: str) -> Fraction:
 # Three-user plane-slice geometry at fixed d3
 # ---------------------------------------------------------------------------
 
+_BOUND_NAMES = ("L0", "L1", "L2")
 _SPECIAL_NAMES = ("P01", "P02", "P12", "P0d1", "P0d2", "P1d1", "P2d2")
 
 
@@ -243,13 +244,14 @@ class PlaneSlice:
     redundant_bounds: frozenset
 
 
-def _slice_bounds(M: int, N: int, d3: Fraction):
+def _slice_region(M: int, N: int, d3: Fraction) -> DoFRegion:
+    """The slice polygon at height d3, its rows in the order of _BOUND_NAMES."""
     ratio = Fraction(M, N)
-    return {
-        "L0": HalfSpace((_ONE, _ONE), Fraction(M) - ratio * d3),
-        "L1": HalfSpace((ratio, _ONE), Fraction(M) - d3),
-        "L2": HalfSpace((_ONE, ratio), Fraction(M) - d3),
-    }
+    return DoFRegion(2, (
+        HalfSpace((_ONE, _ONE), Fraction(M) - ratio * d3),
+        HalfSpace((ratio, _ONE), Fraction(M) - d3),
+        HalfSpace((_ONE, ratio), Fraction(M) - d3),
+    ))
 
 
 def d3_max(M: int, N: int) -> Fraction:
@@ -271,8 +273,8 @@ def plane_slice(M: int, N: int, d3) -> PlaneSlice:
         raise ValueError(
             "d3=%s outside [0, %s]" % (rat_str(d3), rat_str(d3_max(M, N)))
         )
-    bounds = _slice_bounds(M, N, d3)
-    region = DoFRegion(2, (bounds["L0"], bounds["L1"], bounds["L2"]))
+    region = _slice_region(M, N, d3)
+    bounds = dict(zip(_BOUND_NAMES, region.halfspaces))
     ratio = Fraction(M, N)
     m = Fraction(M)
     p12 = Fraction(N, M + N) * (m - d3)
@@ -295,7 +297,7 @@ def plane_slice(M: int, N: int, d3) -> PlaneSlice:
         else:
             special[name] = None
     kept = remove_redundant(region).halfspaces
-    redundant = frozenset(name for name in ("L0", "L1", "L2") if bounds[name] not in kept)
+    redundant = frozenset(name for name in _BOUND_NAMES if bounds[name] not in kept)
     return PlaneSlice(M, N, d3, bounds, region, special, redundant)
 
 
@@ -356,12 +358,7 @@ def convex_decompose_2d(target, corners):
         wx, wy = tx - a[0], ty - a[1]
         if ux * wy - uy * wx != 0:
             continue
-        if ux != 0:
-            lam = wx / ux
-        elif uy != 0:
-            lam = wy / uy
-        else:
-            continue
+        lam = wx / ux if ux != 0 else wy / uy  # a != b: the points come from a set
         if 0 <= lam <= 1 and (a[0] + lam * ux, a[1] + lam * uy) == (tx, ty):
             out = [(a, 1 - lam), (b, lam)]
             return [(p, w) for p, w in out if w > 0]
@@ -384,7 +381,6 @@ def _embed(pair_values, axes):
 
 class _PlanBuilder:
     def __init__(self, M, N):
-        self.M = M
         self.N = N
         self.q = d3_max(M, N)  # two-user corner height MN/(M+N)
         self.b = d3_mid(M, N)  # symmetric corner MN/(M+2N)
@@ -426,12 +422,13 @@ class _PlanBuilder:
 def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
     """Exact time-sharing decomposition of a three-user DoF point.
 
-    The target is sliced at its smallest coordinate (at most MN/(M+N) for
-    any feasible point), decomposed inside that plane over the slice
-    corners, and each corner is expanded into directly achievable points:
-    two-user corners with the third user silent, single-user corners, the
-    origin, and the symmetric corner delivered by the external three-user
-    scheme.  The weighted component sum reproduces the target exactly.
+    The target is sliced at its smallest coordinate z (at most MN/(M+2N)
+    for any feasible point) and decomposed over the slice's four corners.
+    A corner on an axis is a point of the two-user region of that axis's
+    user and the slice user: the origin, single-user or two-user corners.
+    The off-axis corner P12 time-shares the external scheme's symmetric
+    corner with the in-plane two-user corner.  The weighted component sum
+    reproduces the target exactly.
     """
     if not N < M <= 2 * N:
         raise ThreeUserScopeError("plans require N < M <= 2N, got M=%d N=%d" % (M, N))
@@ -444,38 +441,20 @@ def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
 
     k_axis = min(range(3), key=lambda i: (target[i], i))
     p_axis, r_axis = [i for i in range(3) if i != k_axis]
+    # the rows sum to (2 + M/N)(d1+d2+d3) <= 3M, so z <= MN/(M+2N): L0 is slack
     z = target[k_axis]
-    assert z <= d3_max(M, N), "feasible targets always have a coordinate below MN/(M+N)"
-    bounds = _slice_bounds(M, N, z)
-    slice_region = DoFRegion(2, (bounds["L0"], bounds["L1"], bounds["L2"]))
     builder = _PlanBuilder(M, N)
-    a, b = builder.q, builder.b
-
-    corners = vertex_enumerate(slice_region)
-    for corner, weight in convex_decompose_2d((target[p_axis], target[r_axis]), corners):
-        x, y = corner
-        if x == 0 and y == 0:
-            # on the d_k axis: time share user k's single-user corner
-            builder.add_single(weight * z / Fraction(N), k_axis)
-            builder.add_origin(weight * (1 - z / Fraction(N)))
-        elif y == 0:
+    corners = vertex_enumerate(_slice_region(M, N, z))
+    for (x, y), weight in convex_decompose_2d((target[p_axis], target[r_axis]), corners):
+        if y == 0:
             builder.add_pair_point(weight, (p_axis, k_axis), x, z)
         elif x == 0:
             builder.add_pair_point(weight, (r_axis, k_axis), y, z)
         else:
-            on = {name: bounds[name].active((x, y)) for name in ("L0", "L1", "L2")}
-            if on["L1"] and on["L2"]:
-                # symmetric corner: share the external point with the pair corner
-                w_ext = z / b
-                builder.add_abdoli(weight * w_ext)
-                builder.add_two_user(weight * (1 - w_ext), (p_axis, r_axis))
-            elif on["L0"] and (on["L1"] or on["L2"]):
-                pair = (p_axis, k_axis) if on["L1"] else (r_axis, k_axis)
-                w_pair = (z - b) / (a - b)
-                builder.add_two_user(weight * w_pair, pair)
-                builder.add_abdoli(weight * (1 - w_pair))
-            else:
-                raise GeometryError("unclassified slice corner %r" % (corner,))
+            # P12: share the external point with the pair corner
+            w_ext = z / builder.b
+            builder.add_abdoli(weight * w_ext)
+            builder.add_two_user(weight * (1 - w_ext), (p_axis, r_axis))
 
     components = tuple(
         PlanComponent(point, weight, source, users)

@@ -7,10 +7,13 @@ It hashes three corpora, rendered as text:
 * the 860-config outer-bound sweep (K <= 4 with N_i <= 4, K = 5 with
   N_i <= 3, receivers non-increasing, M = 1..sum(N)+1): the kept rows in
   order and the vertex list of each bound;
-* ``plane_slice`` at d3 = j * d3_max / 6, j = 0..6, for N < M <= 2N <= 16:
-  the redundant bounds and the corners;
-* the ``plan_document`` JSON of 450 feasible three-user plans (N <= 6),
-  each target a random integer-weighted mix of the region's vertices.
+* the ``slice_document`` JSON of ``plane_slice`` at d3 = j * d3_max / 6,
+  j = 0..6, for N < M <= 2N <= 16: bounds, redundant bounds, special
+  points and corners;
+* the ``plan_document`` JSON of feasible three-user plans for N < M <= 2N,
+  N <= 6: 450 targets that are random integer-weighted mixes of the
+  region's vertices, then every vertex and every midpoint of two vertices
+  of each region (ties in the smallest coordinate, z = 0 and z = MN/(M+2N)).
 
 Run it on two checkouts and compare the lines: equal digests mean equal
 outputs.  Not a test module, so pytest does not collect it.
@@ -19,7 +22,7 @@ outputs.  Not a test module, so pytest does not collect it.
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from doflab.exactgeom import rat_str, vertex_enumerate
 from doflab.regions import (
@@ -30,7 +33,7 @@ from doflab.regions import (
     plane_slice,
     three_user_region,
 )
-from doflab.serialize import json_text, plan_document
+from doflab.serialize import json_text, plan_document, slice_document
 
 PLANS = 450
 PLAN_SEED = 2026
@@ -56,12 +59,11 @@ def slice_lines():
         for m in range(n + 1, 2 * n + 1):
             for j in range(7):
                 slc = plane_slice(m, n, d3_max(m, n) * j / 6)
-                yield "slice %d %d %s redundant=%s" % (
-                    m, n, rat_str(slc.d3), ",".join(sorted(slc.redundant_bounds)))
-                yield from ("  v " + _point(v) for v in vertex_enumerate(slc.region))
+                yield "slice %d %d %s" % (m, n, rat_str(slc.d3))
+                yield "  " + json_text(slice_document(slc, vertex_enumerate(slc.region)))
 
 
-def plan_lines():
+def _plan_targets():
     rng = random.Random(PLAN_SEED)
     for _ in range(PLANS):
         n = rng.randint(1, 6)
@@ -71,10 +73,20 @@ def plan_lines():
         while not any(weights):
             weights = [rng.randint(0, 3) for _ in verts]
         total = sum(weights)
-        target = tuple(
+        yield m, n, tuple(
             sum((Fraction(w, total) * v[i] for w, v in zip(weights, verts)), Fraction(0))
             for i in range(3)
         )
+    for n in range(1, 7):
+        for m in range(n + 1, 2 * n + 1):
+            verts = vertex_enumerate(three_user_region(m, n))
+            yield from ((m, n, v) for v in verts)
+            for u, v in combinations(verts, 2):
+                yield m, n, tuple((a + b) / 2 for a, b in zip(u, v))
+
+
+def plan_lines():
+    for m, n, target in _plan_targets():
         yield "plan %d %d" % (m, n)
         yield "  " + json_text(plan_document(achievability_plan(m, n, target)))
 

@@ -221,6 +221,12 @@ def test_point_q_case_a_face():
     assert face.endpoints == ((F(1), F(0)), (F(0), F(1)))
 
 
+@pytest.mark.parametrize("m,n1,n2", [(0, 2, 1), (-1, 2, 1), (3, 1, 2)])
+def test_point_q_refuses_bad_antenna_counts(m, n1, n2):
+    with pytest.raises(ValueError):
+        point_Q(m, n1, n2)
+
+
 @pytest.mark.parametrize("m", range(4, 9))
 @pytest.mark.parametrize("n1,n2", [(3, 2), (3, 3), (2, 1), (3, 1), (2, 2)])
 def test_point_q_on_both_lines_and_inside(m, n1, n2):
@@ -357,6 +363,11 @@ def test_plane_slice_redundancy_pattern(m, n):
     assert "L0" in mid.redundant_bounds
     b = d3_mid(m, n)
     assert mid.special_points["P12"] == (b, b, b)
+    # achievability_plan slices at z <= b and relies on this shape there
+    for j in range(5):
+        slc = plane_slice(m, n, b * j / 4)
+        assert len(vertex_enumerate(slc.region)) == 4
+        assert "L0" in slc.redundant_bounds
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3)])
@@ -470,8 +481,9 @@ def test_plan_pair_corner_users_1_and_3():
 
 
 def test_plan_case4_time_sharing_weights():
-    # P01(d3) for (2,1) at d3 = 7/12: share the pair corner (2/3,0,2/3) and
-    # the symmetric corner (1/2,1/2,1/2) with weights (d3-b)/(a-b) = 1/2 each
+    # sliced at its smallest coordinate d2 = z = 1/4, where (d1,d3) = (7/12,7/12)
+    # is P12: share the symmetric corner (1/2,1/2,1/2) at weight z/b = 1/2
+    # with the (d1,d3) pair corner (2/3,0,2/3)
     target = (F(7, 12), F(1, 4), F(7, 12))
     plan = achievability_plan(2, 1, target)
     by_source = {c.source: c for c in plan.components}
