@@ -39,7 +39,11 @@ solve over the whole block.
 A trial that fails the conditioning check is still reported with its slot.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
 end-to-end linear model, with the receivers' noisy side information
-entering as colored noise.
+entering as colored noise.  The routing reshape makes that model
+block-diagonal: lcm(needed_i, N_i) consecutive LCs of user i fill whole
+own slots and whole phase-3 slots, so each such group is one small
+block, and one batched eigvalsh of the blocks' Gram matrices gives the
+rates.
 
 Runaway inputs are refused up front: more than MAX_SLOT_TRIALS trials x
 slots, and rate models with more than MAX_GRAM_COLUMNS symbols per user.
@@ -79,7 +83,7 @@ COND_LIMIT = 1e10  # a decoding matrix above this condition number fails the tri
 ILL_CONDITIONED = 1e8  # solves above this condition number are counted, not failed
 RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corner
 MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
-MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses a larger per-user Gram matrix
+MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses wider Gram blocks, summed per user
 _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
 
 
@@ -510,42 +514,52 @@ class RateCurve:
 
 
 def _block_diagonal(h):
-    """(T, n, s) per-slot channels as the (T n, T s) block-diagonal matrix."""
-    t, n, s = h.shape
-    g = np.zeros((t, n, t, s), dtype=complex)
-    g[np.arange(t), :, np.arange(t)] = h
-    return g.reshape(t * n, t * s)
+    """(..., a, n, s) slot blocks as (..., a n, a s) block-diagonal matrices."""
+    *lead, a, n, s = h.shape
+    g = np.zeros((*lead, a, n, a, s), dtype=complex)
+    g[..., np.arange(a), :, np.arange(a), :] = np.moveaxis(h, -3, 0)
+    return g.reshape(*lead, a * n, a * s)
 
 
 def _user_models(spec: SchemeSpec, channels: ChannelRealization):
-    """End-to-end whitened linear observation models, user by user.
+    """End-to-end whitened linear observation models, user by user, in groups.
 
-    Returns one (model, cov) pair per user.  The model stacks the direct
-    observations (white noise), one block-diagonal matrix, over the phase-3
-    observations after subtracting the receiver's noisy side information,
-    each phase-3 slot's rows whitened by the Cholesky factor of its
-    colored-noise covariance; ``cov`` is those covariances, (T3, N_i, N_i).
-    Each is I + S S^H / E, S the receiver's channel under the other user's
-    LCs, so every eigenvalue is at least 1 and the factorization needs no
-    conditioning check.  Phase-3 transmissions are scaled by 1/sqrt(E) so
-    each phase meets the average power constraint.
+    Returns one (model, cov) pair per user.  Phase 3 forwards the user's
+    LCs N_i per slot in (source slot, row) order, so a run of
+    g = lcm(needed_i, N_i) LCs fills a = g / needed_i own slots and
+    b = g / N_i phase-3 slots and meets no other slot: the model is
+    block-diagonal over such groups, and ``model`` stacks them, shaped
+    (groups, a N_i + g, a s_i), square in cases B/C.  Case A forwards
+    nothing, and each of its groups is one slot.  A group's model stacks
+    its a direct observations (white noise), block-diagonal, over its b
+    phase-3 observations after subtracting the receiver's noisy side
+    information, each phase-3 slot's rows whitened by the Cholesky factor
+    of its colored-noise covariance; ``cov`` is those covariances,
+    (T3, N_i, N_i).  Each is I + S S^H / E, S the receiver's channel under
+    the other user's LCs, so every eigenvalue is at least 1 and the
+    factorization needs no conditioning check.  Phase-3 transmissions are
+    scaled by 1/sqrt(E) so each phase meets the average power constraint.
     """
     hs = (channels.h1, channels.h2)
     users = _users(spec)
-    t3 = spec.phase_lengths[2]
     scale = 1.0 / np.sqrt(spec.effective_m)
     models = []
     for i, user in enumerate(users):
         other = users[1 - i]
-        # the user's LCs as a block-diagonal map from its symbols, N_i rows per slot
-        lcmap = _block_diagonal(hs[1 - i][user.own, : user.needed, : user.s])
-        g3 = scale * _phase3_window(spec, hs[i], user.lo, user.n) @ lcmap.reshape(
-            t3, user.n, user.s * user.t)
+        # gcd(0, N_i) = N_i: in case A a group is one own slot and no LC
+        d = math.gcd(user.needed, user.n)
+        a, b = user.n // d, user.needed // d
+        groups, g = user.t // a, b * user.n
+        direct = _block_diagonal(hs[i][user.own, :, : user.s].reshape(groups, a, user.n, user.s))
+        # the group's LCs as a block-diagonal map from its symbols, N_i rows per phase-3 slot
+        lcmap = _block_diagonal(hs[1 - i][user.own, : user.needed, : user.s].reshape(
+            groups, a, user.needed, user.s)).reshape(groups, b, user.n, a * user.s)
         side = _phase3_window(spec, hs[i], other.lo, other.n)
         cov = np.eye(user.n) + (scale ** 2) * side @ np.swapaxes(side.conj(), 1, 2)
-        whitened = np.linalg.solve(np.linalg.cholesky(cov), g3).reshape(t3 * user.n, user.s * user.t)
-        direct = _block_diagonal(hs[i][user.own, :, : user.s])
-        models.append((np.concatenate([direct, whitened]), cov))
+        align = scale * _phase3_window(spec, hs[i], user.lo, user.n)
+        whitened = np.linalg.solve(np.linalg.cholesky(cov), align).reshape(groups, b, user.n, user.n)
+        g3 = (whitened @ lcmap).reshape(groups, g, a * user.s)
+        models.append((np.concatenate([direct, g3], axis=1), cov))
     return models
 
 
@@ -566,8 +580,8 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
                           % (max(spec.symbol_counts), MAX_GRAM_COLUMNS))
     channels = generate_channels(spec, seed)
     total = spec.total_slots
-    eigs = [np.maximum(np.linalg.eigvalsh(gw.conj().T @ gw), 0.0)
-            for gw, _ in _user_models(spec, channels)]
+    eigs = [np.maximum(np.linalg.eigvalsh(np.swapaxes(m.conj(), 1, 2) @ m), 0.0).ravel()
+            for m, _ in _user_models(spec, channels)]
 
     # case A spreads each slot's power over its s_i symbols, cases B/C over N1 + N2
     sym_power = [1.0 / (user.s if spec.case == "A" else spec.N1 + spec.N2)

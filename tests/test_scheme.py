@@ -1,6 +1,7 @@
 """Three-phase alignment simulator: planning, routing, decoding, accounting."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -353,10 +354,40 @@ def test_rate_model_covariances_are_at_least_identity(m, n1, n2):
     models = scheme._user_models(spec, generate_channels(spec, m * 100 + n1 * 10 + n2))
     *own, t3 = spec.phase_lengths
     assert len(models) == 2
-    for (model, cov), t, n, symbols in zip(models, own, (n1, n2), spec.symbol_counts):
-        assert model.shape == ((t + t3) * n, symbols)  # direct rows over phase-3 rows
+    for (model, cov), t, n, s, needed, symbols in zip(
+        models, own, (n1, n2), spec.symbols_per_slot, (spec.needed1, spec.needed2),
+        spec.symbol_counts,
+    ):
+        # a group of lcm(needed, N) LCs spans a own slots: its a direct
+        # blocks over its phase-3 rows make one square (a s) x (a s) block
+        a = math.lcm(needed, n) // needed
+        assert model.shape == (t // a, a * s, a * s)
+        assert model.shape[0] * model.shape[2] == symbols
         assert cov.shape == (t3, n, n)
         assert np.linalg.eigvalsh(cov).min() >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("m,n1,n2,layout", [
+    (9, 6, 3, ((18, 18), (9, 9))),  # (groups, block width) per user
+    (10, 5, 5, ((25, 10), (25, 10))),
+    (12, 6, 6, ((36, 12), (36, 12))),
+    (4, 3, 2, ((2, 12), (2, 4))),
+])
+def test_rate_model_group_layout(m, n1, n2, layout):
+    spec = plan_two_user(m, n1, n2)
+    models = scheme._user_models(spec, generate_channels(spec, 3))
+    assert tuple(model.shape for model, _ in models) == tuple((k, w, w) for k, w in layout)
+    assert tuple(k * w for k, w in layout) == spec.symbol_counts
+
+
+@pytest.mark.parametrize("weights", [None, (1, 0), (F(1, 3), F(2, 3))])
+def test_rate_model_case_a_groups_are_single_slots(weights):
+    # time division forwards no LC: each group is one slot, N_i x s_i
+    spec = plan_two_user(2, 3, 2, time_weights=weights)
+    models = scheme._user_models(spec, generate_channels(spec, 4))
+    for (model, cov), t, n, s in zip(models, spec.phase_lengths, (3, 2), spec.symbols_per_slot):
+        assert model.shape == (t, n, s)
+        assert cov.shape == (0, n, n)
 
 
 # ---------------------------------------------------------------------------
