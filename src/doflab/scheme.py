@@ -34,8 +34,14 @@ Decoding is by floating-point LU solves (``np.linalg.solve``), checked
 against RESIDUAL_TOL; a noiseless decode within it certifies the DoF
 corner by exact symbol accounting.  The Monte Carlo wrapper runs and decodes
 its trials in blocks, as arrays over a leading trial axis, and every kind
-of matrix a trial inverts gets one condition-number pass and one batched
-solve over the whole block.
+of matrix a trial inverts gets one batched solve over the whole block.
+Their condition numbers are screened from one batched eigvalsh of the Gram
+matrices H^H H, sqrt(lambda_max / lambda_min), whose relative error is
+about n eps cond^2.  The SVD (``np.linalg.cond``) is re-taken only where
+that estimate could matter: for every matrix screened at or above SCREEN
+(far below ILL_CONDITIONED) and for the kept trials' matrices within BAND
+of their largest value.  Every threshold test, failure and maximum
+therefore reads the SVD's value.
 A trial that fails the conditioning check is still reported with its slot.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
 end-to-end linear model, with the receivers' noisy side information
@@ -51,6 +57,7 @@ slots, and rate models with more than MAX_GRAM_COLUMNS symbols per user.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,8 +90,21 @@ COND_LIMIT = 1e10  # a decoding matrix above this condition number fails the tri
 ILL_CONDITIONED = 1e8  # solves above this condition number are counted, not failed
 RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corner
 MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
-MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses wider Gram blocks, summed per user
+MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses more symbols than this for one user
 _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
+# decode screens condition numbers from the Gram matrix G = H^H H.  Forming
+# and diagonalizing G moves each eigenvalue by about n eps |H|^2 (Weyl's
+# bound), so lambda_min = sigma_min^2, and with it the screened
+# sqrt(lambda_max / lambda_min), carries a relative error of about
+# n eps cond^2: under 2e-9 below SCREEN = 1e3 for n <= 8.  A matrix screened
+# below SCREEN is thus far below ILL_CONDITIONED, and one at or above
+# ILL_CONDITIONED screens near 1 / sqrt(n eps) >= 2e7, or as NaN or inf: the
+# SVD is re-taken for every value a threshold can see.  The largest kept SVD
+# value lies within twice that error of the largest screened one, and
+# BAND = 1e-6 re-takes every value within over 100x that distance.
+SCREEN = 1e3
+BAND = 1e-6
+_GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps  # smaller lambda_min may have underflowed
 
 
 class SchemeError(ValueError):
@@ -196,6 +216,7 @@ class _User(NamedTuple):
     lo: int  # first phase-3 antenna of the user's LCs
 
 
+@functools.cache
 def _users(spec: SchemeSpec):
     """The per-user table, user 1 then user 2 (see the module docstring)."""
     t1, t2, _ = spec.phase_lengths
@@ -340,6 +361,46 @@ def _solve(matrices, rhs):
     return np.linalg.solve(matrices, rhs[..., None])[..., 0]
 
 
+def _unusable(conds):
+    """The condition numbers at which a trial fails: not finite or above COND_LIMIT."""
+    return ~np.isfinite(conds) | (conds > COND_LIMIT)
+
+
+def _conditions(stacks):
+    """``np.linalg.cond`` of (trials, k, n, n) stacks, wherever decode reads it.
+
+    Each stack's condition numbers are screened as sqrt(lambda_max /
+    lambda_min) from one batched Gram matmul and eigvalsh.  The SVD is
+    re-taken for every matrix whose screened value is not below SCREEN
+    (NaN, inf, a negative or underflowed lambda_min and a Gram matrix that
+    is not finite included) and then, across all stacks, for every matrix
+    of a trial without an unusable one whose value is within BAND of those
+    trials' largest.  ``np.linalg.cond`` factors each matrix of a stack on
+    its own, so a re-taken value is the full stack's bit for bit; the rest
+    are within about n eps SCREEN^2 of it (see SCREEN).  Returns one
+    (trials, k) array per stack.
+    """
+    def retake(c, m, where):
+        if where.any():
+            c[where] = np.linalg.cond(m[where])
+
+    def screen(m):  # a function, so that each Gram stack is freed before the next
+        with np.errstate(all="ignore"):
+            gram = np.swapaxes(m.conj(), -1, -2) @ m
+            gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0  # eigvalsh would raise
+            lam = np.linalg.eigvalsh(gram)
+            c = np.sqrt(lam[..., -1] / lam[..., 0])
+        retake(c, m, ~((c < SCREEN) & (lam[..., 0] > _GRAM_FLOOR)))
+        return c
+
+    conds = [screen(m) for m in stacks]
+    kept = ~np.concatenate([_unusable(c) for c in conds], axis=1).any(axis=1)
+    top = max(c[kept].max(initial=0.0) for c in conds)
+    for c, m in zip(conds, stacks):
+        retake(c, m, kept[:, None] & (c >= (1.0 - BAND) * top))
+    return conds
+
+
 def decode(transcript: Transcript) -> DecodingReport:
     """Recover both users' symbols by floating-point linear solves.
 
@@ -357,11 +418,15 @@ def decode(transcript: Transcript) -> DecodingReport:
     A trial inverts, in order: per phase-3 slot the user-1 then the user-2
     alignment matrix, then the phase-1 and the phase-2 data matrices.  All
     of them depend only on the channels, so every condition number is
-    taken up front, one stack per kind.  A trial fails at its first matrix
-    that is not finite or above COND_LIMIT and then counts toward nothing
-    else; the others are solved together, one stack per kind.  A single
-    run that fails raises SingularChannelError; a stack of trials lists its
-    failed trials in ``failures``.
+    taken up front by ``_conditions``: screened from one Gram eigvalsh per
+    kind, with the SVD re-taken for the values at or above SCREEN and for
+    the kept trials' values within BAND of their maximum, so the failures,
+    ``ill_conditioned`` and ``max_condition`` all read the SVD's value.  A
+    trial fails at its first matrix that is not finite or above COND_LIMIT
+    and then counts toward nothing else; the others are solved together,
+    one stack per kind.  A single run that fails raises
+    SingularChannelError; a stack of trials lists its failed trials in
+    ``failures``.
     """
     spec = transcript.spec
     users = _users(spec)
@@ -382,13 +447,13 @@ def decode(transcript: Transcript) -> DecodingReport:
         data.append(np.concatenate([hs[i][:, user.own, :, : user.s],
                                     hs[1 - i][:, user.own, : user.needed, : user.s]],
                                    axis=2)[:, :, : user.s])
+    cond1, cond2, *data_conds = _conditions(align + data)
     conds = np.concatenate(
-        [np.stack([np.linalg.cond(m) for m in align], axis=2).reshape(len(hs[0]), 2 * t3)]
-        + [np.linalg.cond(m) for m in data], axis=1)
+        [np.stack([cond1, cond2], axis=2).reshape(len(hs[0]), 2 * t3)] + data_conds, axis=1)
     slots = np.concatenate([np.repeat(np.arange(total - t3, total), 2), np.arange(total - t3)])
     what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
             + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
-    bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
+    bad = _unusable(conds)
     failed, first = bad.any(axis=1), bad.argmax(axis=1)
     failures = tuple(
         (int(i), int(slots[first[i]]), float(conds[i, first[i]]), what[first[i]])

@@ -313,6 +313,81 @@ def test_decode_failure_kinds_and_tie_order():
     assert (err.value.slot, err.value.what) == (6, "user-2 data solve")
 
 
+def _conditioned(rng, conds, n):
+    """Complex n x n matrices U diag(sigma) V^H, sigma log-spaced from 1 to 1/cond."""
+    conds = np.asarray(conds, dtype=float)
+    u, v = (np.linalg.qr(rng.standard_normal((2, conds.size, n, n))
+                         + 1j * rng.standard_normal((2, conds.size, n, n)))[0])
+    sigma = conds[:, None] ** -np.linspace(0.0, 1.0, n)
+    return (u * sigma[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+
+
+def test_screened_conditions_match_svd():
+    rng = np.random.default_rng(2024)
+    trials, k = 10, 6
+    stacks = []
+    for n in range(1, 9):
+        # trials 0-4 span [1, 1e13]; trials 5-9 stay below the screen and decode
+        logs = np.concatenate([rng.uniform(0, 13, (5, k)), rng.uniform(0, 2.8, (5, k))])
+        stacks.append(_conditioned(rng, 10.0 ** logs.ravel(), n).reshape(trials, k, n, n))
+    for trial, limit in enumerate((scheme.SCREEN, scheme.ILL_CONDITIONED, scheme.COND_LIMIT)):
+        stacks[3][trial, :2] = _conditioned(rng, [limit * (1 - 1e-3), limit * (1 + 1e-3)], 4)
+    stacks[7][4, :2] = _conditioned(rng, [scheme.SCREEN * (1 - 1e-9), scheme.SCREEN * (1 + 1e-9)], 8)
+    stacks[1][3, 0] = 0.0
+    # Gram matrices that underflow to a few subnormals, and one that overflows
+    stacks[1][4] = np.geomspace(1.2e-160, 1.2e-159, k)[:, None, None] * _conditioned(rng, [1e9] * k, 2)
+    stacks[2][4, 3] = 1e200 * _conditioned(rng, [10.0], 3)[0]
+    # the decoded maximum: two equal matrices, and six more a hair below them,
+    # closer than the screen can tell apart
+    top = _conditioned(rng, [900.0], 5)[0]
+    stacks[4][6, 2] = stacks[4][8, 2] = top
+    for n in (6, 7, 8):
+        stacks[n - 1][5:7, 3] = _conditioned(rng, [900.0 * (1 - 1e-12)] * 2, n)
+
+    got = np.concatenate(scheme._conditions(stacks), axis=1)
+    want = np.concatenate([np.linalg.cond(m) for m in stacks], axis=1)
+    finite = np.isfinite(want)
+    assert (np.isfinite(got) == finite).all() and not finite.all()
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9)
+    high = ~(got < scheme.SCREEN)
+    assert high.sum() > 40 and (got[high] == want[high]).all()
+    for limit in (scheme.ILL_CONDITIONED, scheme.COND_LIMIT):
+        assert np.count_nonzero(got > limit) == np.count_nonzero(want > limit)
+    kept = ~scheme._unusable(want).any(axis=1)
+    assert kept[5:].all()
+    assert got[kept].max() == want[kept].max() == np.linalg.cond(top)
+    # np.linalg.cond raises on a NaN entry, and so does the screen
+    stacks[0][0, 0] = np.nan
+    for conditions in (scheme._conditions, lambda s: [np.linalg.cond(m) for m in s]):
+        with pytest.raises(np.linalg.LinAlgError):
+            conditions(stacks)
+
+
+def test_decode_max_condition_with_a_failed_trial():
+    spec = plan_two_user(8, 4, 4)
+    assert spec.phase_lengths == (16, 16, 16)
+    channels = [generate_channels(spec, 60 + i) for i in range(8)]
+    channels[3].h2[40] = 0.0  # trial 3 fails at the user-2 alignment of slot 40
+    # and holds the stack's largest finite condition number: two near-equal rows
+    channels[3].h1[0, 1] = channels[3].h1[0, 0] + 1e-5 * channels[3].h1[0, 1]
+    stack = scheme.ChannelRealization(h1=np.stack([c.h1 for c in channels]),
+                                      h2=np.stack([c.h2 for c in channels]))
+    symbols = [draw_symbols(spec, 70 + i) for i in range(8)]
+    report = decode(run_phases(spec, stack, tuple(np.stack(u) for u in zip(*symbols))))
+    assert [(i, slot, what) for i, slot, _, what in report.failures] == [
+        (3, 40, "user-2 alignment solve")]
+
+    h1, h2 = stack.h1, stack.h2
+    matrices = [h1[:, 32:, :, :4], h2[:, 32:, :, 4:],
+                np.concatenate([h1[:, :16], h2[:, :16, :4]], axis=2),
+                np.concatenate([h2[:, 16:32], h1[:, 16:32, :4]], axis=2)]
+    conds = [np.linalg.cond(m) for m in matrices]
+    kept = np.arange(8) != 3
+    assert max(c[3][np.isfinite(c[3])].max() for c in conds) > scheme.SCREEN
+    assert report.max_condition == max(c[kept].max() for c in conds) < scheme.SCREEN
+    assert report.solves == 7 * 64
+
+
 def test_decode_with_noise_still_solves():
     spec = plan_two_user(4, 3, 2)
     channels = generate_channels(spec, 11)
