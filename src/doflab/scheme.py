@@ -35,14 +35,18 @@ against RESIDUAL_TOL; a noiseless decode within it certifies the DoF
 corner by exact symbol accounting.  The Monte Carlo wrapper runs and decodes
 its trials in blocks, as arrays over a leading trial axis, and every kind
 of matrix a trial inverts gets one batched solve over the whole block.
-Their condition numbers are screened from one batched eigvalsh of the Gram
-matrices H^H H, sqrt(lambda_max / lambda_min), whose relative error is
-about n eps cond^2.  The SVD (``np.linalg.cond``) is re-taken only where
+Every draw goes through ``_draw``: each trial's generator fills its row of
+the block's buffer with one call, in the order of the single-run draws, and
+each complex array is built once per block.  The condition numbers of the
+matrices are screened from one batched eigvalsh of the Gram matrices
+H^H H, sqrt(lambda_max / lambda_min), whose relative error is about
+n eps cond^2.  The SVD (``np.linalg.cond``) is re-taken only where
 that estimate could matter: for every matrix screened at or above SCREEN
 (far below ILL_CONDITIONED) and for the kept trials' matrices within BAND
 of their largest value.  Every threshold test, failure and maximum
 therefore reads the SVD's value.
-A trial that fails the conditioning check is still reported with its slot.
+A trial that fails the conditioning check is still reported with its slot;
+a matrix with a NaN or inf entry fails it with condition inf, unfactored.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
 end-to-end linear model, with the receivers' noisy side information
 entering as colored noise.  The routing reshape makes that model
@@ -239,8 +243,26 @@ class ChannelRealization:
         return self.h1.shape[-3]
 
 
-def _crandn(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _draw(seeds, shapes):
+    """Standard complex Gaussian arrays of ``shapes``, stacked over ``seeds``.
+
+    Each seed gets its own generator, which fills one row of a float buffer
+    with a single ``standard_normal`` call: per shape in turn, the real parts
+    and then the imaginary parts, in C order.  PCG64 draws a fused call's
+    numbers in the same order as one call per part, so a seed's row is what
+    separate calls would draw.  Each complex array is then built once for
+    the whole stack, shaped (len(seeds),) + shape.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.empty((len(seeds), 2 * sum(sizes)))
+    for row, seed in zip(buffer, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    out, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        part = buffer[:, at : at + 2 * size].reshape((len(seeds), 2) + shape)  # re, then im
+        out.append((part[:, 0] + 1j * part[:, 1]) / np.sqrt(2.0))
+        at += 2 * size
+    return out
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -249,18 +271,27 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _channels(spec: SchemeSpec, seeds) -> ChannelRealization:
+    """``generate_channels`` for each seed, stacked over a leading trial axis."""
+    return ChannelRealization(*_draw(seeds, [(spec.total_slots, user.n, spec.M)
+                                             for user in _users(spec)]))  # h1 drawn first
+
+
+def _symbols(spec: SchemeSpec, seeds, power: float = 1.0):
+    """``draw_symbols`` for each seed, stacked over a leading trial axis."""
+    scale = np.sqrt(power)
+    return tuple(scale * u for u in _draw(seeds, [(user.s, user.t) for user in _users(spec)]))  # u1 first
+
+
 def generate_channels(spec: SchemeSpec, seed) -> ChannelRealization:
     """Standard complex Gaussian H_i(t), reproducible from the seed."""
-    rng = np.random.default_rng(seed)
-    return ChannelRealization(*(_crandn(rng, (spec.total_slots, user.n, spec.M))
-                                for user in _users(spec)))  # h1 drawn first
+    stack = _channels(spec, [seed])
+    return ChannelRealization(stack.h1[0], stack.h2[0])
 
 
 def draw_symbols(spec: SchemeSpec, seed, power: float = 1.0):
     """I.i.d. complex Gaussian data symbols for both users."""
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(power)
-    return tuple(scale * _crandn(rng, (user.s, user.t)) for user in _users(spec))  # u1 first
+    return tuple(u[0] for u in _symbols(spec, [seed], power))
 
 
 @dataclass(eq=False)
@@ -334,8 +365,7 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
 
     ys = [np.einsum("...tnm,...tm->...tn", h, x) for h in hs]
     if noise_std > 0.0:  # drawn for y1 first, then y2
-        nrng = np.random.default_rng(noise_seed)
-        ys = [y + noise_std * _crandn(nrng, y.shape) for y in ys]
+        ys = [y + noise_std * z[0] for y, z in zip(ys, _draw([noise_seed], [y.shape for y in ys]))]
     return Transcript(
         spec=spec, channels=channels, u1=symbols[0], u2=symbols[1],
         lc_user1=lcs[0], lc_user2=lcs[1], x=x, y1=ys[0], y2=ys[1], noise_std=noise_std,
@@ -377,12 +407,17 @@ def _conditions(stacks):
     of a trial without an unusable one whose value is within BAND of those
     trials' largest.  ``np.linalg.cond`` factors each matrix of a stack on
     its own, so a re-taken value is the full stack's bit for bit; the rest
-    are within about n eps SCREEN^2 of it (see SCREEN).  Returns one
-    (trials, k) array per stack.
+    are within about n eps SCREEN^2 of it (see SCREEN).  A matrix with a
+    NaN or inf entry is given condition inf without a factorization.
+    Returns one (trials, k) array per stack.
     """
     def retake(c, m, where):
         if where.any():
-            c[where] = np.linalg.cond(m[where])
+            sub = m[where]
+            finite = np.isfinite(sub).all(axis=(-2, -1))  # LAPACK fails or complains on the rest
+            values = np.full(len(sub), np.inf)
+            values[finite] = np.linalg.cond(sub[finite])
+            c[where] = values
 
     def screen(m):  # a function, so that each Gram stack is freed before the next
         with np.errstate(all="ignore"):
@@ -504,10 +539,13 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
                     time_weights=None) -> TrialSummary:
     """Monte Carlo wrapper: plan once, then run/decode independent trials.
 
-    Each trial draws its channels and symbols from its own spawned seed;
-    the draws are stacked in blocks of at most _BLOCK_ENTRIES channel
-    entries (one trial at least) and each block is run and decoded as one
-    stack.  Refuses more than MAX_SLOT_TRIALS trials times slots up front.
+    Each trial draws its channels and symbols from its own spawned seed,
+    exactly as ``generate_channels`` and ``draw_symbols`` would.  The
+    trials go in blocks of at most _BLOCK_ENTRIES channel entries (one
+    trial at least): each trial's generator fills its row of the block's
+    buffer, the block's complex stacks are built once, and the block is run
+    and decoded as one stack.  Refuses more than MAX_SLOT_TRIALS trials
+    times slots up front.
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
@@ -523,16 +561,8 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     solves = 0
     ill = 0
     for start in range(0, trials, block):
-        draws = []
-        for child in children[start : start + block]:
-            ch_seed, sym_seed = child.spawn(2)
-            draws.append((generate_channels(spec, ch_seed), draw_symbols(spec, sym_seed)))
-        channels = ChannelRealization(
-            h1=np.stack([c.h1 for c, _ in draws]),
-            h2=np.stack([c.h2 for c, _ in draws]),
-        )
-        symbols = tuple(np.stack(u) for u in zip(*(sym for _, sym in draws)))
-        report = decode(run_phases(spec, channels, symbols))
+        ch_seeds, sym_seeds = zip(*(child.spawn(2) for child in children[start : start + block]))
+        report = decode(run_phases(spec, _channels(spec, ch_seeds), _symbols(spec, sym_seeds)))
         failures.extend((start + i, slot, cond) for i, slot, cond, _ in report.failures)
         max_res = max(max_res, report.residual_user1, report.residual_user2)
         max_cond = max(max_cond, report.max_condition)

@@ -282,7 +282,7 @@ def _refuse_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("channels were drawn before the input limit was checked")
 
-    monkeypatch.setattr(scheme, "generate_channels", refuse)
+    monkeypatch.setattr(scheme, "_draw", refuse)
 
 
 def test_simulate_refuses_too_many_slot_trials_up_front(capsys, monkeypatch):
@@ -312,17 +312,18 @@ def test_simulate_refuses_oversized_rate_model_up_front(capsys, monkeypatch):
 
 
 def test_simulate_failed_trial_misses_corner(tmp_path, capsys, monkeypatch):
-    real = scheme.generate_channels
+    real = scheme._channels
     calls = []
 
-    def zero_second_trial(spec, seed):
-        channels = real(spec, seed)
-        calls.append(seed)
-        if len(calls) == 2:
-            channels.h1[:] = 0
+    def zero_second_trial(spec, seeds):
+        channels = real(spec, seeds)
+        for k, seed in enumerate(seeds):
+            calls.append(seed)
+            if len(calls) == 2:
+                channels.h1[k] = 0
         return channels
 
-    monkeypatch.setattr(scheme, "generate_channels", zero_second_trial)
+    monkeypatch.setattr(scheme, "_channels", zero_second_trial)
     summary = scheme.simulate_trials(4, 3, 2, trials=3, seed=7)
     assert [f[0] for f in summary.failures] == [1]
     assert summary.matches_corner is False

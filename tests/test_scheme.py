@@ -177,6 +177,89 @@ def test_symbol_shapes_and_power():
     assert abs(np.mean(np.abs(u1) ** 2) - 2.0) < 0.5
 
 
+def _crandn(rng, shape):
+    """One complex array the way the draw contract defines it: real parts, then imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("m,n1,n2,time_weights", [
+    (3, 3, 3, None), (4, 3, 2, None), (3, 2, 1, None), (2, 3, 2, (1, 0)), (2, 3, 2, (0, 1)),
+])
+def test_draws_follow_the_per_array_contract(m, n1, n2, time_weights):
+    spec = plan_two_user(m, n1, n2, time_weights=time_weights)
+    rng = np.random.default_rng(17)
+    channels = generate_channels(spec, 17)
+    assert channels.h1.tobytes() == _crandn(rng, (spec.total_slots, n1, m)).tobytes()
+    assert channels.h2.tobytes() == _crandn(rng, (spec.total_slots, n2, m)).tobytes()
+    for power in (1.0, 2.0):
+        rng = np.random.default_rng(18)
+        for user, u in zip(scheme._users(spec), draw_symbols(spec, 18, power=power)):
+            assert u.tobytes() == (np.sqrt(power) * _crandn(rng, (user.s, user.t))).tobytes()
+    # receiver noise: y1's draws, then y2's, from the one noise generator
+    symbols = draw_symbols(spec, 18)
+    clean = run_phases(spec, channels, symbols)
+    noisy = run_phases(spec, channels, symbols, noise_std=0.5, noise_seed=19)
+    rng = np.random.default_rng(19)
+    for y, y_noisy in ((clean.y1, noisy.y1), (clean.y2, noisy.y2)):
+        assert y_noisy.tobytes() == (y + 0.5 * _crandn(rng, y.shape)).tobytes()
+
+
+def _block_draws(monkeypatch, *args, **kwargs):
+    """simulate_trials' stacked (h1, h2, u1, u2) per block, in block order."""
+    real_run, blocks = scheme.run_phases, []
+
+    def run(spec, channels, symbols):
+        blocks.append((channels.h1, channels.h2, *symbols))
+        return real_run(spec, channels, symbols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme, "run_phases", run)
+        simulate_trials(*args, **kwargs)
+    return blocks
+
+
+def _per_trial_draws(spec, children):
+    """generate_channels and draw_symbols on each child's two spawned seeds, stacked."""
+    draws = []
+    for child in children:
+        ch_seed, sym_seed = child.spawn(2)
+        channels = generate_channels(spec, ch_seed)
+        draws.append((channels.h1, channels.h2, *draw_symbols(spec, sym_seed)))
+    return [np.stack(a) for a in zip(*draws)]
+
+
+@pytest.mark.parametrize("m,n1,n2,trials,time_weights,blocks", [
+    (3, 3, 3, 12, None, 1),  # case A
+    (4, 3, 2, 30, None, 1),  # case B
+    (3, 2, 1, 20, None, 1),  # case C
+    (8, 4, 4, 50, None, 3),  # 21 trials fit one block
+    (2, 3, 2, 10, (1, 0), 1),  # empty phases 2 and 3
+])
+def test_block_draws_match_per_trial_draws(monkeypatch, m, n1, n2, trials, time_weights, blocks):
+    got = _block_draws(monkeypatch, m, n1, n2, trials, seed=23, time_weights=time_weights)
+    assert len(got) == blocks
+    spec = plan_two_user(m, n1, n2, time_weights=time_weights)
+    want = _per_trial_draws(spec, np.random.SeedSequence(23).spawn(trials))
+    for stacked, reference in zip(zip(*got), want):
+        joined = np.concatenate(stacked)
+        assert joined.shape == reference.shape
+        assert joined.tobytes() == reference.tobytes()
+
+
+def test_block_draws_advance_a_callers_seed_sequence(monkeypatch):
+    root = np.random.SeedSequence(29)
+    first = _block_draws(monkeypatch, 4, 3, 2, 7, seed=root)
+    assert root.n_children_spawned == 7
+    second = _block_draws(monkeypatch, 4, 3, 2, 5, seed=root)
+    assert root.n_children_spawned == 12
+    spec = plan_two_user(4, 3, 2)
+    children = np.random.SeedSequence(29).spawn(12)
+    for got, kids in ((first, children[:7]), (second, children[7:])):
+        (block,) = got
+        for stacked, reference in zip(block, _per_trial_draws(spec, kids)):
+            assert stacked.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # run_phases
 # ---------------------------------------------------------------------------
@@ -356,11 +439,12 @@ def test_screened_conditions_match_svd():
     kept = ~scheme._unusable(want).any(axis=1)
     assert kept[5:].all()
     assert got[kept].max() == want[kept].max() == np.linalg.cond(top)
-    # np.linalg.cond raises on a NaN entry, and so does the screen
+    # np.linalg.cond raises on a NaN entry; the screen gives it condition inf
     stacks[0][0, 0] = np.nan
-    for conditions in (scheme._conditions, lambda s: [np.linalg.cond(m) for m in s]):
-        with pytest.raises(np.linalg.LinAlgError):
-            conditions(stacks)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cond(stacks[0])
+    got[0, 0] = np.inf
+    assert np.array_equal(np.concatenate(scheme._conditions(stacks), axis=1), got)
 
 
 def test_decode_max_condition_with_a_failed_trial():
@@ -386,6 +470,28 @@ def test_decode_max_condition_with_a_failed_trial():
     assert max(c[3][np.isfinite(c[3])].max() for c in conds) > scheme.SCREEN
     assert report.max_condition == max(c[kept].max() for c in conds) < scheme.SCREEN
     assert report.solves == 7 * 64
+
+
+def test_decode_non_finite_channel_fails_its_trial(capfd):
+    spec = plan_two_user(4, 3, 2)
+    assert spec.phase_lengths == (6, 2, 2)
+    channels = [generate_channels(spec, 80 + i) for i in range(3)]
+    channels[0].h1[9, 0, 0] = np.nan  # the user-1 alignment matrix of the last slot
+    channels[1].h2[0, 0, 0] = np.inf  # the overheard row of user 1's first data matrix
+    symbols = [draw_symbols(spec, 90 + i) for i in range(3)]
+    stack = scheme.ChannelRealization(h1=np.stack([c.h1 for c in channels]),
+                                      h2=np.stack([c.h2 for c in channels]))
+    with np.errstate(invalid="ignore"):
+        report = decode(run_phases(spec, stack, tuple(np.stack(u) for u in zip(*symbols))))
+        assert report.failures == ((0, 9, np.inf, "user-1 alignment solve"),
+                                   (1, 0, np.inf, "user-1 data solve"))
+        assert report.solves == 12 and report.residual_user1 < scheme.RESIDUAL_TOL
+        for trial, (slot, what) in enumerate(((9, "user-1 alignment solve"),
+                                              (0, "user-1 data solve"))):
+            with pytest.raises(SingularChannelError) as err:
+                decode(run_phases(spec, channels[trial], symbols[trial]))
+            assert (err.value.slot, err.value.cond, err.value.what) == (slot, np.inf, what)
+    assert capfd.readouterr().err == ""
 
 
 def test_decode_with_noise_still_solves():
@@ -503,22 +609,23 @@ def test_simulate_trials_residual_above_tolerance_misses_corner(monkeypatch):
 ])
 def test_batched_trials_match_per_trial_decode(monkeypatch, m, n1, n2, trials, time_weights,
                                                zeroed, blocks):
-    real_channels, real_run = scheme.generate_channels, scheme.run_phases
+    real_channels, real_run = scheme._channels, scheme.run_phases
     drawn, runs = [], []
 
-    def channels(spec, seed):
-        ch = real_channels(spec, seed)
-        if len(drawn) in zeroed:
-            name, slot = zeroed[len(drawn)]
-            getattr(ch, name)[slot] = 0.0
-        drawn.append(seed)
+    def channels(spec, seeds):
+        ch = real_channels(spec, seeds)
+        for k, seed in enumerate(seeds):
+            if len(drawn) in zeroed:
+                name, slot = zeroed[len(drawn)]
+                getattr(ch, name)[k, slot] = 0.0
+            drawn.append(seed)
         return ch
 
     def run(spec, ch, symbols):
         runs.append(ch.h1.shape[0])
         return real_run(spec, ch, symbols)
 
-    monkeypatch.setattr(scheme, "generate_channels", channels)
+    monkeypatch.setattr(scheme, "_channels", channels)
     monkeypatch.setattr(scheme, "run_phases", run)
     summary = simulate_trials(m, n1, n2, trials, seed=11, time_weights=time_weights)
     assert len(runs) == blocks and sum(runs) == trials
@@ -529,7 +636,7 @@ def test_batched_trials_match_per_trial_decode(monkeypatch, m, n1, n2, trials, t
     failures, solves, ill, max_cond, max_res = [], 0, 0, 0.0, 0.0
     for i, child in enumerate(np.random.SeedSequence(11).spawn(trials)):
         ch_seed, sym_seed = child.spawn(2)
-        transcript = real_run(spec, channels(spec, ch_seed), draw_symbols(spec, sym_seed))
+        transcript = real_run(spec, generate_channels(spec, ch_seed), draw_symbols(spec, sym_seed))
         try:
             report = decode(transcript)
         except SingularChannelError as err:
