@@ -67,15 +67,16 @@ def _rational_list(text):
 
 
 def _default_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DOFLAB_SEED")
-    if env is not None:
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, env = "DOFLAB_SEED", os.environ.get("DOFLAB_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError("DOFLAB_SEED must be an integer, got %r" % env)
-    return 0
+    if seed < 0:
+        raise CliError("%s must be a non-negative integer, got %d" % (source, seed))
+    return seed
 
 
 def _write(path, text):
@@ -280,9 +281,9 @@ def cmd_slice(args) -> int:
     corners = exactgeom.vertex_enumerate(slc.region)
     print("slice M=%d N=%d d3=%s" % (args.M, n, rat_str(slc.d3)))
     print("bounds:")
-    for name in ("L0", "L1", "L2"):
+    for name, hs in slc.bounds.items():
         tag = " (redundant)" if name in slc.redundant_bounds else ""
-        print("  %s: %s%s" % (name, slc.bounds[name].render(), tag))
+        print("  %s: %s%s" % (name, hs.render(), tag))
     for name in sorted(slc.special_points):
         point = slc.special_points[name]
         if point is None:
@@ -298,8 +299,8 @@ def cmd_slice(args) -> int:
             fig = RegionFigure(axis_max=min(args.M, 2 * n),
                                title="S(d3=%s) M=%d N=%d" % (rat_str(slc.d3), args.M, n))
             fig.add_polygon([(c[0], c[1]) for c in corners])
-            for name in ("L0", "L1", "L2"):
-                p, q = _line_endpoints(slc.bounds[name])
+            for name, hs in slc.bounds.items():
+                p, q = _line_endpoints(hs)
                 fig.add_line(p, q, label=name)
             for name in sorted(slc.special_points):
                 point = slc.special_points[name]

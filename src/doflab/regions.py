@@ -13,7 +13,8 @@ Contents:
 * the fixed-d3 plane slice of the three-user region with its named
   special points, and
 * exact time-sharing decompositions of any point of the three-user region
-  into directly achievable operating points.
+  into operating points, each run by the scheme for the number of users
+  it serves: the nonzero coordinates of the origin, (N,0,0), (q,q,0) or (b,b,b).
 """
 
 from __future__ import annotations
@@ -222,7 +223,6 @@ def benchmark_sum_dof(config: AntennaConfig, csit: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _BOUND_NAMES = ("L0", "L1", "L2")
-_SPECIAL_NAMES = ("P01", "P02", "P12", "P0d1", "P0d2", "P1d1", "P2d2")
 
 
 @dataclass(frozen=True)
@@ -289,13 +289,8 @@ def plane_slice(M: int, N: int, d3) -> PlaneSlice:
         "P1d1": ((m - d3) / ratio, _ZERO),
         "P2d2": (_ZERO, (m - d3) / ratio),
     }
-    special = {}
-    for name in _SPECIAL_NAMES:
-        x, y = candidates[name]
-        if x >= 0 and y >= 0 and contains(region, (x, y)):
-            special[name] = (x, y, d3)
-        else:
-            special[name] = None
+    special = {name: (x, y, d3) if contains(region, (x, y)) else None
+               for name, (x, y) in candidates.items()}
     kept = remove_redundant(region).halfspaces
     redundant = frozenset(name for name in _BOUND_NAMES if bounds[name] not in kept)
     return PlaneSlice(M, N, d3, bounds, region, special, redundant)
@@ -359,7 +354,7 @@ def convex_decompose_2d(target, corners):
         if ux * wy - uy * wx != 0:
             continue
         lam = wx / ux if ux != 0 else wy / uy  # a != b: the points come from a set
-        if 0 <= lam <= 1 and (a[0] + lam * ux, a[1] + lam * uy) == (tx, ty):
+        if 0 <= lam <= 1:  # a zero cross product puts the target at a + lam (b - a)
             out = [(a, 1 - lam), (b, lam)]
             return [(p, w) for p, w in out if w > 0]
     for a, b, c in combinations(pts, 3):
@@ -372,51 +367,17 @@ def convex_decompose_2d(target, corners):
     raise GeometryError("point (%s, %s) is not in the hull of the corners" % (rat_str(tx), rat_str(ty)))
 
 
-def _embed(pair_values, axes):
-    point = [_ZERO] * 3
-    for axis, value in zip(axes, pair_values):
-        point[axis] = value
-    return tuple(point)
+_SOURCES = (SOURCE_TIME_DIVISION, SOURCE_SINGLE_USER, SOURCE_TWO_USER, SOURCE_EXTERNAL)
 
 
-class _PlanBuilder:
-    def __init__(self, M, N):
-        self.N = N
-        self.q = d3_max(M, N)  # two-user corner height MN/(M+N)
-        self.b = d3_mid(M, N)  # symmetric corner MN/(M+2N)
-        self.parts = {}
-
-    def add(self, weight, point, source, users):
-        if weight == 0:
-            return
-        key = (point, source, users)
-        self.parts[key] = self.parts.get(key, _ZERO) + weight
-
-    def add_origin(self, weight):
-        self.add(weight, (_ZERO, _ZERO, _ZERO), SOURCE_TIME_DIVISION, ())
-
-    def add_single(self, weight, user):
-        self.add(weight, _embed((Fraction(self.N),), (user,)), SOURCE_SINGLE_USER, (user,))
-
-    def add_two_user(self, weight, users):
-        self.add(weight, _embed((self.q, self.q), users), SOURCE_TWO_USER, users)
-
-    def add_abdoli(self, weight):
-        self.add(weight, (self.b, self.b, self.b), SOURCE_EXTERNAL, (0, 1, 2))
-
-    def add_pair_point(self, weight, users, value_first, value_second):
-        """Point (value_first, value_second) of the two-user region on ``users``."""
-        n = Fraction(self.N)  # the corners are the vertices of two_user_region(M, N, N)
-        corners = ((_ZERO, _ZERO), (n, _ZERO), (_ZERO, n), (self.q, self.q))
-        for corner, w in convex_decompose_2d((value_first, value_second), corners):
-            if corner == (_ZERO, _ZERO):
-                self.add_origin(weight * w)
-            elif corner[1] == 0:
-                self.add_single(weight * w, users[0])
-            elif corner[0] == 0:
-                self.add_single(weight * w, users[1])
-            else:
-                self.add_two_user(weight * w, users)
+def _add(parts, weight, values, users):
+    """Add ``weight`` of the point ``values`` on ``users``; its nonzero users name its source."""
+    if weight == 0:
+        return
+    on = dict(zip(users, values))
+    served = tuple(user for user in users if on[user] != 0)
+    key = (tuple(on.get(i, _ZERO) for i in range(3)), _SOURCES[len(served)], served)
+    parts[key] = parts.get(key, _ZERO) + weight
 
 
 def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
@@ -425,10 +386,12 @@ def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
     The target is sliced at its smallest coordinate z (at most MN/(M+2N)
     for any feasible point) and decomposed over the slice's four corners.
     A corner on an axis is a point of the two-user region of that axis's
-    user and the slice user: the origin, single-user or two-user corners.
-    The off-axis corner P12 time-shares the external scheme's symmetric
-    corner with the in-plane two-user corner.  The weighted component sum
-    reproduces the target exactly.
+    user and the slice user, split over that region's corners (0,0), (N,0),
+    (0,N) and (q,q), q = MN/(M+N).  The off-axis corner P12 time-shares
+    (b,b,b), b = MN/(M+2N), with (q,q) on its own two users.  A component's
+    ``users`` are its point's nonzero coordinates, and their number names its
+    ``source``: none time-division, one single-user, two the two-user scheme,
+    three the external corner scheme.  The weighted sum is the target exactly.
     """
     if not N < M <= 2 * N:
         raise ThreeUserScopeError("plans require N < M <= 2N, got M=%d N=%d" % (M, N))
@@ -443,22 +406,22 @@ def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
     p_axis, r_axis = [i for i in range(3) if i != k_axis]
     # the rows sum to (2 + M/N)(d1+d2+d3) <= 3M, so z <= MN/(M+2N): L0 is slack
     z = target[k_axis]
-    builder = _PlanBuilder(M, N)
+    n, q, b = Fraction(N), d3_max(M, N), d3_mid(M, N)
+    pair_corners = ((_ZERO, _ZERO), (n, _ZERO), (_ZERO, n), (q, q))  # of two_user_region(M, N, N)
+    parts = {}
     corners = vertex_enumerate(_slice_region(M, N, z))
     for (x, y), weight in convex_decompose_2d((target[p_axis], target[r_axis]), corners):
-        if y == 0:
-            builder.add_pair_point(weight, (p_axis, k_axis), x, z)
-        elif x == 0:
-            builder.add_pair_point(weight, (r_axis, k_axis), y, z)
-        else:
-            # P12: share the external point with the pair corner
-            w_ext = z / builder.b
-            builder.add_abdoli(weight * w_ext)
-            builder.add_two_user(weight * (1 - w_ext), (p_axis, r_axis))
+        if x == 0 or y == 0:
+            value, axis = (x, p_axis) if y == 0 else (y, r_axis)
+            for corner, w in convex_decompose_2d((value, z), pair_corners):
+                _add(parts, weight * w, corner, (axis, k_axis))
+        else:  # P12: share the external point with the pair corner
+            _add(parts, weight * z / b, (b, b, b), (0, 1, 2))
+            _add(parts, weight * (1 - z / b), (q, q), (p_axis, r_axis))
 
     components = tuple(
         PlanComponent(point, weight, source, users)
-        for (point, source, users), weight in sorted(builder.parts.items())
+        for (point, source, users), weight in sorted(parts.items())
     )
     plan = AchievabilityPlan(target, components)
     if plan.weighted_sum() != target or plan.total_weight() != 1:

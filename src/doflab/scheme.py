@@ -671,7 +671,7 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
         raise SchemeError("need at least 3 distinct finite SNR points for a slope fit, got %s"
                           % ",".join("%g" % s for s in snr_db))
     if max(spec.symbol_counts) > MAX_GRAM_COLUMNS:
-        raise SchemeError("the rate model needs a %d-column Gram matrix, above the limit of %d"
+        raise SchemeError("the rate model needs %d symbols per user, above the limit of %d"
                           % (max(spec.symbol_counts), MAX_GRAM_COLUMNS))
     channels = generate_channels(spec, seed)
     total = spec.total_slots

@@ -76,7 +76,10 @@ def parse_vertices_csv(text: str):
         cells = ln.split(",")
         if len(cells) != dimension:
             raise DimensionMismatchError("CSV row of length %d, expected %d" % (len(cells), dimension))
-        points.append(tuple(Fraction(c) for c in cells))
+        try:
+            points.append(tuple(Fraction(c) for c in cells))
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError("CSV row %r is not a row of rationals" % ln)
     return dimension, points
 
 

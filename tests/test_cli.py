@@ -299,7 +299,7 @@ def test_simulate_refuses_too_many_slot_trials_up_front(capsys, monkeypatch):
 
 
 def test_simulate_refuses_oversized_rate_model_up_front(capsys, monkeypatch):
-    # 16000 symbols per user: a 16000 x 16000 complex Gram matrix, about 4 GB
+    # 16000 symbols per user: 400 Gram blocks of 40 x 40, eight times the limit of 2048
     _refuse_draws(monkeypatch)
     start = time.perf_counter()
     code, stdout, err = run_cli(
@@ -308,7 +308,7 @@ def test_simulate_refuses_oversized_rate_model_up_front(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE
     assert stdout == ""
-    assert "16000-column Gram matrix" in err
+    assert "needs 16000 symbols per user, above the limit of 2048" in err
 
 
 def test_simulate_failed_trial_misses_corner(tmp_path, capsys, monkeypatch):
@@ -352,6 +352,17 @@ def test_simulate_env_seed(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_simulate_refuses_negative_seed(capsys, monkeypatch):
+    _refuse_draws(monkeypatch)
+    code, stdout, err = run_cli(capsys, "simulate", "--M", "4", "--N", "3,2", "--seed", "-1")
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert "--seed must be a non-negative integer, got -1" in err
+    monkeypatch.setenv("DOFLAB_SEED", "-1")
+    code, stdout, err = run_cli(capsys, "simulate", "--M", "4", "--N", "3,2")
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert "DOFLAB_SEED must be a non-negative integer, got -1" in err
 
 
 def test_simulate_three_user_executable_plan(tmp_path, capsys):

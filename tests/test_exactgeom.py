@@ -860,6 +860,9 @@ def test_vertices_csv_round_trip():
     for blank in ("", "\n \n"):
         with pytest.raises(GeometryError, match="no header"):
             parse_vertices_csv(blank)
+    for bad in ("1/0", "abc", "nan"):
+        with pytest.raises(GeometryError, match="CSV row '1,%s' is not a row of rationals" % bad):
+            parse_vertices_csv("d1,d2\n0,0\n1,%s\n" % bad)
 
 
 def test_halfspaces_csv():

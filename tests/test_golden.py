@@ -7,11 +7,15 @@ decoding reports) are compared field by field: integers, strings and
 booleans exactly, floats within a relative 1e-6, and every residual only
 against the decoding tolerance, since its value is rounding noise.
 
+The 252 slices and 1206 plans of ``tests/sweep_digest.py`` are pinned as
+one sha256 each, of their lines with a newline after each.
+
 Regenerate only for an intended format change, then review the diff:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -31,6 +35,7 @@ from doflab.serialize import (
     transcript_document,
     vertices_to_csv,
 )
+from sweep_digest import plan_lines, slice_lines
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_RTOL = 1e-6
@@ -229,6 +234,21 @@ def test_parse_vertices_csv_round_trip(file_name):
     dimension, points = parse_vertices_csv(text)
     assert all(isinstance(x, F) for p in points for x in p)
     assert vertices_to_csv(points, dimension) == text
+
+
+SWEEP_DIGESTS = {
+    "slices": (slice_lines, "44f14d68475237d78c2827d2969cdca913349eba22583a20eadfcea71dc4491f"),
+    "plans": (plan_lines, "ff25e91da00fbad55c263ac43123898d3f2e213b20f3cab3fbcfeb20d8e0233b"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SWEEP_DIGESTS))
+def test_sweep_corpus_digest(corpus):
+    lines, expected = SWEEP_DIGESTS[corpus]
+    digest = hashlib.sha256()
+    for line in lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == expected
 
 
 def write_corpus():

@@ -50,7 +50,8 @@ from doflab.serialize import plan_document, plan_to_csv, region_document
 from test_exactgeom import count_double_descriptions, fresh, scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-ALLOWED_SOURCES = {SOURCE_TWO_USER, SOURCE_SINGLE_USER, SOURCE_TIME_DIVISION, SOURCE_EXTERNAL}
+SOURCES_BY_USER_COUNT = (SOURCE_TIME_DIVISION, SOURCE_SINGLE_USER, SOURCE_TWO_USER, SOURCE_EXTERNAL)
+ALLOWED_SOURCES = set(SOURCES_BY_USER_COUNT)
 
 
 def test_antenna_config_validation():
@@ -529,6 +530,10 @@ def test_plan_identity_on_random_rational_points(m, n):
         assert all(c.source in ALLOWED_SOURCES for c in plan.components)
         assert all(c.weight > 0 for c in plan.components)
         assert all(contains(region, c.point) for c in plan.components)
+        for c in plan.components:
+            # a component serves the users its point is nonzero on, by the scheme for that many
+            assert tuple(sorted(c.users)) == tuple(i for i in range(3) if c.point[i] != 0)
+            assert c.source == SOURCES_BY_USER_COUNT[len(c.users)]
         checked += 1
 
 
