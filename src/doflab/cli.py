@@ -12,6 +12,7 @@ presentation-only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -224,13 +225,13 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("--snr-db applies only to two-user simulation")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
-    # a two-user component runs the (M, n, n) plan, a single-user one a 1-slot plan
+    # a two-user component runs the (M, n, n) plan, a single-user one a 1-slot
+    # plan on min(M, n) antennas; the larger plan present is checked before any output
     sources = {comp.source for comp in plan.components}
-    slots = (scheme.plan_two_user(args.M, n, n).total_slots if regions.SOURCE_TWO_USER in sources
-             else 1 if regions.SOURCE_SINGLE_USER in sources else 0)
-    if args.trials * slots > scheme.MAX_SLOT_TRIALS:
-        raise CliError("%d trials of %d slots exceed the limit of %d slot-trials"
-                       % (args.trials, slots, scheme.MAX_SLOT_TRIALS))
+    if regions.SOURCE_TWO_USER in sources:
+        scheme.check_trial_size(scheme.plan_two_user(args.M, n, n), args.trials)
+    elif regions.SOURCE_SINGLE_USER in sources:
+        scheme.check_trial_size(scheme.plan_two_user(min(args.M, n), n, n, (1, 0)), args.trials)
     runs = []  # (status, failures, max_residual) per component
     ok = True
     seeds = np.random.SeedSequence(seed).spawn(max(len(plan.components), 1))
@@ -313,6 +314,12 @@ def cmd_slice(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``doflab`` command line.
+
+    It binds no command function: ``args.command`` names the subcommand, and
+    ``main`` calls the module's ``cmd_<command>`` when it dispatches.  ``main``
+    builds this parser once per process and reuses it.
+    """
     parser = _Parser(prog="doflab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -322,14 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--N", type=_int_list, required=True)
     p_region.add_argument("--out")
     p_region.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p_region.set_defaults(func=cmd_region)
 
     p_compare = sub.add_parser("compare", help="two-user regions across a sweep of M")
     p_compare.add_argument("--M", type=_int_list, required=True)
     p_compare.add_argument("--N", type=_int_list, required=True)
     p_compare.add_argument("--out")
     p_compare.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p_compare.set_defaults(func=cmd_compare)
 
     p_sim = sub.add_parser("simulate", help="run the alignment scheme and certify the corner")
     p_sim.add_argument("--M", type=int, required=True)
@@ -340,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--target", type=_rational_list, default=None,
                        help="three-user DoF target d1,d2,d3 (rationals)")
     p_sim.add_argument("--out")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_slice = sub.add_parser("slice", help="three-user plane cross-section at fixed d3")
     p_slice.add_argument("--M", type=int, required=True)
@@ -348,15 +352,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_slice.add_argument("--d3", type=_rational, required=True)
     p_slice.add_argument("--out")
     p_slice.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p_slice.set_defaults(func=cmd_slice)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one ``doflab`` command and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process; parsing keeps no state between calls.  The subcommand runs
+    through the module attribute ``cmd_<command>``, looked up at call time,
+    so a function rebound after the first call is the one that runs.
+    """
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()["cmd_" + args.command](args)
     except (CliError, ValueError) as err:  # SchemeError and GeometryError are ValueErrors
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE

@@ -56,7 +56,9 @@ block, and one batched eigvalsh of the blocks' Gram matrices gives the
 rates.
 
 Runaway inputs are refused up front: more than MAX_SLOT_TRIALS trials x
-slots, and rate models with more than MAX_GRAM_COLUMNS symbols per user.
+slots, a trial of more than MAX_TRIAL_ENTRIES channel entries (slots x
+(N1 + N2) x M), and rate models with more than MAX_GRAM_COLUMNS symbols per
+user.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ __all__ = [
     "draw_symbols",
     "run_phases",
     "decode",
+    "check_trial_size",
     "simulate_trials",
     "rate_slope_estimate",
 ]
@@ -94,6 +97,7 @@ COND_LIMIT = 1e10  # a decoding matrix above this condition number fails the tri
 ILL_CONDITIONED = 1e8  # solves above this condition number are counted, not failed
 RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corner
 MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
+MAX_TRIAL_ENTRIES = 10**7  # simulate_trials refuses a trial of more channel entries than this
 MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses more symbols than this for one user
 _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
 # decode screens condition numbers from the Gram matrix G = H^H H.  Forming
@@ -140,6 +144,11 @@ class SchemeSpec:
     @property
     def total_slots(self) -> int:
         return sum(self.phase_lengths)
+
+    @property
+    def channel_entries(self) -> int:
+        """Complex channel entries one trial draws: slots x (N1 + N2) x M."""
+        return self.total_slots * (self.N1 + self.N2) * self.M
 
     @property
     def needed1(self) -> int:
@@ -535,6 +544,18 @@ class TrialSummary:
     matches_corner: bool  # achieved is the corner and every trial decoded within RESIDUAL_TOL
 
 
+def check_trial_size(spec: SchemeSpec, trials: int) -> None:
+    """Refuse ``trials`` runs of ``spec`` before anything is drawn: more than
+    MAX_SLOT_TRIALS trials x slots, or a trial of more than
+    MAX_TRIAL_ENTRIES channel entries."""
+    if trials * spec.total_slots > MAX_SLOT_TRIALS:
+        raise SchemeError("%d trials of %d slots exceed the limit of %d slot-trials"
+                          % (trials, spec.total_slots, MAX_SLOT_TRIALS))
+    if spec.channel_entries > MAX_TRIAL_ENTRIES:
+        raise SchemeError("a trial of %d slots draws %d channel entries, above the limit of %d"
+                          % (spec.total_slots, spec.channel_entries, MAX_TRIAL_ENTRIES))
+
+
 def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
                     time_weights=None) -> TrialSummary:
     """Monte Carlo wrapper: plan once, then run/decode independent trials.
@@ -544,17 +565,14 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     trials go in blocks of at most _BLOCK_ENTRIES channel entries (one
     trial at least): each trial's generator fills its row of the block's
     buffer, the block's complex stacks are built once, and the block is run
-    and decoded as one stack.  Refuses more than MAX_SLOT_TRIALS trials
-    times slots up front.
+    and decoded as one stack.  ``check_trial_size`` runs first.
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
     spec = plan_two_user(M, N1, N2, time_weights=time_weights)
-    if trials * spec.total_slots > MAX_SLOT_TRIALS:
-        raise SchemeError("%d trials of %d slots exceed the limit of %d slot-trials"
-                          % (trials, spec.total_slots, MAX_SLOT_TRIALS))
+    check_trial_size(spec, trials)
     children = _seed_sequence(seed).spawn(trials)
-    block = max(1, _BLOCK_ENTRIES // (spec.total_slots * (N1 + N2) * M))
+    block = max(1, _BLOCK_ENTRIES // spec.channel_entries)
     failures = []
     max_res = 0.0
     max_cond = 0.0
@@ -673,6 +691,7 @@ def rate_slope_estimate(spec: SchemeSpec, seed, snr_db_list) -> RateCurve:
     if max(spec.symbol_counts) > MAX_GRAM_COLUMNS:
         raise SchemeError("the rate model needs %d symbols per user, above the limit of %d"
                           % (max(spec.symbol_counts), MAX_GRAM_COLUMNS))
+    check_trial_size(spec, 1)  # the model draws one trial's channels
     channels = generate_channels(spec, seed)
     total = spec.total_slots
     eigs = [np.maximum(np.linalg.eigvalsh(np.swapaxes(m.conj(), 1, 2) @ m), 0.0).ravel()

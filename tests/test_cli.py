@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from doflab import exactgeom, scheme
+from doflab import cli, exactgeom, scheme
 from doflab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from test_exactgeom import count_double_descriptions
 
@@ -311,6 +311,22 @@ def test_simulate_refuses_oversized_rate_model_up_front(capsys, monkeypatch):
     assert "needs 16000 symbols per user, above the limit of 2048" in err
 
 
+@pytest.mark.parametrize("argv, slots, entries", [
+    (("--M", "120", "--N", "60,60"), 10800, 155520000),  # simulate_trials
+    (("--M", "120", "--N", "60,60,60", "--target", "1,1,0"), 10800, 155520000),  # two-user part
+    (("--M", "3001", "--N", "3000,3000,3000", "--target", "1,0,0"), 1, 18000000),  # single-user
+    # 2045 symbols per user pass the rate model's own limit of 2048
+    (("--M", "2045", "--N", "2094,2094", "--snr-db", "10,20,30"), 2, 17128920),
+], ids=["two-user", "three-user-pair", "three-user-single", "rate-model"])
+def test_simulate_refuses_oversized_trial_up_front(capsys, monkeypatch, argv, slots, entries):
+    # one trial, far inside the slot-trial limit, whose draw alone would take gigabytes
+    _refuse_draws(monkeypatch)
+    code, stdout, err = run_cli(capsys, "simulate", *argv, "--trials", "1")
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err.startswith("error: a trial of %d slots draws %d channel entries, above the limit of %d"
+                          % (slots, entries, scheme.MAX_TRIAL_ENTRIES))
+
+
 def test_simulate_failed_trial_misses_corner(tmp_path, capsys, monkeypatch):
     real = scheme._channels
     calls = []
@@ -475,3 +491,92 @@ def test_command_builds_one_double_description_per_region(tmp_path, capsys, monk
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.json"), "--format", "json")
     assert code == EXIT_OK
     assert len(calls) == builds
+
+
+# ---------------------------------------------------------------------------
+# main: one parser per process, re-entrant
+# ---------------------------------------------------------------------------
+
+REGION = ("region", "--model", "two-user", "--M", "4", "--N", "3,2")
+SIMULATE = ("simulate", "--M", "4", "--N", "3,2", "--trials", "3")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    real = cli.build_parser
+    assert real() is not real()  # the public builder still returns a fresh parser
+    built = []
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (REGION, ("compare", "--N", "3,2", "--M", "4"),
+                     ("slice", "--M", "2", "--N", "1", "--d3", "1/2"), SIMULATE, REGION):
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    REGION + ("--format", "json"),
+    ("compare", "--N", "3,2", "--M", "2,3,4"),
+    ("slice", "--M", "4", "--N", "3", "--d3", "6/7", "--format", "json"),
+    SIMULATE + ("--seed", "4", "--snr-db", "30,40,50"),
+    ("simulate", "--M", "2", "--N", "1,1,1", "--target", "2/3,0,2/3", "--trials", "3"),
+], ids=["region", "compare", "slice", "simulate", "simulate-three-user"])
+def test_main_twice_in_one_process_writes_identical_artifacts(tmp_path, capsys, argv):
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        run_cli(capsys, *argv, "--out", str(out))
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_main_keeps_no_parse_state_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DOFLAB_SEED", "7")
+    seeded, from_env, seven = (tmp_path / name for name in ("5.json", "env.json", "7.json"))
+    assert run_cli(capsys, *SIMULATE, "--seed", "5", "--out", str(seeded))[0] == EXIT_OK
+    assert run_cli(capsys, *SIMULATE, "--out", str(from_env))[0] == EXIT_OK
+    assert run_cli(capsys, *SIMULATE, "--seed", "7", "--out", str(seven))[0] == EXIT_OK
+    assert from_env.read_bytes() == seven.read_bytes() != seeded.read_bytes()
+
+    rates, plain = tmp_path / "rates.json", tmp_path / "plain.json"
+    _, stdout, _ = run_cli(capsys, *SIMULATE, "--snr-db", "30,40,50", "--out", str(rates))
+    assert "rate_slopes" in stdout and "rate_curve" in json.loads(rates.read_text())
+    _, stdout, _ = run_cli(capsys, *SIMULATE, "--out", str(plain))
+    assert "rate_slopes" not in stdout and "rate_curve" not in json.loads(plain.read_text())
+
+    as_json, as_csv = tmp_path / "region.json", tmp_path / "region.csv"
+    run_cli(capsys, *REGION, "--format", "json", "--out", str(as_json))
+    run_cli(capsys, *REGION, "--out", str(as_csv))
+    assert as_csv.read_text().splitlines()[0] == "d1,d2"
+    assert (tmp_path / "region.halfspaces.csv").is_file()
+
+
+def test_main_runs_after_a_usage_error_and_help(capsys):
+    for argv in (("region", "--model", "bogus", "--M", "4", "--N", "3,2"),  # argparse
+                 ("simulate", "--M", "4", "--N", "3,2", "--trials", "0"),  # the command
+                 ("frobnicate",)):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert "error:" in err
+        assert run_cli(capsys, *REGION)[0] == EXIT_OK
+    for argv in (("--help",), ("simulate", "--help")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 0
+        assert "usage: doflab" in capsys.readouterr().out
+        assert run_cli(capsys, *REGION)[0] == EXIT_OK
+
+
+def test_main_dispatches_to_the_command_bound_at_call_time(capsys, monkeypatch):
+    assert run_cli(capsys, *REGION)[0] == EXIT_OK  # the parser exists from here on
+    seen = []
+    monkeypatch.setattr(cli, "cmd_region", lambda args: seen.append(args.model) or 42)
+    assert main(list(REGION)) == 42
+    assert seen == ["two-user"]

@@ -11,7 +11,7 @@ import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
-from doflab import exactgeom, regions, scheme
+from doflab import cli, exactgeom, regions, scheme
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -73,3 +73,21 @@ def test_traced_decode_counts_match_the_summary():
     assert counts["scheme.simulate_trials"]["trials"] == summary.trials == 100
     assert counts["scheme.decode"]["solves"] == summary.solves > 0
     assert counts["scheme.decode"]["ill_conditioned"] == summary.ill_conditioned
+
+
+def test_tracer_installed_after_a_warm_call_sees_the_command(capsys):
+    # main keeps the parser of its first call; the tracer, installed later as
+    # after a benchmark's warm-up op, must still see the command it dispatches to
+    argv = ["region", "--model", "two-user", "--M", "4", "--N", "3,2"]
+    assert cli.main(argv) == 0
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[3] for span in tracer.spans]
+    assert names.count("cli.main") == 1
+    assert names.count("cli.region") == 1
