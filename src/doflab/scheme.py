@@ -38,12 +38,12 @@ of matrix a trial inverts gets one batched solve over the whole block.
 Every draw goes through ``_draw``: each trial's generator fills its row of
 the block's buffer with one call, in the order of the single-run draws, and
 each complex array is built once per block.  The condition numbers of the
-matrices are screened from one batched eigvalsh of the Gram matrices
-H^H H, sqrt(lambda_max / lambda_min), whose relative error is about
-n eps cond^2.  The SVD (``np.linalg.cond``) is re-taken only where
-that estimate could matter: for every matrix screened at or above SCREEN
-(far below ILL_CONDITIONED) and for the kept trials' matrices within BAND
-of their largest value.  Every threshold test, failure and maximum
+matrices are screened from one batched inverse per kind of matrix as
+kappa_F = |H|_F |H^-1|_F, which lies between the 2-norm condition number
+and n times it.  The SVD (``np.linalg.cond``) is re-taken only where that
+bound could matter: for every matrix screened at or above SCREEN (far below
+ILL_CONDITIONED), and for the kept trials' matrices whose bound reaches the
+largest SVD value among them.  Every threshold test, failure and maximum
 therefore reads the SVD's value.
 A trial that fails the conditioning check is still reported with its slot;
 a matrix with a NaN or inf entry fails it with condition inf, unfactored.
@@ -100,19 +100,23 @@ MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
 MAX_TRIAL_ENTRIES = 10**7  # simulate_trials refuses a trial of more channel entries than this
 MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses more symbols than this for one user
 _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
-# decode screens condition numbers from the Gram matrix G = H^H H.  Forming
-# and diagonalizing G moves each eigenvalue by about n eps |H|^2 (Weyl's
-# bound), so lambda_min = sigma_min^2, and with it the screened
-# sqrt(lambda_max / lambda_min), carries a relative error of about
-# n eps cond^2: under 2e-9 below SCREEN = 1e3 for n <= 8.  A matrix screened
-# below SCREEN is thus far below ILL_CONDITIONED, and one at or above
-# ILL_CONDITIONED screens near 1 / sqrt(n eps) >= 2e7, or as NaN or inf: the
-# SVD is re-taken for every value a threshold can see.  The largest kept SVD
-# value lies within twice that error of the largest screened one, and
-# BAND = 1e-6 re-takes every value within over 100x that distance.
+# decode screens condition numbers with kappa_F = |H|_F |H^-1|_F, a two-sided
+# bound on the 2-norm value: kappa_2 <= kappa_F <= n kappa_2.
+# numpy.linalg.inv inverts by LU with partial pivoting, so each column x_j of
+# the computed inverse X solves (H + dH_j) x_j = e_j with |dH_j| <= delta |H|,
+# where delta is about gamma_3n c(n) 2^(n-1), below 1e-9 for n <= 8 even at
+# the worst pivot growth (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, ch. 9 and 14).  Then |X|_F >= 1 / (sigma_min +
+# delta |H|), so a matrix with kappa_2 >= ILL_CONDITIONED screens at about
+# 1e7 or more, far above SCREEN = 1e3; below SCREEN the screened value is
+# off by a relative SCREEN delta at most, far under BAND = 1e-6.  If the
+# squares of H's entries underflow, those of H^-1's overflow: the screen
+# gives inf or NaN, and the matrix is re-taken.  The SVD is re-taken for
+# every value a threshold can see and, as no matrix holds a kappa_2 above
+# its kappa_F, for every kept matrix whose kappa_F reaches within BAND of
+# the largest kept SVD value taken.
 SCREEN = 1e3
 BAND = 1e-6
-_GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps  # smaller lambda_min may have underflowed
 
 
 class SchemeError(ValueError):
@@ -408,40 +412,45 @@ def _unusable(conds):
 def _conditions(stacks):
     """``np.linalg.cond`` of (trials, k, n, n) stacks, wherever decode reads it.
 
-    Each stack's condition numbers are screened as sqrt(lambda_max /
-    lambda_min) from one batched Gram matmul and eigvalsh.  The SVD is
-    re-taken for every matrix whose screened value is not below SCREEN
-    (NaN, inf, a negative or underflowed lambda_min and a Gram matrix that
-    is not finite included) and then, across all stacks, for every matrix
-    of a trial without an unusable one whose value is within BAND of those
-    trials' largest.  ``np.linalg.cond`` factors each matrix of a stack on
-    its own, so a re-taken value is the full stack's bit for bit; the rest
-    are within about n eps SCREEN^2 of it (see SCREEN).  A matrix with a
-    NaN or inf entry is given condition inf without a factorization.
+    Each stack is screened by ``np.linalg.cond(m, "fro")``, kappa_F, from
+    one batched inverse: a singular matrix screens as inf and one with a
+    NaN entry as NaN.  The SVD is re-taken for every matrix not screened
+    below SCREEN, NaN and inf included.  For the maximum over the trials
+    without an unusable matrix, it is re-taken for each stack's first kept
+    matrix of largest value and then, since kappa_2 <= kappa_F, for every
+    kept matrix whose kappa_F reaches within BAND of the largest SVD value
+    so taken: no other can hold the maximum.  ``np.linalg.cond`` factors
+    each matrix of a stack on its own, so a re-taken value is the full
+    stack's bit for bit; the rest are kappa_F, between kappa_2 and n kappa_2
+    (see SCREEN).  A matrix with a NaN or inf entry is given condition inf
+    without a factorization.
     Returns one (trials, k) array per stack.
     """
-    def retake(c, m, where):
+    def retake(c, m, exact, where):
+        where = where & ~exact
         if where.any():
             sub = m[where]
             finite = np.isfinite(sub).all(axis=(-2, -1))  # LAPACK fails or complains on the rest
             values = np.full(len(sub), np.inf)
             values[finite] = np.linalg.cond(sub[finite])
             c[where] = values
+            exact |= where
 
-    def screen(m):  # a function, so that each Gram stack is freed before the next
-        with np.errstate(all="ignore"):
-            gram = np.swapaxes(m.conj(), -1, -2) @ m
-            gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0  # eigvalsh would raise
-            lam = np.linalg.eigvalsh(gram)
-            c = np.sqrt(lam[..., -1] / lam[..., 0])
-        retake(c, m, ~((c < SCREEN) & (lam[..., 0] > _GRAM_FLOOR)))
-        return c
-
-    conds = [screen(m) for m in stacks]
-    kept = ~np.concatenate([_unusable(c) for c in conds], axis=1).any(axis=1)
-    top = max(c[kept].max(initial=0.0) for c in conds)
-    for c, m in zip(conds, stacks):
-        retake(c, m, kept[:, None] & (c >= (1.0 - BAND) * top))
+    with np.errstate(all="ignore"):
+        conds = [np.linalg.cond(m, "fro") for m in stacks]
+    exact = [np.zeros(c.shape, dtype=bool) for c in conds]  # which values are the SVD's
+    for c, e, m in zip(conds, exact, stacks):
+        retake(c, m, e, ~(c < SCREEN))
+    kept = ~np.concatenate([_unusable(c) for c in conds], axis=1).any(axis=1)[:, None]
+    for c, e, m in zip(conds, exact, stacks):
+        top = np.where(kept, c, 0.0)
+        if top.any():  # the first kept matrix of largest value
+            first = np.zeros(c.shape, dtype=bool)
+            first.flat[top.argmax()] = True
+            retake(c, m, e, first)
+    low = max(np.where(kept & e, c, 0.0).max(initial=0.0) for c, e in zip(conds, exact))
+    for c, e, m in zip(conds, exact, stacks):
+        retake(c, m, e, kept & (c >= (1.0 - BAND) * low))
     return conds
 
 
@@ -462,13 +471,13 @@ def decode(transcript: Transcript) -> DecodingReport:
     A trial inverts, in order: per phase-3 slot the user-1 then the user-2
     alignment matrix, then the phase-1 and the phase-2 data matrices.  All
     of them depend only on the channels, so every condition number is
-    taken up front by ``_conditions``: screened from one Gram eigvalsh per
-    kind, with the SVD re-taken for the values at or above SCREEN and for
-    the kept trials' values within BAND of their maximum, so the failures,
-    ``ill_conditioned`` and ``max_condition`` all read the SVD's value.  A
-    trial fails at its first matrix that is not finite or above COND_LIMIT
-    and then counts toward nothing else; the others are solved together,
-    one stack per kind.  A single run that fails raises
+    taken up front by ``_conditions``: screened as kappa_F from one batched
+    inverse per kind, with the SVD re-taken for the values at or above
+    SCREEN and for the kept matrices that may hold the maximum, so the
+    failures, ``ill_conditioned`` and ``max_condition`` all read the SVD's
+    value.  A trial fails at its first matrix that is not finite or above
+    COND_LIMIT and then counts toward nothing else; the others are solved
+    together, one stack per kind.  A single run that fails raises
     SingularChannelError; a stack of trials lists its failed trials in
     ``failures``.
     """
