@@ -37,14 +37,17 @@ its trials in blocks, as arrays over a leading trial axis, and every kind
 of matrix a trial inverts gets one batched solve over the whole block.
 Every draw goes through ``_draw``: each trial's generator fills its row of
 the block's buffer with one call, in the order of the single-run draws, and
-each complex array is built once per block.  The condition numbers of the
-matrices are screened from one batched inverse per kind of matrix as
-kappa_F = |H|_F |H^-1|_F, which lies between the 2-norm condition number
-and n times it.  The SVD (``np.linalg.cond``) is re-taken only where that
-bound could matter: for every matrix screened at or above SCREEN (far below
-ILL_CONDITIONED), and for the kept trials' matrices whose bound reaches the
-largest SVD value among them.  Every threshold test, failure and maximum
-therefore reads the SVD's value.
+each complex array is built once per block.  The trials' seeds are numpy's
+SeedSequence spawn tree, trial i drawing its channels and symbols from
+children 0 and 1 of the seed's child i, hashed for the whole call at once
+as arrays: the generators start from the same states, bit for bit.  The
+condition numbers of the matrices are screened from one batched inverse
+per kind of matrix as kappa_F = |H|_F |H^-1|_F, which lies between the
+2-norm condition number and n times it.  The SVD (``np.linalg.cond``) is
+re-taken only where that bound could matter: for every matrix screened at
+or above SCREEN (far below ILL_CONDITIONED), and for the kept trials'
+matrices whose bound reaches the largest SVD value among them.  Every
+threshold test, failure and maximum therefore reads the SVD's value.
 A trial that fails the conditioning check is still reported with its slot;
 a matrix with a NaN or inf entry fails it with condition inf, unfactored.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
@@ -259,12 +262,13 @@ class ChannelRealization:
 def _draw(seeds, shapes):
     """Standard complex Gaussian arrays of ``shapes``, stacked over ``seeds``.
 
-    Each seed gets its own generator, which fills one row of a float buffer
-    with a single ``standard_normal`` call: per shape in turn, the real parts
-    and then the imaginary parts, in C order.  PCG64 draws a fused call's
-    numbers in the same order as one call per part, so a seed's row is what
-    separate calls would draw.  Each complex array is then built once for
-    the whole stack, shaped (len(seeds),) + shape.
+    Each seed (an int, a SeedSequence or ``_seeds.SeedWords``) gets its own
+    PCG64 generator, which fills one row of a float buffer with a single
+    ``standard_normal`` call: per shape in turn, the real parts and then the
+    imaginary parts, in C order.  PCG64 draws a fused call's numbers in the
+    same order as one call per part, so a seed's row is what separate calls
+    would draw.  Each complex array is then built once for the whole stack,
+    shaped (len(seeds),) + shape.
     """
     sizes = [math.prod(shape) for shape in shapes]
     buffer = np.empty((len(seeds), 2 * sum(sizes)))
@@ -569,18 +573,27 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
                     time_weights=None) -> TrialSummary:
     """Monte Carlo wrapper: plan once, then run/decode independent trials.
 
-    Each trial draws its channels and symbols from its own spawned seed,
-    exactly as ``generate_channels`` and ``draw_symbols`` would.  The
-    trials go in blocks of at most _BLOCK_ENTRIES channel entries (one
-    trial at least): each trial's generator fills its row of the block's
-    buffer, the block's complex stacks are built once, and the block is run
-    and decoded as one stack.  ``check_trial_size`` runs first.
+    Trial i draws its channels and symbols from the seeds
+    ``SeedSequence(seed).spawn(trials)[i].spawn(2)``, exactly as
+    ``generate_channels`` and ``draw_symbols`` would.  Those seeds are hashed
+    for the whole call at once by ``_seeds.trial_seeds``, bit for bit as
+    numpy would, and a SeedSequence ``seed`` is advanced by ``trials``
+    children, as its own ``spawn`` would.  The trials go in blocks of at
+    most _BLOCK_ENTRIES channel entries (one trial at least): each trial's
+    generator fills its row of the block's buffer, the block's complex
+    stacks are built once, and the block is run and decoded as one stack.
+    ``check_trial_size`` runs first.
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
     spec = plan_two_user(M, N1, N2, time_weights=time_weights)
     check_trial_size(spec, trials)
-    children = _seed_sequence(seed).spawn(trials)
+    from ._seeds import trial_seeds  # loads numpy.random on first use, not at import
+
+    root = _seed_sequence(seed)
+    ch_seeds, sym_seeds = trial_seeds(root, trials)
+    if root is seed:
+        root.spawn(trials)  # a caller's sequence moves past the children hashed here
     block = max(1, _BLOCK_ENTRIES // spec.channel_entries)
     failures = []
     max_res = 0.0
@@ -588,8 +601,8 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     solves = 0
     ill = 0
     for start in range(0, trials, block):
-        ch_seeds, sym_seeds = zip(*(child.spawn(2) for child in children[start : start + block]))
-        report = decode(run_phases(spec, _channels(spec, ch_seeds), _symbols(spec, sym_seeds)))
+        chunk = slice(start, start + block)
+        report = decode(run_phases(spec, _channels(spec, ch_seeds[chunk]), _symbols(spec, sym_seeds[chunk])))
         failures.extend((start + i, slot, cond) for i, slot, cond, _ in report.failures)
         max_res = max(max_res, report.residual_user1, report.residual_user2)
         max_cond = max(max_cond, report.max_condition)

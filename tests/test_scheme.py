@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu
 
-from doflab import scheme
+from doflab import _seeds, scheme
 from doflab.exactgeom import contains
 from doflab.regions import DominantFace, point_Q, two_user_region
 from doflab.scheme import (
@@ -265,6 +265,36 @@ def test_block_draws_advance_a_callers_seed_sequence(monkeypatch):
         (block,) = got
         for stacked, reference in zip(block, _per_trial_draws(spec, kids)):
             assert stacked.tobytes() == reference.tobytes()
+
+
+# roots of the spawn trees simulate_trials hashes: run entropy shorter than,
+# as long as and longer than the pool; a spawn key, as the cli's three-user
+# components have; children spawned already; a larger pool
+SEED_ROOTS = [
+    {"entropy": 0}, {"entropy": 1}, {"entropy": 2**32 - 1}, {"entropy": 2**32},
+    {"entropy": 2**64 + 5}, {"entropy": 2**130 + 3}, {"entropy": [1, 2, 3]},
+    {"entropy": 41, "spawn_key": (2,)}, {"entropy": 41, "n_children_spawned": 9},
+    {"entropy": 41, "pool_size": 8},
+]
+
+
+@pytest.mark.parametrize("root", SEED_ROOTS, ids=repr)
+def test_hashed_trial_seeds_match_numpys_spawn_tree(root):
+    trials = 6
+    hashed = np.random.SeedSequence(**root)
+    seeds = _seeds.trial_seeds(hashed, trials)  # channel seeds, symbol seeds
+    assert hashed.n_children_spawned == root.get("n_children_spawned", 0)
+    for i, child in enumerate(np.random.SeedSequence(**root).spawn(trials)):
+        for j, grandchild in enumerate(child.spawn(2)):
+            got = np.random.PCG64(seeds[j][i]).state["state"]
+            assert got == np.random.PCG64(grandchild).state["state"]  # state and inc
+
+
+def test_simulate_trials_int_seed_and_its_seed_sequence_agree():
+    for args in ((4, 3, 2, 9), (8, 4, 4, 50)):  # one block, three blocks
+        by_int = simulate_trials(*args, seed=31)
+        by_sequence = simulate_trials(*args, seed=np.random.SeedSequence(31))
+        assert vars(by_int) == vars(by_sequence)
 
 
 # ---------------------------------------------------------------------------
