@@ -30,26 +30,28 @@ phase machinery with an empty phase 3 and no overheard combinations, and a
 single-user component of a three-user plan is a time-division plan on
 min(M, N) antennas that gives user 1 all the air time.
 
-Decoding is by floating-point LU solves (``np.linalg.solve``), checked
-against RESIDUAL_TOL; a noiseless decode within it certifies the DoF
-corner by exact symbol accounting.  The Monte Carlo wrapper runs and decodes
-its trials in blocks, as arrays over a leading trial axis, and every kind
-of matrix a trial inverts gets one batched solve over the whole block.
+Decoding is by floating-point LU solves, checked against RESIDUAL_TOL; a
+noiseless decode within it certifies the DoF corner by exact symbol
+accounting.  The Monte Carlo wrapper runs and decodes its trials in blocks,
+as arrays over a leading trial axis, and every kind of matrix a trial
+inverts gets one batched LAPACK solve over the whole block, against
+[I | b]: each matrix is factored once, and that one LU gives both the
+solution and the inverse that screens its condition number (below).
 Every draw goes through ``_draw``: each trial's generator fills its row of
 the block's buffer with one call, in the order of the single-run draws, and
 each complex array is built once per block.  The trials' seeds are numpy's
 SeedSequence spawn tree, trial i drawing its channels and symbols from
 children 0 and 1 of the seed's child i, hashed for the whole call at once
 as arrays: the generators start from the same states, bit for bit.  The
-condition numbers of the matrices are screened from one batched inverse
-per kind of matrix as kappa_F = |H|_F |H^-1|_F, which lies between the
-2-norm condition number and n times it.  The SVD (``np.linalg.cond``) is
+condition numbers of the matrices are screened from the inverses of those
+solves as kappa_F = |H|_F |H^-1|_F, which lies between the 2-norm
+condition number and n times it.  The SVD (``np.linalg.cond``) is
 re-taken only where that bound could matter: for every matrix screened at
 or above SCREEN (far below ILL_CONDITIONED), and for the kept trials'
 matrices whose bound reaches the largest SVD value among them.  Every
 threshold test, failure and maximum therefore reads the SVD's value.
 A trial that fails the conditioning check is still reported with its slot;
-a matrix with a NaN or inf entry fails it with condition inf, unfactored.
+a matrix with a NaN or inf entry fails it with condition inf, without an SVD.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
 end-to-end linear model, with the receivers' noisy side information
 entering as colored noise.  The routing reshape makes that model
@@ -60,8 +62,8 @@ rates.
 
 Runaway inputs are refused up front: more than MAX_SLOT_TRIALS trials x
 slots, a trial of more than MAX_TRIAL_ENTRIES channel entries (slots x
-(N1 + N2) x M), and rate models with more than MAX_GRAM_COLUMNS symbols per
-user.
+(N1 + N2) x M), rate models with more than MAX_GRAM_COLUMNS symbols per
+user, and trials whose seed sequence would spawn past MAX_SPAWNED children.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+# numpy's own private ufunc module behind np.linalg.cond, inv and solve, loaded
+# with numpy.linalg.  Its batched gesv against [I | b] gives np.linalg.solve's
+# solution and np.linalg.inv's inverse bit for bit: a property of the LAPACK
+# beneath (verified on numpy 2.4.6 with scipy-openblas 0.3.31 only), which
+# tests/test_scheme.py pins.
+from numpy.linalg import _umath_linalg
 
 from .exactgeom import rat
 from .regions import DominantFace, point_Q
@@ -102,10 +110,12 @@ RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corne
 MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
 MAX_TRIAL_ENTRIES = 10**7  # simulate_trials refuses a trial of more channel entries than this
 MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses more symbols than this for one user
+MAX_SPAWNED = 2**32 - 1  # numpy's SeedSequence.spawn never returns past this many children
 _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
 # decode screens condition numbers with kappa_F = |H|_F |H^-1|_F, a two-sided
 # bound on the 2-norm value: kappa_2 <= kappa_F <= n kappa_2.
-# numpy.linalg.inv inverts by LU with partial pivoting, so each column x_j of
+# decode takes the inverse from its LU solve with partial pivoting against
+# [I | b], as numpy.linalg.inv does against I, so each column x_j of
 # the computed inverse X solves (H + dH_j) x_j = e_j with |dH_j| <= delta |H|,
 # where delta is about gamma_3n c(n) 2^(n-1), below 1e-9 for n <= 8 even at
 # the worst pivot growth (Higham, Accuracy and Stability of Numerical
@@ -268,7 +278,9 @@ def _draw(seeds, shapes):
     imaginary parts, in C order.  PCG64 draws a fused call's numbers in the
     same order as one call per part, so a seed's row is what separate calls
     would draw.  Each complex array is then built once for the whole stack,
-    shaped (len(seeds),) + shape.
+    shaped (len(seeds),) + shape, in one pass: its real and imaginary parts
+    are copied in from the buffer and the array is scaled by 1/sqrt(2) in
+    place, the same bits as (re + 1j im) / sqrt(2) without its temporaries.
     """
     sizes = [math.prod(shape) for shape in shapes]
     buffer = np.empty((len(seeds), 2 * sum(sizes)))
@@ -277,7 +289,10 @@ def _draw(seeds, shapes):
     out, at = [], 0
     for shape, size in zip(shapes, sizes):
         part = buffer[:, at : at + 2 * size].reshape((len(seeds), 2) + shape)  # re, then im
-        out.append((part[:, 0] + 1j * part[:, 1]) / np.sqrt(2.0))
+        z = np.empty((len(seeds),) + shape, dtype=complex)
+        z.real, z.imag = part[:, 0], part[:, 1]
+        z /= np.sqrt(2.0)
+        out.append(z)
         at += 2 * size
     return out
 
@@ -404,8 +419,27 @@ class DecodingReport:
     failures: tuple  # (trial, slot, condition, what) per failed trial of a stack
 
 
-def _solve(matrices, rhs):
-    return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+def _screened_solve(matrices, rhs):
+    """Solve (..., n, n) ``matrices`` against (..., n) ``rhs`` and screen them.
+
+    One batched LAPACK gesv against [I | rhs] factors each matrix once and
+    gives its inverse and its solution, each bit for bit what
+    ``np.linalg.inv`` and ``np.linalg.solve`` give.  Returns the solutions
+    and the screens kappa_F = |H|_F |H^-1|_F, ``np.linalg.cond(m, "fro")``
+    bit for bit: a singular matrix, whose solution is NaN, screens as inf
+    and one with a NaN entry as NaN.  Raises and warns about nothing; the
+    inverses are dropped here.
+    """
+    n = matrices.shape[-1]
+    b = np.empty(matrices.shape[:-1] + (n + 1,), dtype=complex)
+    b[..., :n] = np.eye(n)
+    b[..., n] = rhs
+    with np.errstate(all="ignore"):
+        x = _umath_linalg.solve(matrices, b, signature="DD->D")
+        screens = (np.linalg.norm(matrices, "fro", axis=(-2, -1))
+                   * np.linalg.norm(x[..., :n], "fro", axis=(-2, -1)))
+    screens[np.isnan(screens) & ~np.isnan(matrices).any(axis=(-2, -1))] = np.inf
+    return x[..., n].copy(), screens
 
 
 def _unusable(conds):
@@ -413,22 +447,22 @@ def _unusable(conds):
     return ~np.isfinite(conds) | (conds > COND_LIMIT)
 
 
-def _conditions(stacks):
+def _conditions(stacks, screens):
     """``np.linalg.cond`` of (trials, k, n, n) stacks, wherever decode reads it.
 
-    Each stack is screened by ``np.linalg.cond(m, "fro")``, kappa_F, from
-    one batched inverse: a singular matrix screens as inf and one with a
-    NaN entry as NaN.  The SVD is re-taken for every matrix not screened
-    below SCREEN, NaN and inf included.  For the maximum over the trials
-    without an unusable matrix, it is re-taken for each stack's first kept
-    matrix of largest value and then, since kappa_2 <= kappa_F, for every
-    kept matrix whose kappa_F reaches within BAND of the largest SVD value
-    so taken: no other can hold the maximum.  ``np.linalg.cond`` factors
-    each matrix of a stack on its own, so a re-taken value is the full
-    stack's bit for bit; the rest are kappa_F, between kappa_2 and n kappa_2
-    (see SCREEN).  A matrix with a NaN or inf entry is given condition inf
-    without a factorization.
-    Returns one (trials, k) array per stack.
+    ``screens`` holds each stack's kappa_F, (trials, k), from the inverses
+    of the LU that solved it (``_screened_solve``): a singular matrix
+    screens as inf and one with a NaN entry as NaN.  The SVD is re-taken
+    for every matrix not screened below SCREEN, NaN and inf included.  For
+    the maximum over the trials without an unusable matrix, it is re-taken
+    for each stack's first kept matrix of largest value and then, since
+    kappa_2 <= kappa_F, for every kept matrix whose kappa_F reaches within
+    BAND of the largest SVD value so taken: no other can hold the maximum.
+    ``np.linalg.cond`` factors each matrix of a stack on its own, so a
+    re-taken value is the full stack's bit for bit; the rest are kappa_F,
+    between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a NaN or inf
+    entry is given condition inf without an SVD.
+    Returns ``screens``, with the re-taken values written in.
     """
     def retake(c, m, exact, where):
         where = where & ~exact
@@ -440,30 +474,28 @@ def _conditions(stacks):
             c[where] = values
             exact |= where
 
-    with np.errstate(all="ignore"):
-        conds = [np.linalg.cond(m, "fro") for m in stacks]
-    exact = [np.zeros(c.shape, dtype=bool) for c in conds]  # which values are the SVD's
-    for c, e, m in zip(conds, exact, stacks):
+    exact = [np.zeros(c.shape, dtype=bool) for c in screens]  # which values are the SVD's
+    for c, e, m in zip(screens, exact, stacks):
         retake(c, m, e, ~(c < SCREEN))
-    kept = ~np.concatenate([_unusable(c) for c in conds], axis=1).any(axis=1)[:, None]
-    for c, e, m in zip(conds, exact, stacks):
+    kept = ~np.concatenate([_unusable(c) for c in screens], axis=1).any(axis=1)[:, None]
+    for c, e, m in zip(screens, exact, stacks):
         top = np.where(kept, c, 0.0)
         if top.any():  # the first kept matrix of largest value
             first = np.zeros(c.shape, dtype=bool)
             first.flat[top.argmax()] = True
             retake(c, m, e, first)
-    low = max(np.where(kept & e, c, 0.0).max(initial=0.0) for c, e in zip(conds, exact))
-    for c, e, m in zip(conds, exact, stacks):
+    low = max(np.where(kept & e, c, 0.0).max(initial=0.0) for c, e in zip(screens, exact))
+    for c, e, m in zip(screens, exact, stacks):
         retake(c, m, e, kept & (c >= (1.0 - BAND) * low))
-    return conds
+    return screens
 
 
 def decode(transcript: Transcript) -> DecodingReport:
     """Recover both users' symbols by floating-point linear solves.
 
-    Each solve is an LU solve (``np.linalg.solve``); a noiseless decode
-    certifies the corner when its largest symbol error is below
-    RESIDUAL_TOL.  Both users decode alike, by one loop over ``_users``.
+    Each solve is an LU solve; a noiseless decode certifies the corner when
+    its largest symbol error is below RESIDUAL_TOL.  Both users decode
+    alike, by one loop over ``_users``.
     Phase 3: each receiver subtracts the forwarded LCs it already holds
     (rows of its own signal in the other user's phase) and inverts the
     square submatrix of its channel under its own LCs' antenna positions.
@@ -473,17 +505,18 @@ def decode(transcript: Transcript) -> DecodingReport:
     stack in cases B/C, the direct rows alone in case A.
 
     A trial inverts, in order: per phase-3 slot the user-1 then the user-2
-    alignment matrix, then the phase-1 and the phase-2 data matrices.  All
-    of them depend only on the channels, so every condition number is
-    taken up front by ``_conditions``: screened as kappa_F from one batched
-    inverse per kind, with the SVD re-taken for the values at or above
-    SCREEN and for the kept matrices that may hold the maximum, so the
-    failures, ``ill_conditioned`` and ``max_condition`` all read the SVD's
-    value.  A trial fails at its first matrix that is not finite or above
-    COND_LIMIT and then counts toward nothing else; the others are solved
-    together, one stack per kind.  A single run that fails raises
-    SingularChannelError; a stack of trials lists its failed trials in
-    ``failures``.
+    alignment matrix, then the phase-1 and the phase-2 data matrices.  Each
+    kind is solved for every trial of the stack by one LAPACK call
+    (``_screened_solve``), the alignment matrices first, since their
+    solutions complete the data right-hand sides: each matrix is factored
+    once, and the same LU gives its kappa_F screen.  ``_conditions`` then
+    re-takes the SVD for the values at or above SCREEN and for the kept
+    matrices that may hold the maximum, so the failures, ``ill_conditioned``
+    and ``max_condition`` all read the SVD's value.  A trial fails at its
+    first matrix that is not finite or above COND_LIMIT; its solutions are
+    dropped and it counts toward nothing else.  A single run that fails
+    raises SingularChannelError; a stack of trials lists its failed trials
+    in ``failures``.
     """
     spec = transcript.spec
     users = _users(spec)
@@ -494,19 +527,29 @@ def decode(transcript: Transcript) -> DecodingReport:
         for pair in ((transcript.channels.h1, transcript.channels.h2),
                      (transcript.y1, transcript.y2), (transcript.u1, transcript.u2))
     )
-    # each user's alignment matrices, its channel under the other user's
-    # LCs, and its data matrices, cut before any trial is dropped
-    align, side, data = [], [], []
+    trials = len(hs[0])
+    # each user's alignment and data matrices, solved for every trial; their
+    # screens in the order of align + data
+    align, data, u_hats, screens = [], [], [], [None] * 4
     for i, user in enumerate(users):
         other = users[1 - i]
         align.append(_phase3_window(spec, hs[i], user.lo, user.n))
-        side.append(_phase3_window(spec, hs[i], other.lo, other.n))
         data.append(np.concatenate([hs[i][:, user.own, :, : user.s],
                                     hs[1 - i][:, user.own, : user.needed, : user.s]],
                                    axis=2)[:, :, : user.s])
-    cond1, cond2, *data_conds = _conditions(align + data)
+        # the routing reshape: the other user's LCs are rows of this
+        # receiver's signal in the other user's phase; its channel under
+        # them cancels them
+        known = ys[i][:, other.own, : other.needed].reshape(trials, t3, other.n)
+        side = _phase3_window(spec, hs[i], other.lo, other.n)
+        rec, screens[i] = _screened_solve(align[i], ys[i][:, total - t3 :] - _apply(side, known))
+        rec = rec.reshape(trials, user.t, user.needed)
+        u_hat, screens[2 + i] = _screened_solve(
+            data[i], np.concatenate([ys[i][:, user.own], rec], axis=2)[:, :, : user.s])
+        u_hats.append(u_hat)
+    cond1, cond2, *data_conds = _conditions(align + data, screens)
     conds = np.concatenate(
-        [np.stack([cond1, cond2], axis=2).reshape(len(hs[0]), 2 * t3)] + data_conds, axis=1)
+        [np.stack([cond1, cond2], axis=2).reshape(trials, 2 * t3)] + data_conds, axis=1)
     slots = np.concatenate([np.repeat(np.arange(total - t3, total), 2), np.arange(total - t3)])
     what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
             + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
@@ -519,19 +562,8 @@ def decode(transcript: Transcript) -> DecodingReport:
     if single and failures:
         raise SingularChannelError(*failures[0][1:])
     ok = ~failed
-    decoded = int(np.count_nonzero(ok))  # trials that decode, possibly none
-    residuals = []
-    for i, user in enumerate(users):
-        other = users[1 - i]
-        y = ys[i][ok]
-        # the routing reshape: the other user's LCs are rows of this
-        # receiver's signal in the other user's phase
-        known = y[:, other.own, : other.needed].reshape(decoded, t3, other.n)
-        rec = _solve(align[i][ok], y[:, total - t3 :] - _apply(side[i][ok], known))
-        rec = rec.reshape(decoded, user.t, user.needed)
-        u_hat = _solve(data[i][ok], np.concatenate([y[:, user.own], rec], axis=2)[:, :, : user.s])
-        residuals.append(float(np.abs(np.swapaxes(u_hat, 1, 2) - us[i][ok]).max(initial=0.0)))
-
+    residuals = [float(np.abs(np.swapaxes(u_hat[ok], 1, 2) - u[ok]).max(initial=0.0))
+                 for u_hat, u in zip(u_hats, us)]
     kept = conds[ok]
     return DecodingReport(
         *spec.symbol_counts,
@@ -582,7 +614,8 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     most _BLOCK_ENTRIES channel entries (one trial at least): each trial's
     generator fills its row of the block's buffer, the block's complex
     stacks are built once, and the block is run and decoded as one stack.
-    ``check_trial_size`` runs first.
+    ``check_trial_size`` runs first, and a SeedSequence ``seed`` that would
+    pass MAX_SPAWNED children is refused before anything is spawned.
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
@@ -591,6 +624,9 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     from ._seeds import trial_seeds  # loads numpy.random on first use, not at import
 
     root = _seed_sequence(seed)
+    if root.n_children_spawned + trials > MAX_SPAWNED:
+        raise SchemeError("the seed sequence has spawned %d children; %d more would pass numpy's "
+                          "limit of %d" % (root.n_children_spawned, trials, MAX_SPAWNED))
     ch_seeds, sym_seeds = trial_seeds(root, trials)
     if root is seed:
         root.spawn(trials)  # a caller's sequence moves past the children hashed here

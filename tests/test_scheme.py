@@ -297,6 +297,29 @@ def test_simulate_trials_int_seed_and_its_seed_sequence_agree():
         assert vars(by_int) == vars(by_sequence)
 
 
+class _UnspawnableSequence(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("spawned %d children" % n_children)
+
+
+def test_simulate_trials_refuses_a_seed_sequence_whose_spawn_counter_would_wrap(monkeypatch):
+    # numpy's spawn never returns from its uint32 counter past 2**32 - 1;
+    # the refusal comes before any seed is hashed or spawned
+    root = _UnspawnableSequence(0, n_children_spawned=2**32 - 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(_seeds, "trial_seeds", None)
+        with pytest.raises(SchemeError, match="spawned 4294967294 children"):
+            simulate_trials(4, 3, 2, 2, seed=root)
+    # one more child still fits, and draws what numpy's spawn tree would
+    root = np.random.SeedSequence(0, n_children_spawned=2**32 - 2)
+    (block,) = _block_draws(monkeypatch, 4, 3, 2, 1, seed=root)
+    assert root.n_children_spawned == 2**32 - 1
+    reference = _per_trial_draws(plan_two_user(4, 3, 2),
+                                 np.random.SeedSequence(0, n_children_spawned=2**32 - 2).spawn(1))
+    for stacked, want in zip(block, reference):
+        assert stacked.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # run_phases
 # ---------------------------------------------------------------------------
@@ -442,6 +465,11 @@ def _conditioned(rng, conds, n):
     return (u * sigma[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
 
 
+def _screens(stacks):
+    """The kappa_F screens that decode's solves give each stack."""
+    return [scheme._screened_solve(m, np.zeros(m.shape[:-1], dtype=complex))[1] for m in stacks]
+
+
 def test_screened_conditions_match_svd():
     rng = np.random.default_rng(2024)
     trials, k = 10, 6
@@ -464,7 +492,7 @@ def test_screened_conditions_match_svd():
     for n in (6, 7, 8):
         stacks[n - 1][5:7, 3] = _conditioned(rng, [900.0 * (1 - 1e-12)] * 2, n)
 
-    got = np.concatenate(scheme._conditions(stacks), axis=1)
+    got = np.concatenate(scheme._conditions(stacks, _screens(stacks)), axis=1)
     want = np.concatenate([np.linalg.cond(m) for m in stacks], axis=1)
     finite = np.isfinite(want)
     assert (np.isfinite(got) == finite).all() and not finite.all()
@@ -485,10 +513,10 @@ def test_screened_conditions_match_svd():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cond(stacks[0])
     got[0, 0] = np.inf
-    assert np.array_equal(np.concatenate(scheme._conditions(stacks), axis=1), got)
+    assert np.array_equal(np.concatenate(scheme._conditions(stacks, _screens(stacks)), axis=1), got)
 
 
-def _all_svd(stacks):
+def _all_svd(stacks, screens):
     """Reference ``_conditions``: the SVD of every matrix, inf for a non-finite one."""
     out = []
     for m in stacks:
@@ -590,7 +618,7 @@ def test_worst_pivot_growth_screens_high_and_returns_the_svd(n):
     assert ((1e8 <= want) & (want <= 1e13)).all()
     with np.errstate(all="ignore"):
         assert (np.linalg.cond(mats, "fro") >= scheme.SCREEN).all()
-    assert np.array_equal(scheme._conditions([mats[None]])[0][0], want)
+    assert np.array_equal(scheme._conditions([mats[None]], _screens([mats[None]]))[0][0], want)
     # exactly singular and finite: the screen gives inf and raises nothing,
     # and the value returned is the SVD's, which fails the trial
     z = w.astype(complex)
@@ -599,8 +627,35 @@ def test_worst_pivot_growth_screens_high_and_returns_the_svd(n):
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
             assert np.linalg.cond(z, "fro") == np.inf
-        got = scheme._conditions([z[None, None]])[0]
+        got = scheme._conditions([z[None, None]], _screens([z[None, None]]))[0]
     assert got[0, 0] == np.linalg.cond(z) and scheme._unusable(got).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("trials", [1, 5, 200])
+def test_screened_solve_is_numpys_solve_and_cond(n, trials):
+    rng = np.random.default_rng(1000 * n + trials)
+    m = (rng.standard_normal((trials, 3, n, n)) + 1j * rng.standard_normal((trials, 3, n, n)))
+    b = rng.standard_normal((trials, 3, n)) + 1j * rng.standard_normal((trials, 3, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, screens = scheme._screened_solve(m, b)
+        assert np.array_equal(x, np.linalg.solve(m, b[..., None])[..., 0])
+        assert np.array_equal(screens, np.linalg.cond(m, "fro"))
+        # an exactly singular matrix, a zero row, and one with a NaN entry:
+        # solved with the rest, they raise and warn about nothing
+        m[0, 1, -1] = 0.0
+        m[-1, 2, 0, -1] = np.nan
+        x, screens = scheme._screened_solve(m, b)
+        assert np.array_equal(screens, np.linalg.cond(m, "fro"), equal_nan=True)
+        assert screens[0, 1] == np.inf and np.isnan(screens[-1, 2])
+        regular = np.isfinite(screens)
+        assert regular.sum() == 3 * trials - 2
+        want = np.linalg.solve(m[regular], b[regular][..., None])[..., 0]
+        assert np.array_equal(x[regular], want)
+        # the NaN entry screens as inf once the SVD is re-taken
+        conds = scheme._conditions([m], [screens])[0]
+    assert conds[-1, 2] == np.inf and scheme._unusable(conds[0, 1])
 
 
 def test_svd_retakes_stay_few(monkeypatch):
@@ -619,6 +674,29 @@ def test_svd_retakes_stay_few(monkeypatch):
         for m, n1, n2, trials in MONTECARLO_SETUPS:
             simulate_trials(m, n1, n2, trials, seed)
     assert 0 < sum(taken) <= 290
+
+
+def test_failed_trials_solved_first_stay_silent_and_out_of_the_report(monkeypatch):
+    # trial 3 has a matrix above COND_LIMIT and trial 4 a zeroed slot; both
+    # are solved with the rest before they fail
+    spec, channels, symbols = _straddling_block(1.0)
+
+    def pick(trials):  # the channels and symbols of some trials, or of one
+        return (scheme.ChannelRealization(channels.h1[trials], channels.h2[trials]),
+                tuple(u[trials] for u in symbols))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _report_fields(spec, channels, symbols)
+        assert [f[:2] for f in got[0]] == [(3, 47), (4, 35)]
+        alone = _report_fields(spec, *pick([0, 1, 2, 5, 6, 7]))
+        assert alone[0] == () and alone[1:] == got[1:]
+        for trial, slot in ((3, 47), (4, 35)):
+            with pytest.raises(SingularChannelError) as err:
+                decode(run_phases(spec, *pick(trial)))
+            assert err.value.slot == slot
+    monkeypatch.setattr(scheme, "_conditions", _all_svd)
+    assert _report_fields(spec, channels, symbols) == got
 
 
 def test_decode_max_condition_with_a_failed_trial():
