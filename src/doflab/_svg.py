@@ -27,10 +27,8 @@ def _sorted_polygon(points):
 class RegionFigure:
     """Accumulates polygons and labeled points, then renders one SVG."""
 
-    def __init__(self, axis_max, xlabel="d1", ylabel="d2", title=""):
+    def __init__(self, axis_max, title):
         self.axis_max = max(float(axis_max), 1.0)
-        self.xlabel = xlabel
-        self.ylabel = ylabel
         self.title = title
         self._polygons = []
         self._points = []
@@ -82,10 +80,9 @@ class RegionFigure:
         _, ay = self._map(0, self.axis_max)
         out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1.5"/>' % (ox, oy, ax, oy))
         out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1.5"/>' % (ox, oy, ox, ay))
-        out.append('<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">%s</text>' % (ax + 16, oy + 4, self.xlabel))
-        out.append('<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">%s</text>' % (ox, ay - 10, self.ylabel))
-        if self.title:
-            out.append('<text x="%.2f" y="%.2f" font-size="13" text-anchor="middle">%s</text>' % (_SIZE / 2, 20, self.title))
+        out.append('<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">d1</text>' % (ax + 16, oy + 4))
+        out.append('<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">d2</text>' % (ox, ay - 10))
+        out.append('<text x="%.2f" y="%.2f" font-size="13" text-anchor="middle">%s</text>' % (_SIZE / 2, 20, self.title))
 
         for idx, (corners, label) in enumerate(self._polygons):
             color = _PALETTE[idx % len(_PALETTE)]

@@ -81,7 +81,10 @@ def _default_seed(args):
 
 
 def _write(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise CliError("cannot write %s: %s" % (path, err.strerror))
     print("wrote %s" % path)
 
 

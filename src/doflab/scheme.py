@@ -330,7 +330,9 @@ def draw_symbols(spec: SchemeSpec, seed, power: float = 1.0):
 class Transcript:
     """Everything one run produced: channels, symbols, LCs, signals.
 
-    Every array may carry a leading trial axis; a single run has none.
+    Every array may carry a leading trial axis; a single run has none.  The
+    received signals carry the receiver noise, if any was drawn; its level
+    is not kept.
     """
 
     spec: SchemeSpec
@@ -342,7 +344,6 @@ class Transcript:
     x: np.ndarray  # ([trials,] T, M) transmitted signals
     y1: np.ndarray  # ([trials,] T, N1) received signals
     y2: np.ndarray  # ([trials,] T, N2)
-    noise_std: float
 
 
 def _phase3_window(spec: SchemeSpec, h, lo: int, width: int):
@@ -400,7 +401,7 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
         ys = [y + noise_std * z[0] for y, z in zip(ys, _draw([noise_seed], [y.shape for y in ys]))]
     return Transcript(
         spec=spec, channels=channels, u1=symbols[0], u2=symbols[1],
-        lc_user1=lcs[0], lc_user2=lcs[1], x=x, y1=ys[0], y2=ys[1], noise_std=noise_std,
+        lc_user1=lcs[0], lc_user2=lcs[1], x=x, y1=ys[0], y2=ys[1],
     )
 
 

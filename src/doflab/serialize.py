@@ -9,17 +9,13 @@ newline.  Identical inputs give identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-import numpy as np
-
-from .exactgeom import DimensionMismatchError, GeometryError, rat_str
+from .exactgeom import DimensionMismatchError, rat_str
 
 __all__ = [
-    "json_text", "vertices_to_csv", "halfspaces_to_csv", "parse_vertices_csv",
-    "region_document", "sweep_to_csv", "sweep_document", "slice_to_csv", "slice_document",
-    "plan_to_csv", "plan_document", "plan_run_document", "trials_document",
-    "transcript_document", "report_document", "rate_curve_to_csv",
+    "json_text", "vertices_to_csv", "halfspaces_to_csv", "region_document",
+    "sweep_to_csv", "sweep_document", "slice_to_csv", "slice_document",
+    "plan_document", "plan_run_document", "trials_document",
 ]
 
 
@@ -60,27 +56,6 @@ def halfspaces_to_csv(region) -> str:
         _point_header(region.dimension) + ["bound"],
         [_rats(hs.coeffs) + [rat_str(hs.bound)] for hs in region.halfspaces],
     )
-
-
-def parse_vertices_csv(text: str):
-    """Inverse of vertices_to_csv; returns (dimension, list of points)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
-        raise GeometryError("vertex CSV is empty: no header line")
-    header = lines[0].split(",")
-    dimension = len(header)
-    if header != _point_header(dimension):
-        raise GeometryError("unexpected CSV header: %r" % lines[0])
-    points = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != dimension:
-            raise DimensionMismatchError("CSV row of length %d, expected %d" % (len(cells), dimension))
-        try:
-            points.append(tuple(Fraction(c) for c in cells))
-        except (ValueError, ZeroDivisionError):
-            raise GeometryError("CSV row %r is not a row of rationals" % ln)
-    return dimension, points
 
 
 def region_document(config, region, vertices) -> dict:
@@ -136,17 +111,6 @@ def slice_document(slc, corners) -> dict:
     }
 
 
-def plan_to_csv(plan) -> str:
-    return _csv_text(
-        _point_header(len(plan.target)) + ["weight", "source", "users"],
-        [
-            _rats(comp.point)
-            + [rat_str(comp.weight), comp.source, " ".join(str(u + 1) for u in comp.users)]
-            for comp in plan.components
-        ],
-    )
-
-
 def plan_document(plan) -> dict:
     return {
         "target": _rats(plan.target),
@@ -198,46 +162,3 @@ def trials_document(summary, curve=None) -> dict:
             for snr, r in zip(curve.snr_db, curve.rates)
         ]
     return doc
-
-
-def _complex_array(a: np.ndarray):
-    """Nested lists with each complex entry as an [re, im] pair."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def transcript_document(transcript) -> dict:
-    spec = transcript.spec
-    return {
-        "config": {"M": spec.M, "N1": spec.N1, "N2": spec.N2, "case": spec.case},
-        "phase_lengths": list(spec.phase_lengths),
-        "channels_user1": _complex_array(transcript.channels.h1),
-        "channels_user2": _complex_array(transcript.channels.h2),
-        "symbols_user1": _complex_array(transcript.u1),
-        "symbols_user2": _complex_array(transcript.u2),
-        "overheard_user1": _complex_array(transcript.lc_user1),
-        "overheard_user2": _complex_array(transcript.lc_user2),
-        "transmitted": _complex_array(transcript.x),
-        "received_user1": _complex_array(transcript.y1),
-        "received_user2": _complex_array(transcript.y2),
-        "noise_std": transcript.noise_std,
-    }
-
-
-def report_document(report) -> dict:
-    return {
-        "symbols_user1": report.symbols_user1,
-        "symbols_user2": report.symbols_user2,
-        "residual_user1": report.residual_user1,
-        "residual_user2": report.residual_user2,
-        "max_condition": report.max_condition,
-        "solves": report.solves,
-        "ill_conditioned": report.ill_conditioned,
-        "achieved_dof": _rats(report.spec.target_dof()),
-    }
-
-
-def rate_curve_to_csv(curve) -> str:
-    return _csv_text(
-        ["snr_db", "rate_user1", "rate_user2"],
-        [["%.6g" % snr, "%.12g" % r1, "%.12g" % r2] for snr, (r1, r2) in zip(curve.snr_db, curve.rates)],
-    )

@@ -1,6 +1,8 @@
 """CLI contract: flags, artifacts, determinism, exit codes."""
 
+import errno
 import json
+import os
 import time
 
 import pytest
@@ -580,3 +582,14 @@ def test_main_dispatches_to_the_command_bound_at_call_time(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_region", lambda args: seen.append(args.model) or 42)
     assert main(list(REGION)) == 42
     assert seen == ["two-user"]
+
+
+@pytest.mark.parametrize("argv", [REGION, SIMULATE], ids=["region", "simulate"])
+@pytest.mark.parametrize("target, code", [("missing/x.out", errno.ENOENT), (".", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target, code):
+    out = tmp_path / target
+    status, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert status == EXIT_USAGE
+    assert err == "error: cannot write %s: %s\n" % (out, os.strerror(code))
+    assert sorted(tmp_path.iterdir()) == []

@@ -47,7 +47,7 @@ from doflab.regions import (
     three_user_region,
     two_user_region,
 )
-from doflab.serialize import halfspaces_to_csv, parse_vertices_csv, vertices_to_csv
+from doflab.serialize import halfspaces_to_csv, vertices_to_csv
 from reference_simplex import _OPTIMAL, _solve_lp, reference_is_bounded, reference_lp_argmax
 
 
@@ -855,14 +855,6 @@ def test_vertices_csv_round_trip():
     text = vertices_to_csv(verts, 2)
     assert text.splitlines()[0] == "d1,d2"
     assert "12/5,4/5" in text
-    dim, parsed = parse_vertices_csv(text)
-    assert dim == 2 and parsed == verts
-    for blank in ("", "\n \n"):
-        with pytest.raises(GeometryError, match="no header"):
-            parse_vertices_csv(blank)
-    for bad in ("1/0", "abc", "nan"):
-        with pytest.raises(GeometryError, match="CSV row '1,%s' is not a row of rationals" % bad):
-            parse_vertices_csv("d1,d2\n0,0\n1,%s\n" % bad)
 
 
 def test_halfspaces_csv():

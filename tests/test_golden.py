@@ -1,9 +1,10 @@
 """Golden corpus: the CSV/JSON artifacts of fixed invocations, pinned.
 
-Every file under ``tests/golden/`` was written by ``write_corpus`` below.
-CSV and exact-rational JSON artifacts must match byte for byte.  Artifacts
-that carry Monte Carlo floats (simulate reports, rate curves, transcripts,
-decoding reports) are compared field by field: integers, strings and
+Every file under ``tests/golden/`` was written by ``write_corpus`` below:
+the artifacts and stdout of the ``doflab`` invocations in ``CLI_CASES``,
+and the plan documents in ``LIBRARY``.  CSV and exact-rational JSON
+artifacts must match byte for byte.  The ``simulate`` reports carry Monte
+Carlo floats and are compared field by field: integers, strings and
 booleans exactly, floats within a relative 1e-6, and every residual only
 against the decoding tolerance, since its value is rounding noise.
 
@@ -25,16 +26,7 @@ import pytest
 
 from doflab import cli
 from doflab.regions import achievability_plan
-from doflab.scheme import decode, draw_symbols, generate_channels, plan_two_user, rate_slope_estimate, run_phases
-from doflab.serialize import (
-    parse_vertices_csv,
-    plan_document,
-    plan_to_csv,
-    rate_curve_to_csv,
-    report_document,
-    transcript_document,
-    vertices_to_csv,
-)
+from doflab.serialize import plan_document
 from sweep_digest import plan_lines, slice_lines
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,8 +79,6 @@ PLANS = {
     "plan-3-2-time-division": (3, 2, (F(1), F(1, 2), F(0))),
 }
 
-SNR_DB = [30.0, 40.0, 50.0, 60.0]
-
 
 def _runs():
     for name, argv, formats, code in CLI_CASES:
@@ -107,34 +97,28 @@ def _run_cli(name, argv, fmt, out_dir: Path):
     return code, stdout.getvalue().replace(str(out_dir), OUT_DIR), files
 
 
-def _two_user_run(m, n1, n2, seed):
-    spec = plan_two_user(m, n1, n2)
-    channels = generate_channels(spec, seed)
-    return run_phases(spec, channels, draw_symbols(spec, seed + 1))
-
-
 def _json_text(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _library_artifacts():
-    """{file name: function returning its text} for the library-only formats."""
-    out = {}
-    for name, (m, n, target) in PLANS.items():
-        plan = lambda m=m, n=n, target=target: achievability_plan(m, n, target)
-        out[name + ".csv"] = lambda plan=plan: plan_to_csv(plan())
-        out[name + ".json"] = lambda plan=plan: _json_text(plan_document(plan()))
-    for m, n1, n2 in ((2, 3, 2), (4, 3, 2), (5, 2, 2)):
-        tag = "%d-%d%d" % (m, n1, n2)
-        out["rate-curve-%s.csv" % tag] = lambda m=m, n1=n1, n2=n2: rate_curve_to_csv(
-            rate_slope_estimate(plan_two_user(m, n1, n2), 5, SNR_DB))
-        out["report-%s.json" % tag] = lambda m=m, n1=n1, n2=n2: _json_text(
-            report_document(decode(_two_user_run(m, n1, n2, 7))))
-    out["transcript-3-21.json"] = lambda: _json_text(transcript_document(_two_user_run(3, 2, 1, 7)))
-    return out
+# {file name: function returning its text} for the plan documents, which
+# no command writes on its own
+LIBRARY = {
+    name + ".json": lambda m=m, n=n, target=target: _json_text(plan_document(achievability_plan(m, n, target)))
+    for name, (m, n, target) in PLANS.items()
+}
 
 
-LIBRARY = _library_artifacts()
+def _corpus_names():
+    """The name of every file ``write_corpus`` writes."""
+    names = set(LIBRARY)
+    for name, argv, fmt, _ in _runs():
+        names.add("%s.%s" % (name, fmt or "json"))
+        if argv[0] == "region" and fmt == "csv":
+            names.add(name + ".halfspaces.csv")
+        if argv[0] != "simulate":
+            names.add("%s.%s.stdout" % (name, fmt))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +160,6 @@ def _assert_json_matches(expected_text, actual_text):
     assert problems == []
 
 
-def _csv_cell(text):
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _assert_float_csv_matches(expected_text, actual_text):
-    expected = [[_csv_cell(c) for c in ln.split(",")] for ln in expected_text.splitlines()]
-    actual = [[_csv_cell(c) for c in ln.split(",")] for ln in actual_text.splitlines()]
-    assert actual_text.endswith("\n")
-    problems = []
-    _compare(expected, actual, "csv", problems)
-    assert problems == []
-
-
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -217,23 +185,11 @@ def test_cli_artifacts_match_golden(tmp_path, name, argv, fmt, code):
 
 @pytest.mark.parametrize("file_name", sorted(LIBRARY))
 def test_library_formats_match_golden(file_name):
-    actual = LIBRARY[file_name]()
-    golden = (GOLDEN / file_name).read_text()
-    if file_name.startswith("rate-curve-"):
-        _assert_float_csv_matches(golden, actual)
-    elif file_name.startswith(("report-", "transcript-")):
-        _assert_json_matches(golden, actual)
-    else:
-        assert actual == golden
+    assert LIBRARY[file_name]() == (GOLDEN / file_name).read_text()
 
 
-@pytest.mark.parametrize("file_name", sorted(
-    "%s.csv" % name for name, argv, formats, _ in CLI_CASES if argv[0] == "region"))
-def test_parse_vertices_csv_round_trip(file_name):
-    text = (GOLDEN / file_name).read_text()
-    dimension, points = parse_vertices_csv(text)
-    assert all(isinstance(x, F) for p in points for x in p)
-    assert vertices_to_csv(points, dimension) == text
+def test_golden_directory_holds_only_the_corpus():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(_corpus_names())
 
 
 SWEEP_DIGESTS = {

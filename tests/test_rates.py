@@ -10,7 +10,6 @@ import pytest
 
 from doflab.regions import point_Q
 from doflab.scheme import SchemeError, generate_channels, plan_two_user, rate_slope_estimate
-from doflab.serialize import rate_curve_to_csv
 
 SNR_WINDOW = [30.0, 40.0, 50.0, 60.0]
 
@@ -141,13 +140,3 @@ def test_rate_deterministic_given_seed():
     b = rate_slope_estimate(spec, seed=9, snr_db_list=SNR_WINDOW)
     assert np.array_equal(a.rates, b.rates)
     assert a.slopes == b.slopes
-
-
-def test_rate_curve_csv():
-    spec = plan_two_user(2, 1, 1)
-    curve = rate_slope_estimate(spec, seed=3, snr_db_list=SNR_WINDOW)
-    text = rate_curve_to_csv(curve)
-    lines = text.strip().splitlines()
-    assert lines[0] == "snr_db,rate_user1,rate_user2"
-    assert len(lines) == 5
-    assert lines[1].startswith("30,")

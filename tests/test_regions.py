@@ -46,7 +46,7 @@ from doflab.regions import (
     three_user_region,
     two_user_region,
 )
-from doflab.serialize import plan_document, plan_to_csv, region_document
+from doflab.serialize import plan_document, region_document
 from test_exactgeom import count_double_descriptions, fresh, scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -590,12 +590,3 @@ def test_plan_document():
     assert doc["target"] == ["1/2", "1/2", "1/2"]
     assert doc["components"][0]["source"] == SOURCE_EXTERNAL
     assert doc["components"][0]["users"] == [1, 2, 3]
-
-
-def test_plan_to_csv():
-    plan = achievability_plan(2, 1, (F(7, 12), F(1, 4), F(7, 12)))
-    text = plan_to_csv(plan)
-    lines = text.strip().splitlines()
-    assert lines[0] == "d1,d2,d3,weight,source,users"
-    assert "1/2,1/2,1/2,1/2,external-abdoli,1 2 3" in lines
-    assert "2/3,0,2/3,1/2,two-user-scheme,1 3" in lines

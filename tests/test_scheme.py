@@ -1,6 +1,5 @@
 """Three-phase alignment simulator: planning, routing, decoding, accounting."""
 
-import json
 import math
 import warnings
 from fractions import Fraction as F
@@ -23,7 +22,6 @@ from doflab.scheme import (
     simulate_single_user,
     simulate_trials,
 )
-from doflab.serialize import report_document, transcript_document
 
 # every three-phase setup in the acceptance scope
 SCHEME_CONFIGS = [
@@ -949,27 +947,3 @@ def test_simulate_single_user():
     assert summary.achieved == (2, 0)
     assert summary.max_residual < 1e-8
     assert summary.failures == ()
-
-
-# ---------------------------------------------------------------------------
-# dumps
-# ---------------------------------------------------------------------------
-
-def test_transcript_document_shapes():
-    spec, tr = _run(4, 3, 2)
-    doc = transcript_document(tr)
-    text = json.dumps(doc)
-    parsed = json.loads(text)
-    assert parsed["config"] == {"M": 4, "N1": 3, "N2": 2, "case": "B"}
-    assert len(parsed["transmitted"]) == 10
-    assert len(parsed["transmitted"][0]) == 4
-    entry = parsed["transmitted"][0][0]
-    assert len(entry) == 2  # [re, im]
-    assert entry[0] == pytest.approx(tr.x[0, 0].real)
-
-
-def test_report_document():
-    spec, tr = _run(3, 2, 1)
-    doc = report_document(decode(tr))
-    assert doc["achieved_dof"] == ["12/7", "3/7"]
-    assert doc["symbols_user1"] == 12
