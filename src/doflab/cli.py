@@ -12,8 +12,10 @@ presentation-only.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -78,6 +80,33 @@ def _default_seed(args):
     if seed < 0:
         raise CliError("%s must be a non-negative integer, got %d" % (source, seed))
     return seed
+
+
+def _out_paths(args):
+    """The files a command writes: ``--out`` and, for a region in CSV, its
+    half-spaces beside it."""
+    if not args.out:
+        return []
+    if args.command == "region" and args.format == "csv":
+        out = Path(args.out)
+        return [out, out.with_suffix(".halfspaces" + (out.suffix or ".csv"))]
+    return [args.out]
+
+
+def _check_writable(paths):
+    """Refuse, before the command does any work, an output that is a
+    directory or whose directory does not exist, with ``_write``'s message.
+    It only stats: nothing is created, and a failure that only opening the
+    file shows (no permission, say) is still reported by ``_write``."""
+    for path in paths:
+        try:
+            try:
+                if stat.S_ISDIR(os.stat(path).st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            except FileNotFoundError:  # a new file, in a directory that must exist
+                os.stat(os.path.dirname(path) or ".")
+        except OSError as err:
+            raise CliError("cannot write %s: %s" % (path, err.strerror))
 
 
 def _write(path, text):
@@ -146,10 +175,9 @@ def cmd_region(args) -> int:
         print("  %s" % ",".join(rat_str(x) for x in v))
     if args.out:
         if args.format == "csv":
-            out = Path(args.out)
-            _write(out, serialize.vertices_to_csv(verts, region.dimension))
-            _write(out.with_suffix(".halfspaces" + (out.suffix or ".csv")),
-                   serialize.halfspaces_to_csv(region))
+            vertices_out, halfspaces_out = _out_paths(args)
+            _write(vertices_out, serialize.vertices_to_csv(verts, region.dimension))
+            _write(halfspaces_out, serialize.halfspaces_to_csv(region))
         elif args.format == "json":
             _write(args.out, serialize.json_text(serialize.region_document(config, region, verts)))
         elif args.format == "svg":
@@ -367,12 +395,15 @@ def main(argv=None) -> int:
     """Run one ``doflab`` command and return its exit code.
 
     The parser is built on the first call and reused by every later call in
-    the process; parsing keeps no state between calls.  The subcommand runs
-    through the module attribute ``cmd_<command>``, looked up at call time,
-    so a function rebound after the first call is the one that runs.
+    the process; parsing keeps no state between calls.  Every file the
+    command would write is checked first (``_check_writable``).  The
+    subcommand runs through the module attribute ``cmd_<command>``, looked
+    up at call time, so a function rebound after the first call is the one
+    that runs.
     """
     try:
         args = _parser().parse_args(argv)
+        _check_writable(_out_paths(args))
         return globals()["cmd_" + args.command](args)
     except (CliError, ValueError) as err:  # SchemeError and GeometryError are ValueErrors
         print("error: %s" % err, file=sys.stderr)

@@ -257,6 +257,35 @@ def _users(spec: SchemeSpec):
     )
 
 
+@functools.cache
+def _solve_order(spec: SchemeSpec):
+    """The matrices a trial inverts, in decode's order: per phase-3 slot the
+    user-1 then the user-2 alignment matrix, then the phase-1 and the phase-2
+    data matrices.  Returns their columns among the stacks' (the user-1 then
+    the user-2 alignment stack, then the two data stacks), their slots and
+    their names."""
+    total, t3 = spec.total_slots, spec.phase_lengths[2]
+    users = _users(spec)
+    align = [i * t3 + k for k in range(t3) for i in range(len(users))]
+    order = np.array(align + list(range(len(users) * t3, total + t3)))
+    order.flags.writeable = False  # cached: every decode of the plan reads it
+    slots = [slot for slot in range(total - t3, total) for _ in users] + list(range(total - t3))
+    what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
+            + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
+    return order, tuple(slots), tuple(what)
+
+
+@functools.cache
+def _corner(spec: SchemeSpec):
+    """The plan's exact DoF pair, and whether it is the corner point_Q names
+    for (M, N1, N2), or lies on the dominant face it names."""
+    achieved = spec.target_dof()
+    corner = point_Q(spec.M, spec.N1, spec.N2)
+    if isinstance(corner, DominantFace):
+        return achieved, corner.line.active(achieved)
+    return achieved, achieved == corner
+
+
 @dataclass(eq=False)
 class ChannelRealization:
     """I.i.d. Rayleigh channel draws for every slot and user."""
@@ -420,6 +449,13 @@ class DecodingReport:
     failures: tuple  # (trial, slot, condition, what) per failed trial of a stack
 
 
+def _frobenius(a):
+    """``np.linalg.norm(a, "fro", axis=(-2, -1))`` bit for bit: the same
+    expression, without the argument handling that costs more than it on a
+    small stack."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
 def _screened_solve(matrices, rhs):
     """Solve (..., n, n) ``matrices`` against (..., n) ``rhs`` and screen them.
 
@@ -428,17 +464,19 @@ def _screened_solve(matrices, rhs):
     ``np.linalg.inv`` and ``np.linalg.solve`` give.  Returns the solutions
     and the screens kappa_F = |H|_F |H^-1|_F, ``np.linalg.cond(m, "fro")``
     bit for bit: a singular matrix, whose solution is NaN, screens as inf
-    and one with a NaN entry as NaN.  Raises and warns about nothing; the
-    inverses are dropped here.
+    and one with a NaN entry as NaN.  An empty stack returns at once, with
+    no LAPACK call.  Raises and warns about nothing; the inverses are
+    dropped here.
     """
     n = matrices.shape[-1]
+    if not matrices.size:
+        return np.empty(matrices.shape[:-1], dtype=complex), np.empty(matrices.shape[:-2])
     b = np.empty(matrices.shape[:-1] + (n + 1,), dtype=complex)
     b[..., :n] = np.eye(n)
     b[..., n] = rhs
     with np.errstate(all="ignore"):
         x = _umath_linalg.solve(matrices, b, signature="DD->D")
-        screens = (np.linalg.norm(matrices, "fro", axis=(-2, -1))
-                   * np.linalg.norm(x[..., :n], "fro", axis=(-2, -1)))
+        screens = _frobenius(matrices) * _frobenius(x[..., :n])
     screens[np.isnan(screens) & ~np.isnan(matrices).any(axis=(-2, -1))] = np.inf
     return x[..., n].copy(), screens
 
@@ -463,32 +501,39 @@ def _conditions(stacks, screens):
     re-taken value is the full stack's bit for bit; the rest are kappa_F,
     between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a NaN or inf
     entry is given condition inf without an SVD.
-    Returns ``screens``, with the re-taken values written in.
+    Returns the values, (trials, k) per stack, views of one array that
+    holds the stacks' columns in turn; ``screens`` is left as it is.
     """
-    def retake(c, m, exact, where):
-        where = where & ~exact
-        if where.any():
-            sub = m[where]
-            finite = np.isfinite(sub).all(axis=(-2, -1))  # LAPACK fails or complains on the rest
-            values = np.full(len(sub), np.inf)
-            values[finite] = np.linalg.cond(sub[finite])
-            c[where] = values
-            exact |= where
+    bounds = np.cumsum([0] + [c.shape[1] for c in screens])
+    spans = list(zip(stacks, bounds[:-1], bounds[1:]))  # each stack's columns of c
+    c = np.concatenate(screens, axis=1)
+    exact = np.zeros(c.shape, dtype=bool)  # which values are the SVD's
 
-    exact = [np.zeros(c.shape, dtype=bool) for c in screens]  # which values are the SVD's
-    for c, e, m in zip(screens, exact, stacks):
-        retake(c, m, e, ~(c < SCREEN))
-    kept = ~np.concatenate([_unusable(c) for c in screens], axis=1).any(axis=1)[:, None]
-    for c, e, m in zip(screens, exact, stacks):
-        top = np.where(kept, c, 0.0)
-        if top.any():  # the first kept matrix of largest value
-            first = np.zeros(c.shape, dtype=bool)
-            first.flat[top.argmax()] = True
-            retake(c, m, e, first)
-    low = max(np.where(kept & e, c, 0.0).max(initial=0.0) for c, e in zip(screens, exact))
-    for c, e, m in zip(screens, exact, stacks):
-        retake(c, m, e, kept & (c >= (1.0 - BAND) * low))
-    return screens
+    def retake(where):
+        where &= ~exact
+        if not where.any():
+            return
+        exact[where] = True
+        for m, lo, hi in spans:
+            w = where[:, lo:hi]
+            if w.any():
+                sub = m[w]
+                finite = np.isfinite(sub).all(axis=(-2, -1))  # LAPACK fails or complains on the rest
+                values = np.full(len(sub), np.inf)
+                values[finite] = np.linalg.cond(sub[finite])
+                c[:, lo:hi][w] = values
+
+    retake(~(c < SCREEN))
+    kept = ~_unusable(c).any(axis=1)[:, None]
+    top = np.where(kept, c, 0.0)
+    first = np.zeros(c.shape, dtype=bool)
+    for _, lo, hi in spans:
+        if top[:, lo:hi].any():  # the stack's first kept matrix of largest value
+            first[:, lo:hi].flat[top[:, lo:hi].argmax()] = True
+    retake(first)
+    low = np.where(kept & exact, c, 0.0).max(initial=0.0)
+    retake(kept & (c >= (1.0 - BAND) * low))
+    return [c[:, lo:hi] for _, lo, hi in spans]
 
 
 def decode(transcript: Transcript) -> DecodingReport:
@@ -529,31 +574,30 @@ def decode(transcript: Transcript) -> DecodingReport:
                      (transcript.y1, transcript.y2), (transcript.u1, transcript.u2))
     )
     trials = len(hs[0])
-    # each user's alignment and data matrices, solved for every trial; their
-    # screens in the order of align + data
-    align, data, u_hats, screens = [], [], [], [None] * 4
+    # each user's alignment, then each user's data matrices, solved for every
+    # trial; their screens in that order
+    align, data, recs, u_hats, screens = [], [], [], [], []
     for i, user in enumerate(users):
         other = users[1 - i]
         align.append(_phase3_window(spec, hs[i], user.lo, user.n))
-        data.append(np.concatenate([hs[i][:, user.own, :, : user.s],
-                                    hs[1 - i][:, user.own, : user.needed, : user.s]],
-                                   axis=2)[:, :, : user.s])
         # the routing reshape: the other user's LCs are rows of this
         # receiver's signal in the other user's phase; its channel under
         # them cancels them
         known = ys[i][:, other.own, : other.needed].reshape(trials, t3, other.n)
         side = _phase3_window(spec, hs[i], other.lo, other.n)
-        rec, screens[i] = _screened_solve(align[i], ys[i][:, total - t3 :] - _apply(side, known))
-        rec = rec.reshape(trials, user.t, user.needed)
-        u_hat, screens[2 + i] = _screened_solve(
-            data[i], np.concatenate([ys[i][:, user.own], rec], axis=2)[:, :, : user.s])
+        rec, screen = _screened_solve(align[i], ys[i][:, total - t3 :] - _apply(side, known))
+        recs.append(rec.reshape(trials, user.t, user.needed))
+        screens.append(screen)
+    for i, user in enumerate(users):
+        data.append(np.concatenate([hs[i][:, user.own, :, : user.s],
+                                    hs[1 - i][:, user.own, : user.needed, : user.s]],
+                                   axis=2)[:, :, : user.s])
+        u_hat, screen = _screened_solve(
+            data[i], np.concatenate([ys[i][:, user.own], recs[i]], axis=2)[:, :, : user.s])
         u_hats.append(u_hat)
-    cond1, cond2, *data_conds = _conditions(align + data, screens)
-    conds = np.concatenate(
-        [np.stack([cond1, cond2], axis=2).reshape(trials, 2 * t3)] + data_conds, axis=1)
-    slots = np.concatenate([np.repeat(np.arange(total - t3, total), 2), np.arange(total - t3)])
-    what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
-            + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
+        screens.append(screen)
+    order, slots, what = _solve_order(spec)
+    conds = np.concatenate(_conditions(align + data, screens), axis=1)[:, order]
     bad = _unusable(conds)
     failed, first = bad.any(axis=1), bad.argmax(axis=1)
     failures = tuple(
@@ -629,8 +673,12 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
         raise SchemeError("the seed sequence has spawned %d children; %d more would pass numpy's "
                           "limit of %d" % (root.n_children_spawned, trials, MAX_SPAWNED))
     ch_seeds, sym_seeds = trial_seeds(root, trials)
-    if root is seed:
-        root.spawn(trials)  # a caller's sequence moves past the children hashed here
+    if root is seed:  # a caller's sequence moves past the children hashed here
+        # as root.spawn(trials) would, without building the children it drops:
+        # numpy's counter is read-only, and the same entropy, spawn key and
+        # pool size give the same pool again
+        root.__init__(root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size,
+                      n_children_spawned=root.n_children_spawned + trials)
     block = max(1, _BLOCK_ENTRIES // spec.channel_entries)
     failures = []
     max_res = 0.0
@@ -645,12 +693,7 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
         max_cond = max(max_cond, report.max_condition)
         solves += report.solves
         ill += report.ill_conditioned
-    achieved = spec.target_dof()
-    corner = point_Q(M, N1, N2)
-    if isinstance(corner, DominantFace):
-        matches = corner.line.active(achieved)
-    else:
-        matches = achieved == corner
+    achieved, matches = _corner(spec)
     matches = matches and not failures and max_res < RESIDUAL_TOL
     return TrialSummary(
         spec=spec,

@@ -593,3 +593,36 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target, code):
     assert status == EXIT_USAGE
     assert err == "error: cannot write %s: %s\n" % (out, os.strerror(code))
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE,
+    ("simulate", "--M", "2", "--N", "1,1,1", "--target", "1/2,0,0"),  # a single-user component
+    ("simulate", "--M", "3", "--N", "2,2,2", "--target", "6/5,6/5,0"),  # a two-user component
+], ids=["two-user", "single-user", "three-user"])
+def test_simulate_checks_out_before_any_trial(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(scheme, "simulate_trials", refuse)
+    out = tmp_path / "missing" / "x.json"
+    status, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert status == EXIT_USAGE and stdout == ""
+    assert err == "error: cannot write %s: %s\n" % (out, os.strerror(errno.ENOENT))
+
+
+def test_region_csv_checks_both_outputs_before_writing(tmp_path, capsys):
+    # the half-spaces path is a directory: neither file is written, and a
+    # vertices file that exists already is left as it was
+    (tmp_path / "x.halfspaces.csv").mkdir()
+    out = tmp_path / "x.csv"
+    for before in (None, "kept\n"):
+        if before is not None:
+            out.write_text(before)
+        status, stdout, err = run_cli(capsys, *REGION, "--out", str(out))
+        assert status == EXIT_USAGE and stdout == ""
+        assert err == "error: cannot write %s: %s\n" % (tmp_path / "x.halfspaces.csv",
+                                                       os.strerror(errno.EISDIR))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["x.halfspaces.csv"] + ([] if before is None else ["x.csv"]))
+    assert out.read_text() == "kept\n"

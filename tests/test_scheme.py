@@ -265,6 +265,14 @@ def test_block_draws_advance_a_callers_seed_sequence(monkeypatch):
             assert stacked.tobytes() == reference.tobytes()
 
 
+def test_simulate_trials_advances_a_seed_sequence_as_its_spawn_does():
+    root, spawned = (np.random.SeedSequence(29, spawn_key=(3,), n_children_spawned=2) for _ in "ab")
+    simulate_trials(4, 3, 2, 7, seed=root)
+    spawned.spawn(7)
+    assert root.state == spawned.state and np.array_equal(root.pool, spawned.pool)
+    assert [c.state for c in root.spawn(3)] == [c.state for c in spawned.spawn(3)]
+
+
 # roots of the spawn trees simulate_trials hashes: run entropy shorter than,
 # as long as and longer than the pool; a spawn key, as the cli's three-user
 # components have; children spawned already; a larger pool
@@ -278,14 +286,15 @@ SEED_ROOTS = [
 
 @pytest.mark.parametrize("root", SEED_ROOTS, ids=repr)
 def test_hashed_trial_seeds_match_numpys_spawn_tree(root):
-    trials = 6
-    hashed = np.random.SeedSequence(**root)
-    seeds = _seeds.trial_seeds(hashed, trials)  # channel seeds, symbol seeds
-    assert hashed.n_children_spawned == root.get("n_children_spawned", 0)
-    for i, child in enumerate(np.random.SeedSequence(**root).spawn(trials)):
-        for j, grandchild in enumerate(child.spawn(2)):
-            got = np.random.PCG64(seeds[j][i]).state["state"]
-            assert got == np.random.PCG64(grandchild).state["state"]  # state and inc
+    for trials in (1, 2, 6, 33):
+        hashed = np.random.SeedSequence(**root)
+        seeds = _seeds.trial_seeds(hashed, trials)  # channel seeds, symbol seeds
+        assert hashed.n_children_spawned == root.get("n_children_spawned", 0)
+        assert [len(s) for s in seeds] == [trials, trials]
+        for i, child in enumerate(np.random.SeedSequence(**root).spawn(trials)):
+            for j, grandchild in enumerate(child.spawn(2)):
+                got = np.random.PCG64(seeds[j][i]).state["state"]
+                assert got == np.random.PCG64(grandchild).state["state"]  # state and inc
 
 
 def test_simulate_trials_int_seed_and_its_seed_sequence_agree():
@@ -654,6 +663,38 @@ def test_screened_solve_is_numpys_solve_and_cond(n, trials):
         # the NaN entry screens as inf once the SVD is re-taken
         conds = scheme._conditions([m], [screens])[0]
     assert conds[-1, 2] == np.inf and scheme._unusable(conds[0, 1])
+
+
+@pytest.mark.parametrize("shape", [(4, 0, 3, 3), (0, 2, 3, 3), (0, 0, 1, 1)])
+def test_screened_solve_of_an_empty_stack_calls_no_lapack(monkeypatch, shape):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on an empty stack")
+
+    monkeypatch.setattr(scheme._umath_linalg, "solve", refuse)
+    x, screens = scheme._screened_solve(np.empty(shape, dtype=complex),
+                                        np.empty(shape[:-1], dtype=complex))
+    assert (x.shape, x.dtype) == (shape[:-1], np.dtype(complex))
+    assert (screens.shape, screens.dtype) == (shape[:-2], np.dtype(float))
+
+
+# a single-user plan has no alignment stack and no user-2 data stack, a
+# case-A plan no alignment stack: 7 trials of each, seeded from 5, decode to
+# the reports they gave when every stack went through LAPACK, empty or not
+EMPTY_STACK_REPORTS = {
+    (2, 2, 2, (1, 0)): (2, 0, 1.676859480936123e-15, 0.0, 38.45521675943287, 7, 0, ()),
+    (3, 3, 2, None): (3, 2, 2.898533462539736e-15, 4.451856111102413e-16, 45.01569044047728, 14, 0, ()),
+}
+
+
+@pytest.mark.parametrize("plan", EMPTY_STACK_REPORTS, ids=["single-user", "case-A"])
+def test_decode_with_empty_stacks_keeps_its_report(plan):
+    spec = plan_two_user(*plan[:3], time_weights=plan[3])
+    channel_seeds, symbol_seeds = _seeds.trial_seeds(np.random.SeedSequence(5), 7)
+    report = decode(run_phases(spec, scheme._channels(spec, channel_seeds),
+                               scheme._symbols(spec, symbol_seeds)))
+    assert (report.symbols_user1, report.symbols_user2, report.residual_user1,
+            report.residual_user2, report.max_condition, report.solves,
+            report.ill_conditioned, report.failures) == EMPTY_STACK_REPORTS[plan]
 
 
 def test_svd_retakes_stay_few(monkeypatch):
