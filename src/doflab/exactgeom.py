@@ -3,9 +3,9 @@
 Regions live in the nonnegative orthant of dimension K: a ``DoFRegion``
 stores explicit half-spaces ``coeffs . d <= bound`` while the constraints
 ``d_i >= 0`` are implicit and always enforced.  Every number in this module
-is a ``fractions.Fraction``, or an ``int`` inside the double description
-and the linear solver; no floating point enters any computation, so all
-results are reproducible bit for bit.
+is a ``fractions.Fraction``, or an ``int`` inside the double description,
+the queries read off its rays and the linear solver; no floating point
+enters any computation, so all results are reproducible bit for bit.
 
 Provided operations: membership, exact linear-objective maximization,
 boundedness, vertex enumeration, redundancy removal, and point-set
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational, Real
+from operator import mul
 
 __all__ = [
     "GeometryError",
@@ -90,9 +91,10 @@ def rat_str(x: Fraction) -> str:
 
 
 def dot(a, b) -> Fraction:
+    """Exact inner product; every entry goes through ``rat``."""
     if len(a) != len(b):
         raise DimensionMismatchError("dot: length %d vs %d" % (len(a), len(b)))
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, map(rat, a), map(rat, b)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,11 @@ class HalfSpace:
     bound: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(rat, self.coeffs)))
         object.__setattr__(self, "bound", rat(self.bound))
         if not self.coeffs:
             raise GeometryError("half-space needs at least one coefficient")
-        if all(c == 0 for c in self.coeffs):
+        if not any(self.coeffs):
             raise GeometryError("half-space coefficients must not all be zero")
 
     def evaluate(self, point) -> Fraction:
@@ -212,8 +214,9 @@ def is_bounded(region: DoFRegion) -> bool:
 
 def _integer_row(values):
     """Rationals scaled by the lcm of their denominators: a list of ints."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    dens = [v.denominator for v in values]
+    scale = lcm(*dens)
+    return [v.numerator * (scale // d) for v, d in zip(values, dens)]
 
 
 def _solve_int(rows):
@@ -244,8 +247,20 @@ def _solve_int(rows):
 
 
 def solve_square(matrix, rhs):
-    """Exact solution of a square rational system; None if singular."""
-    sol = _solve_int([_integer_row(list(row) + [r]) for row, r in zip(matrix, rhs)])
+    """Exact solution of a square rational system; None if singular.
+
+    Every entry goes through ``rat``.  Raises DimensionMismatchError unless
+    the matrix is n x n and rhs has n entries.
+    """
+    matrix = [[rat(x) for x in row] for row in matrix]
+    rhs = [rat(x) for x in rhs]
+    n = len(matrix)
+    if len(rhs) != n or any(len(row) != n for row in matrix):
+        raise DimensionMismatchError(
+            "solve_square: %d rows of lengths %s against %d right-hand sides"
+            % (n, sorted({len(row) for row in matrix}), len(rhs))
+        )
+    sol = _solve_int([_integer_row(row + [r]) for row, r in zip(matrix, rhs)])
     if sol is None:
         return None
     num, det = sol
@@ -264,13 +279,15 @@ def _double_description(region: DoFRegion):
     Invariant: the rays are exactly the extreme rays of the cone cut so
     far, each a gcd-normalized tuple of ints with its zero set, the
     bitmask of the constraints it meets with equality: bit i < K for
-    d_i >= 0, bit K for t >= 0 and bit K+1+j for row j.  A new row keeps
-    the rays on its nonnegative side and, for each ray p strictly inside
-    and n strictly outside that are adjacent, adds the positive
+    d_i >= 0, bit K for t >= 0 and bit K+1+j for row j.  Each row is
+    scaled to integers once, and a ray's excess on it, coeffs . d -
+    bound * t, is one ``sum(map(mul, ...))``.  A new row keeps the rays
+    of excess <= 0 and, for each ray p strictly inside (excess < 0) and n
+    strictly outside (excess > 0) that are adjacent, adds the positive
     combination of p and n on its hyperplane.  The cone is pointed, since
     it lies in the orthant, so p and n are adjacent iff no third ray's
-    zero set contains Z(p) & Z(n).  The constraints have rank K+1, so
-    adjacency also needs |Z(p) & Z(n)| >= K-1, which is checked first.
+    zero set contains Z(p) & Z(n).  The constraints have rank K+1,
+    so adjacency also needs |Z(p) & Z(n)| >= K-1, which is checked first.
 
     The region is a pointed polyhedron, so it is the convex hull of the
     final rays with t > 0, divided by t, plus the cone of those with
@@ -284,30 +301,30 @@ def _double_description(region: DoFRegion):
         raise UnsupportedDimensionError(
             "exact geometry supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
         )
-    rays = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
+    rays = [(0,) * i + (1,) + (0,) * (k - i) for i in range(k + 1)]
     zeros = [((1 << (k + 1)) - 1) ^ (1 << i) for i in range(k + 1)]
     for bit, hs in enumerate(region.halfspaces, start=k + 1):
-        *coeffs, bound = _integer_row(hs.coeffs + (hs.bound,))
-        row = [-c for c in coeffs] + [bound]
+        row = _integer_row(hs.coeffs + (hs.bound,))
+        row[k] = -row[k]
         flag = 1 << bit
-        vals = [sum(a * x for a, x in zip(row, r)) for r in rays]
-        outside = [(n, vn) for n, vn in enumerate(vals) if vn < 0]
+        excess = [sum(map(mul, row, r)) for r in rays]  # coeffs . d - bound * t, scaled
+        outside = [(n, en) for n, en in enumerate(excess) if en > 0]
         added_rays = []
         added_zeros = []
-        for p, vp in enumerate(vals):
-            if vp <= 0:
+        for p, ep in enumerate(excess):
+            if ep >= 0:
                 continue
-            for n, vn in outside:
-                common = zeros[p] & zeros[n]
+            zp = zeros[p]
+            for n, en in outside:
+                common = zp & zeros[n]
                 if common.bit_count() < k - 1 or _contained_in_third(common, zeros):
                     continue
-                ray = [vp * b - vn * a for a, b in zip(rays[p], rays[n])]
+                ray = [en * a - ep * b for a, b in zip(rays[p], rays[n])]
                 g = gcd(*ray)
-                added_rays.append(tuple(x // g for x in ray))
+                added_rays.append(tuple(x // g for x in ray) if g > 1 else tuple(ray))
                 added_zeros.append(common | flag)
-        keep = [i for i, v in enumerate(vals) if v >= 0]
-        rays = [rays[i] for i in keep] + added_rays
-        zeros = [zeros[i] | flag if vals[i] == 0 else zeros[i] for i in keep] + added_zeros
+        rays = [r for r, e in zip(rays, excess) if e <= 0] + added_rays
+        zeros = [z if e else z | flag for z, e in zip(zeros, excess) if e <= 0] + added_zeros
     return tuple(rays), tuple(zeros)
 
 
@@ -340,25 +357,35 @@ def _polytope_rays(region: DoFRegion):
 def _support(rays, objective):
     """Maximum of ``objective . d`` over the region with these final rays.
 
+    The objective is scaled to integers, so the one Fraction built is the
+    maximum; raises as ``_best_vertex``.
+    """
+    v, t = _best_vertex(rays, _integer_row(objective))
+    return Fraction(v, t * lcm(*(c.denominator for c in objective)))
+
+
+def _best_vertex(rays, coeffs):
+    """``(v, t)`` of the ray with t > 0 that maximizes ``v / t``, v = coeffs . d.
+
     A linear objective over a nonempty pointed polyhedron either grows
     along a recession ray (t = 0) or attains its maximum at a vertex.
     Raises EmptyRegionError when no ray has t > 0 and UnboundedRegionError
-    when the objective is positive on a ray with t = 0.  The objective is
-    scaled to integers and the vertices compared by cross-multiplying, so
-    the one Fraction built is the maximum.
+    when the objective is positive on a ray with t = 0.  The integer
+    objective ``coeffs`` is exact, and the vertices are compared by
+    cross-multiplying.
     """
-    k = len(objective)
+    k = len(coeffs)
     if not any(r[k] for r in rays):
         raise EmptyRegionError("region is empty")
-    coeffs, scale = _integer_row(objective), lcm(*(c.denominator for c in objective))
     best_v, best_t = 0, 0  # no vertex yet
     for r in rays:
-        v, t = sum(c * x for c, x in zip(coeffs, r)), r[k]
-        if not t and v > 0:
-            raise UnboundedRegionError("objective unbounded over region")
-        if t and (not best_t or v * best_t > best_v * t):
+        v, t = sum(map(mul, coeffs, r)), r[k]
+        if not t:
+            if v > 0:
+                raise UnboundedRegionError("objective unbounded over region")
+        elif not best_t or v * best_t > best_v * t:
             best_v, best_t = v, t
-    return Fraction(best_v, best_t * scale)
+    return best_v, best_t
 
 
 def vertex_enumerate(region: DoFRegion):
@@ -368,10 +395,16 @@ def vertex_enumerate(region: DoFRegion):
     nonempty polytope.  Output is sorted lexicographically.  It has no
     repeats: the extreme rays are distinct and gcd-normalized, so no two
     are multiples of each other, and dividing by t gives distinct vertices.
+    The rays are sorted by an exact integer key, each coordinate x / t
+    scaled to x * (L / t) with L the lcm of every t, so no Fraction is
+    compared; each distinct coordinate then becomes a Fraction once.
     """
     k = region.dimension
     rays, _ = _polytope_rays(region)
-    return sorted(tuple(Fraction(x, r[k]) for x in r[:k]) for r in rays)
+    scale = lcm(*(r[k] for r in rays))
+    keys = sorted(tuple(x * m for x in r[:k]) for r in rays for m in (scale // r[k],))
+    values = {x: Fraction(x, scale) for x in set().union(*keys)}
+    return [tuple(map(values.__getitem__, key)) for key in keys]
 
 
 def remove_redundant(region: DoFRegion) -> DoFRegion:
@@ -400,31 +433,45 @@ def remove_redundant(region: DoFRegion) -> DoFRegion:
     its bound, and each earlier copy is implied by a later one, so of the
     rows with one T only the last is kept.
 
-    The reduced region keeps the rays of the input, since it is the same
-    polytope; only their zero sets lose the bits of the dropped rows, and
-    row j's bit K+1+j moves to K+1+i when j is the i-th kept row.
+    The incidence is built in one pass over each ray's set zero bits: the
+    zero sets, read as the rows of a bit matrix, are transposed, so that
+    T(c) is a bitmask over the rays.  The reduced region keeps the rays of
+    the input, since it is the same polytope; only their zero sets lose
+    the bits of the dropped rows, and row j's bit K+1+j moves to K+1+i
+    when j is the i-th kept row.  Those zero sets are the transpose back
+    of the axes' and the kept rows' T, and when no row is dropped they are
+    the input's.
     """
     rows = region.halfspaces
     rays, zeros = _polytope_rays(region)
-    if any(hs.bound <= 0 for hs in rows):
+    if any(hs.bound.numerator <= 0 for hs in rows):
         raise GeometryError("redundancy removal needs every bound > 0")
     k = region.dimension
-    tight = [
-        sum(1 << r for r, z in enumerate(zeros) if z >> c & 1)
-        for c in range(k + 1 + len(rows))
-    ]
-    last = set({t: j for j, t in enumerate(tight[k + 1 :])}.values())
-    kept = [
-        j for j, t in enumerate(tight[k + 1 :])
-        if j in last and not any(u != t and u & t == t for u in tight)
-    ]
+    tight = _transpose(zeros, k + 1 + len(rows))
+    facets = tight[k + 1 :]
+    last = {t: j for j, t in enumerate(facets)}
+    distinct = set(tight)
+    kept = sorted(j for t, j in last.items() if not any(u | t == u != t for u in distinct))
     reduced = DoFRegion(k, tuple(rows[j] for j in kept))
-    axes = (1 << (k + 1)) - 1
-    object.__setattr__(reduced, "_rays", (rays, tuple(
-        (z & axes) | sum(1 << i for i, j in enumerate(kept, start=k + 1) if z >> (k + 1 + j) & 1)
-        for z in zeros
-    )))
+    if len(kept) < len(rows):
+        zeros = tuple(_transpose(tight[: k + 1] + [facets[j] for j in kept], len(zeros)))
+    object.__setattr__(reduced, "_rays", (rays, zeros))
     return reduced
+
+
+def _transpose(masks, width):
+    """Transposed bit matrix: bit i of ``out[c]`` is bit c of ``masks[i]``.
+
+    One pass over the set bits of each mask, for masks below ``1 << width``.
+    """
+    out = [0] * width
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return out
 
 
 def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
@@ -432,12 +479,18 @@ def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
 
     Inner lies in outer iff no row of outer is exceeded by inner's support
     in that row's direction.  The supports are read off inner's double
-    description; they raise as ``lp_max`` on inner would.
+    description; they raise as ``lp_max`` on inner would.  Each row and its
+    bound are scaled to integers together, so no Fraction is built.
     """
     if outer.dimension != inner.dimension:
         raise DimensionMismatchError("regions of dimension %d vs %d" % (outer.dimension, inner.dimension))
     rays, _ = _rays_of(inner)
-    return all(_support(rays, hs.coeffs) <= hs.bound for hs in outer.halfspaces)
+    for hs in outer.halfspaces:
+        *coeffs, bound = _integer_row(hs.coeffs + (hs.bound,))
+        v, t = _best_vertex(rays, coeffs)
+        if v > bound * t:
+            return False
+    return True
 
 
 def regions_equal(a: DoFRegion, b: DoFRegion) -> bool:

@@ -101,18 +101,24 @@ def permutation_inequalities(config: AntennaConfig):
     sum_i d_{pi(i)} / min(M, N_{pi(i)} + ... + N_{pi(K)}) <= 1.
     Permutations that give the same coefficients (users with equal N_i,
     or tails capped at M) yield one half-space, at the first of them; rows
-    are keyed by their integer denominators, so a repeat builds nothing.
+    are keyed by their integer denominators, so a repeat builds nothing,
+    and each distinct 1/cap is built once.
     """
+    M, N, K = config.M, config.N, config.K
     rows = {}
-    for pi in permutations(range(config.K)):
-        caps = [0] * config.K
+    inverse = {}
+    for pi in permutations(range(K)):
+        caps = [0] * K
         tail = 0
         for user in reversed(pi):
-            tail += config.N[user]
-            caps[user] = min(config.M, tail)
+            tail += N[user]
+            caps[user] = tail if tail < M else M
         caps = tuple(caps)
         if caps not in rows:
-            rows[caps] = HalfSpace(tuple(Fraction(1, c) for c in caps), _ONE)
+            for c in caps:
+                if c not in inverse:
+                    inverse[c] = Fraction(1, c)
+            rows[caps] = HalfSpace(tuple(map(inverse.__getitem__, caps)), _ONE)
     return list(rows.values())
 
 

@@ -43,9 +43,16 @@ def _point(p):
     return ",".join(rat_str(x) for x in p)
 
 
-def outer_bound_lines():
-    shapes = [n for k in range(1, 5) for n in combinations_with_replacement(range(4, 0, -1), k)]
-    shapes += list(combinations_with_replacement(range(3, 0, -1), 5))
+SMALL_SHAPES = [n for k in range(1, 5) for n in combinations_with_replacement(range(4, 0, -1), k)]
+K5_SHAPES = list(combinations_with_replacement(range(3, 0, -1), 5))
+
+
+def small_outer_bound_lines():
+    """The K <= 4 part of the outer-bound sweep: 629 bounds."""
+    return outer_bound_lines(SMALL_SHAPES)
+
+
+def outer_bound_lines(shapes=SMALL_SHAPES + K5_SHAPES):
     for n in shapes:
         for m in range(1, sum(n) + 2):
             region = outer_bound_region(AntennaConfig(m, n))

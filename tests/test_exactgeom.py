@@ -10,6 +10,7 @@ double-description vertex enumeration.
 import random
 import time
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -543,6 +544,106 @@ def test_vertex_enumerate_matches_basis_enumeration_at_five_users(n):
     assert vertex_enumerate(region) == basis_vertex_enumerate(region)
 
 
+# ---------------------------------------------------------------------------
+# the incidence, vertex and inclusion kernels against plain formulations
+# ---------------------------------------------------------------------------
+
+def fraction_sorted_vertices(region):
+    """Reference: each ray with t > 0 divided by t as Fractions, then sorted."""
+    k = region.dimension
+    rays, _ = exactgeom._rays_of(region)
+    return sorted(tuple(F(x, r[k]) for x in r[:k]) for r in rays if r[k])
+
+
+def shift_and_mask_reduction(region):
+    """Reference: T(c) of every constraint c, by shifting every zero set once
+    per constraint; the kept rows; and the reduced region's rays, with each
+    zero set remapped bit by bit."""
+    k, rows = region.dimension, region.halfspaces
+    rays, zeros = exactgeom._rays_of(region)
+    tight = [sum(1 << r for r, z in enumerate(zeros) if z >> c & 1) for c in range(k + 1 + len(rows))]
+    last = set({t: j for j, t in enumerate(tight[k + 1:])}.values())
+    kept = [j for j, t in enumerate(tight[k + 1:])
+            if j in last and not any(u != t and u & t == t for u in tight)]
+    axes = (1 << (k + 1)) - 1
+    remapped = tuple(
+        (z & axes) | sum(1 << i for i, j in enumerate(kept, start=k + 1) if z >> (k + 1 + j) & 1)
+        for z in zeros
+    )
+    return tight, tuple(rows[j] for j in kept), (rays, remapped)
+
+
+def simplex_includes(outer, inner):
+    """Reference: ``region_includes`` by one exact simplex LP per row of outer."""
+    return all(reference_lp_argmax(inner, hs.coeffs)[0] <= hs.bound for hs in outer.halfspaces)
+
+
+def check_kernels(region):
+    """Vertices, T(c) sets, kept rows and reduced rays equal the references'
+    on a nonempty polytope; the reduction only when every bound is > 0."""
+    region = fresh(region)
+    try:
+        vertices = vertex_enumerate(region)
+    except GeometryError:
+        return
+    assert vertices == fraction_sorted_vertices(region)
+    assert all(type(x) is F for v in vertices for x in v)
+    if any(hs.bound <= 0 for hs in region.halfspaces):
+        return
+    tight, rows, rays = shift_and_mask_reduction(region)
+    assert exactgeom._transpose(region._rays[1], len(tight)) == tight
+    reduced = remove_redundant(region)
+    assert reduced.halfspaces == rows
+    assert reduced._rays == rays
+
+
+@st.composite
+def raw_outer_bounds(draw):
+    """The raw permutation rows of a K=2..5 outer bound, N_i <= 4 (<= 2 at K=5)."""
+    k = draw(st.integers(2, 5))
+    n = tuple(sorted(draw(st.lists(st.integers(1, 2 if k == 5 else 4), min_size=k, max_size=k)),
+                     reverse=True))
+    return _raw_outer_bound(AntennaConfig(draw(st.integers(1, sum(n) + 1)), n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(redundancy_regions(), vertex_regions(), raw_outer_bounds()))
+def test_kernels_match_plain_formulations(region):
+    check_kernels(region)
+
+
+@pytest.mark.parametrize("region", FIXED_REDUNDANCY_REGIONS)
+def test_kernels_match_plain_formulations_on_fixed_regions(region):
+    check_kernels(region)
+
+
+@st.composite
+def region_pairs(draw):
+    """A region and one of its dimension: its rows with shifted bounds, plus
+    one drawn row."""
+    inner = draw(vertex_regions())
+    k = inner.dimension
+    shift = st.sampled_from([F(-1, 2), F(0), F(0), F(1, 3)])
+    rows = [HalfSpace(hs.coeffs, hs.bound + draw(shift)) for hs in inner.halfspaces]
+    extra = tuple(draw(st.lists(_COEFF, min_size=k, max_size=k)))
+    if any(extra):
+        rows.insert(draw(st.integers(0, len(rows))), HalfSpace(extra, draw(_BOUND)))
+    return inner, DoFRegion(k, tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(region_pairs())
+def test_region_includes_matches_reference_simplex(pair):
+    for outer, inner in (pair, pair[::-1]):
+        try:
+            expected = simplex_includes(outer, inner)
+        except GeometryError as err:
+            with pytest.raises(type(err)):
+                region_includes(outer, inner)
+        else:
+            assert region_includes(outer, inner) == expected
+
+
 def test_vertices_empty_region_error():
     # the homogenized cone is {0}: no ray at all, so no vertex
     region = DoFRegion(1, (HalfSpace((1,), -1),))
@@ -804,6 +905,25 @@ def test_solve_square_singular_returns_none():
     assert solve_square(((F(1), F(2)), (F(2), F(4))), (F(1), F(2))) is None
 
 
+@pytest.mark.parametrize("matrix, rhs", [
+    ([[1, 2]], [1]),  # one equation, two unknowns
+    ([[1, 0], [0, 1]], [1]),  # right-hand side too short
+    ([[1, 0], [0, 1]], [1, 2, 3]),  # right-hand side too long
+    ([[1, 0], [0]], [1, 1]),  # ragged rows
+], ids=["wide", "short-rhs", "long-rhs", "ragged"])
+def test_solve_square_refuses_a_system_that_is_not_square(matrix, rhs):
+    with pytest.raises(DimensionMismatchError):
+        solve_square(matrix, rhs)
+
+
+def test_solve_square_coerces_every_entry_through_rat():
+    assert solve_square([[2]], ["1/3"]) == (F(1, 6),)
+    assert solve_square([[1, 1], [1, -1]], [3, 1]) == (F(2), F(1))
+    for matrix, rhs in (([[0.5]], [1]), ([[1]], [np.float64(0.5)])):
+        with pytest.raises(TypeError, match="floating-point value not allowed"):
+            solve_square(matrix, rhs)
+
+
 _RATIONAL = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
 
 
@@ -865,5 +985,11 @@ def test_halfspaces_csv():
 
 def test_everything_stays_rational():
     assert isinstance(lp_max(REGION_432, (F(1), F(1))), F)
+    assert dot((1, 2), (F(1, 2), 1)) == F(5, 2)
+    assert isinstance(dot((1, 2), (3, 4)), F)
+    row = HalfSpace((1, 2), 3)
+    for query in (partial(dot, (1, 2)), row.evaluate, row.holds, row.active):
+        with pytest.raises(TypeError, match="floating-point value not allowed"):
+            query((0.5, 1))
     for v in vertex_enumerate(three_user_region(3, 2)):
         assert all(isinstance(x, F) for x in v)

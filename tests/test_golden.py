@@ -8,8 +8,9 @@ Carlo floats and are compared field by field: integers, strings and
 booleans exactly, floats within a relative 1e-6, and every residual only
 against the decoding tolerance, since its value is rounding noise.
 
-The 252 slices and 1206 plans of ``tests/sweep_digest.py`` are pinned as
-one sha256 each, of their lines with a newline after each.
+The 252 slices, the 1206 plans and the 629 outer bounds with K <= 4 of
+``tests/sweep_digest.py`` are pinned as one sha256 each, of their lines
+with a newline after each.
 
 Regenerate only for an intended format change, then review the diff:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -27,7 +28,7 @@ import pytest
 from doflab import cli
 from doflab.regions import achievability_plan
 from doflab.serialize import plan_document
-from sweep_digest import plan_lines, slice_lines
+from sweep_digest import plan_lines, slice_lines, small_outer_bound_lines
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_RTOL = 1e-6
@@ -195,6 +196,8 @@ def test_golden_directory_holds_only_the_corpus():
 SWEEP_DIGESTS = {
     "slices": (slice_lines, "44f14d68475237d78c2827d2969cdca913349eba22583a20eadfcea71dc4491f"),
     "plans": (plan_lines, "ff25e91da00fbad55c263ac43123898d3f2e213b20f3cab3fbcfeb20d8e0233b"),
+    "outer-bounds-k4": (small_outer_bound_lines,
+                        "211ab7495c4c361e1c76f38d014dc8c8497e2c939cd5ab8ba19a96360573cca1"),
 }
 
 
