@@ -248,6 +248,18 @@ def _simulate_two_user(args, seed) -> int:
 
 
 def _simulate_three_user(args, seed) -> int:
+    """Check a three-user target through its exact time-sharing plan.
+
+    Component i of the plan draws from child i of ``SeedSequence(seed)``.
+    A two-user component runs the (M, n, n) two-user plan, and a
+    single-user one the 1-slot plan on min(M, n) antennas that gives user 1
+    all the air time.  All the components on one plan run as one stack, one
+    ``scheme.simulate_runs`` call, and each summary is the one a separate
+    ``simulate_trials`` call would give.  Each plan present is checked by
+    ``check_trial_size`` before anything runs or prints.  Exits 2 unless
+    every simulated component matches its corner and no component needs
+    the external three-user scheme.
+    """
     if len(set(args.N)) != 1:
         raise CliError("three-user simulation needs equal receiver counts")
     if args.target is None:
@@ -256,25 +268,26 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("--snr-db applies only to two-user simulation")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
-    # a two-user component runs the (M, n, n) plan, a single-user one a 1-slot
-    # plan on min(M, n) antennas; the larger plan present is checked before any output
-    sources = {comp.source for comp in plan.components}
-    if regions.SOURCE_TWO_USER in sources:
-        scheme.check_trial_size(scheme.plan_two_user(args.M, n, n), args.trials)
-    elif regions.SOURCE_SINGLE_USER in sources:
-        scheme.check_trial_size(scheme.plan_two_user(min(args.M, n), n, n, (1, 0)), args.trials)
+    stacks = []  # (component indices, M, time weights) per plan present
+    for source, m, weights in ((regions.SOURCE_TWO_USER, args.M, None),
+                               (regions.SOURCE_SINGLE_USER, min(args.M, n), (1, 0))):
+        picked = [i for i, comp in enumerate(plan.components) if comp.source == source]
+        if picked:
+            scheme.check_trial_size(scheme.plan_two_user(m, n, n, weights), args.trials)
+            stacks.append((picked, m, weights))
+    seeds = np.random.SeedSequence(seed).spawn(max(len(plan.components), 1))
+    summaries = {}  # component index -> TrialSummary
+    for picked, m, weights in stacks:
+        summaries.update(zip(picked, scheme.simulate_runs(
+            m, n, n, args.trials, [seeds[i] for i in picked], time_weights=weights)))
     runs = []  # (status, failures, max_residual) per component
     ok = True
-    seeds = np.random.SeedSequence(seed).spawn(max(len(plan.components), 1))
-    for comp, sub in zip(plan.components, seeds):
+    for i, comp in enumerate(plan.components):
         if comp.source == regions.SOURCE_EXTERNAL:
             runs.append(("not simulated (external three-user corner scheme)", None, None))
             ok = False
-        elif comp.source in (regions.SOURCE_TWO_USER, regions.SOURCE_SINGLE_USER):
-            if comp.source == regions.SOURCE_TWO_USER:
-                summary = scheme.simulate_trials(args.M, n, n, args.trials, sub)
-            else:
-                summary = scheme.simulate_single_user(args.M, n, args.trials, sub)
+        elif i in summaries:
+            summary = summaries[i]
             runs.append(("simulated", len(summary.failures), summary.max_residual))
             ok = ok and summary.matches_corner
         else:

@@ -86,8 +86,9 @@ def rat(x) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Render a rational as "p/q" (plain "p" when q == 1)."""
-    return str(Fraction(x))
+    """Render a rational as "p/q" (plain "p" when q == 1); ``rat`` coerces it,
+    so a float is refused."""
+    return str(rat(x))
 
 
 def dot(a, b) -> Fraction:

@@ -50,6 +50,10 @@ re-taken only where that bound could matter: for every matrix screened at
 or above SCREEN (far below ILL_CONDITIONED), and for the kept trials'
 matrices whose bound reaches the largest SVD value among them.  Every
 threshold test, failure and maximum therefore reads the SVD's value.
+``simulate_runs`` stacks the trials of several seeds' runs on one plan,
+run after run; ``decode`` is told where each run starts within a block,
+and takes the re-takes for the maximum per run, so each run's summary is
+what it would be alone.
 A trial that fails the conditioning check is still reported with its slot;
 a matrix with a NaN or inf entry fails it with condition inf, without an SVD.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
@@ -69,6 +73,7 @@ user, and trials whose seed sequence would spawn past MAX_SPAWNED children.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,13 +106,14 @@ __all__ = [
     "decode",
     "check_trial_size",
     "simulate_trials",
+    "simulate_runs",
     "rate_slope_estimate",
 ]
 
 COND_LIMIT = 1e10  # a decoding matrix above this condition number fails the trial
 ILL_CONDITIONED = 1e8  # solves above this condition number are counted, not failed
 RESIDUAL_TOL = 1e-8  # largest symbol error of a decode that certifies the corner
-MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this
+MAX_SLOT_TRIALS = 10**6  # simulate_trials refuses more trials x slots than this, per run
 MAX_TRIAL_ENTRIES = 10**7  # simulate_trials refuses a trial of more channel entries than this
 MAX_GRAM_COLUMNS = 2048  # rate_slope_estimate refuses more symbols than this for one user
 MAX_SPAWNED = 2**32 - 1  # numpy's SeedSequence.spawn never returns past this many children
@@ -130,6 +136,7 @@ _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
 # the largest kept SVD value taken.
 SCREEN = 1e3
 BAND = 1e-6
+_ONE_RUN = (slice(None),)  # the rows of a stack that holds one run
 
 
 class SchemeError(ValueError):
@@ -447,6 +454,7 @@ class DecodingReport:
     ill_conditioned: int  # of those, how many exceeded ILL_CONDITIONED
     spec: SchemeSpec  # the decoded plan, whose target_dof() the symbols realize
     failures: tuple  # (trial, slot, condition, what) per failed trial of a stack
+    runs: tuple = ()  # each run's own report, when the stack holds more than one
 
 
 def _frobenius(a):
@@ -486,21 +494,23 @@ def _unusable(conds):
     return ~np.isfinite(conds) | (conds > COND_LIMIT)
 
 
-def _conditions(stacks, screens):
+def _conditions(stacks, screens, runs=_ONE_RUN):
     """``np.linalg.cond`` of (trials, k, n, n) stacks, wherever decode reads it.
 
     ``screens`` holds each stack's kappa_F, (trials, k), from the inverses
     of the LU that solved it (``_screened_solve``): a singular matrix
     screens as inf and one with a NaN entry as NaN.  The SVD is re-taken
     for every matrix not screened below SCREEN, NaN and inf included.  For
-    the maximum over the trials without an unusable matrix, it is re-taken
-    for each stack's first kept matrix of largest value and then, since
-    kappa_2 <= kappa_F, for every kept matrix whose kappa_F reaches within
-    BAND of the largest SVD value so taken: no other can hold the maximum.
-    ``np.linalg.cond`` factors each matrix of a stack on its own, so a
-    re-taken value is the full stack's bit for bit; the rest are kappa_F,
-    between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a NaN or inf
-    entry is given condition inf without an SVD.
+    the maximum over each run's trials without an unusable matrix, it is
+    re-taken for each stack's first kept matrix of largest value in the run
+    and then, since kappa_2 <= kappa_F, for every kept matrix whose kappa_F
+    reaches within BAND of the run's largest SVD value so taken: no other
+    can hold the run's maximum.  ``runs`` holds the row slices of the
+    contiguous runs of trials, in order; the default, _ONE_RUN, is one run
+    of every row.  ``np.linalg.cond`` factors each matrix of a stack on its
+    own, so a re-taken value is the full stack's bit for bit; the rest are
+    kappa_F, between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a
+    NaN or inf entry is given condition inf without an SVD.
     Returns the values, (trials, k) per stack, views of one array that
     holds the stacks' columns in turn; ``screens`` is left as it is.
     """
@@ -527,16 +537,23 @@ def _conditions(stacks, screens):
     kept = ~_unusable(c).any(axis=1)[:, None]
     top = np.where(kept, c, 0.0)
     first = np.zeros(c.shape, dtype=bool)
-    for _, lo, hi in spans:
-        if top[:, lo:hi].any():  # the stack's first kept matrix of largest value
-            first[:, lo:hi].flat[top[:, lo:hi].argmax()] = True
+    for rows in runs:
+        for _, lo, hi in spans:
+            if top[rows, lo:hi].any():  # the stack's first kept matrix of largest value in the run
+                first[rows, lo:hi].flat[top[rows, lo:hi].argmax()] = True
     retake(first)
-    low = np.where(kept & exact, c, 0.0).max(initial=0.0)
-    retake(kept & (c >= (1.0 - BAND) * low))
+    top = np.where(kept & exact, c, 0.0)
+    if len(runs) == 1:
+        band = (1.0 - BAND) * top.max(initial=0.0)
+    else:  # each run's rows compare with its own largest value
+        band = np.empty((len(c), 1))
+        for rows in runs:
+            band[rows] = (1.0 - BAND) * top[rows].max(initial=0.0)
+    retake(kept & (c >= band))
     return [c[:, lo:hi] for _, lo, hi in spans]
 
 
-def decode(transcript: Transcript) -> DecodingReport:
+def decode(transcript: Transcript, runs=None) -> DecodingReport:
     """Recover both users' symbols by floating-point linear solves.
 
     Each solve is an LU solve; a noiseless decode certifies the corner when
@@ -563,6 +580,13 @@ def decode(transcript: Transcript) -> DecodingReport:
     dropped and it counts toward nothing else.  A single run that fails
     raises SingularChannelError; a stack of trials lists its failed trials
     in ``failures``.
+
+    ``runs``, the trial counts of the contiguous runs a stack holds in
+    order, splits it into runs that are each reported as if decoded alone:
+    ``_conditions`` re-takes the SVD for each run's maximum, and ``runs``
+    of the report holds one report per run, its failures numbered from the
+    run's first trial.  The report's own fields then cover the whole stack,
+    as they do when ``runs`` is left out (one run of every trial).
     """
     spec = transcript.spec
     users = _users(spec)
@@ -596,28 +620,48 @@ def decode(transcript: Transcript) -> DecodingReport:
             data[i], np.concatenate([ys[i][:, user.own], recs[i]], axis=2)[:, :, : user.s])
         u_hats.append(u_hat)
         screens.append(screen)
+    if runs is None:
+        bounds = _ONE_RUN
+    else:
+        ends = list(itertools.accumulate(runs))
+        if min(runs, default=0) < 1 or ends[-1] != trials:
+            raise SchemeError("runs of %r trials do not split a stack of %d" % (tuple(runs), trials))
+        bounds = [slice(end - n, end) for n, end in zip(runs, ends)]
     order, slots, what = _solve_order(spec)
-    conds = np.concatenate(_conditions(align + data, screens), axis=1)[:, order]
+    conds = np.concatenate(_conditions(align + data, screens, bounds), axis=1)[:, order]
     bad = _unusable(conds)
     failed, first = bad.any(axis=1), bad.argmax(axis=1)
-    failures = tuple(
-        (int(i), int(slots[first[i]]), float(conds[i, first[i]]), what[first[i]])
-        for i in np.flatnonzero(failed)
-    )
-    if single and failures:
-        raise SingularChannelError(*failures[0][1:])
-    ok = ~failed
-    residuals = [float(np.abs(np.swapaxes(u_hat[ok], 1, 2) - u[ok]).max(initial=0.0))
-                 for u_hat, u in zip(u_hats, us)]
-    kept = conds[ok]
+    if single and failed[0]:
+        raise SingularChannelError(slots[first[0]], float(conds[0, first[0]]), what[first[0]])
+    reports = []
+    for rows in bounds:
+        run_failed, run_first, run_conds = failed[rows], first[rows], conds[rows]
+        ok = ~run_failed
+        residuals = [float(np.abs(np.swapaxes(u_hat[rows][ok], 1, 2) - u[rows][ok]).max(initial=0.0))
+                     for u_hat, u in zip(u_hats, us)]
+        kept = run_conds[ok]
+        reports.append(DecodingReport(
+            *spec.symbol_counts,
+            *residuals,
+            max_condition=float(kept.max(initial=0.0)),
+            solves=int(kept.size),
+            ill_conditioned=int(np.count_nonzero(kept > ILL_CONDITIONED)),
+            spec=spec,
+            failures=tuple((int(i), int(slots[run_first[i]]), float(run_conds[i, run_first[i]]),
+                            what[run_first[i]]) for i in np.flatnonzero(run_failed)),
+        ))
+    if len(reports) == 1:
+        return reports[0]
     return DecodingReport(
         *spec.symbol_counts,
-        *residuals,
-        max_condition=float(kept.max(initial=0.0)),
-        solves=int(kept.size),
-        ill_conditioned=int(np.count_nonzero(kept > ILL_CONDITIONED)),
+        max(r.residual_user1 for r in reports),
+        max(r.residual_user2 for r in reports),
+        max_condition=max(r.max_condition for r in reports),
+        solves=sum(r.solves for r in reports),
+        ill_conditioned=sum(r.ill_conditioned for r in reports),
         spec=spec,
-        failures=failures,
+        failures=tuple((rows.start + i, *rest) for rows, r in zip(bounds, reports) for i, *rest in r.failures),
+        runs=tuple(reports),
     )
 
 
@@ -646,6 +690,81 @@ def check_trial_size(spec: SchemeSpec, trials: int) -> None:
                           % (spec.total_slots, spec.channel_entries, MAX_TRIAL_ENTRIES))
 
 
+def simulate_runs(M: int, N1: int, N2: int, trials: int, seeds,
+                  time_weights=None) -> tuple:
+    """Monte Carlo wrapper over several seeds: one ``simulate_trials`` run
+    of ``trials`` trials per seed, all stacked as one.
+
+    Returns one TrialSummary per seed, in order, each bit for bit what
+    ``simulate_trials`` gives for that seed alone, its failures numbered
+    from its own first trial.  Each seed's trial seeds are hashed by
+    ``_seeds.trial_seeds`` and a SeedSequence seed advanced as
+    ``simulate_trials`` does it, in order.  The runs' trials, one run
+    after another, then go in blocks of at most _BLOCK_ENTRIES channel
+    entries, as ``simulate_trials``'s do, and ``decode`` learns where each
+    run starts within a block.  ``check_trial_size`` refuses the trials of one
+    run, as ``simulate_trials`` would, before anything is hashed.
+    """
+    if trials < 1:
+        raise SchemeError("need at least one trial")
+    spec = plan_two_user(M, N1, N2, time_weights=time_weights)
+    check_trial_size(spec, trials)
+    from ._seeds import trial_seeds  # loads numpy.random on first use, not at import
+
+    ch_seeds, sym_seeds = [], []
+    for seed in seeds:
+        root = _seed_sequence(seed)
+        if root.n_children_spawned + trials > MAX_SPAWNED:
+            raise SchemeError("the seed sequence has spawned %d children; %d more would pass "
+                              "numpy's limit of %d" % (root.n_children_spawned, trials, MAX_SPAWNED))
+        ch, sym = trial_seeds(root, trials)
+        ch_seeds += ch
+        sym_seeds += sym
+        if root is seed:  # a caller's sequence moves past the children hashed here
+            # as root.spawn(trials) would, without building the children it
+            # drops: numpy's counter is read-only, and the same entropy, spawn
+            # key and pool size give the same pool again
+            root.__init__(root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size,
+                          n_children_spawned=root.n_children_spawned + trials)
+    block = max(1, _BLOCK_ENTRIES // spec.channel_entries)
+    parts = [[] for _ in range(len(ch_seeds) // trials)]  # (first trial, report) per block a run meets
+    for start in range(0, len(ch_seeds), block):
+        stop = min(start + block, len(ch_seeds))
+        # where the block's parts of runs start, and their trial counts
+        firsts = [start, *range(start - start % trials + trials, stop, trials)]
+        runs = [end - first for first, end in zip(firsts, firsts[1:] + [stop])] if firsts[1:] else None
+        report = decode(run_phases(spec, _channels(spec, ch_seeds[start:stop]),
+                                   _symbols(spec, sym_seeds[start:stop])), runs)
+        for first, part in zip(firsts, report.runs or (report,)):
+            parts[first // trials].append((first % trials, part))
+    achieved, matches = _corner(spec)
+    summaries = []
+    for run in parts:
+        failures = []
+        max_res = 0.0
+        max_cond = 0.0
+        solves = 0
+        ill = 0
+        for first, report in run:
+            failures.extend((first + i, slot, cond) for i, slot, cond, _ in report.failures)
+            max_res = max(max_res, report.residual_user1, report.residual_user2)
+            max_cond = max(max_cond, report.max_condition)
+            solves += report.solves
+            ill += report.ill_conditioned
+        summaries.append(TrialSummary(
+            spec=spec,
+            trials=trials,
+            failures=tuple(failures),
+            max_residual=max_res,
+            max_condition=max_cond,
+            solves=solves,
+            ill_conditioned=ill,
+            achieved=achieved,
+            matches_corner=matches and not failures and max_res < RESIDUAL_TOL,
+        ))
+    return tuple(summaries)
+
+
 def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
                     time_weights=None) -> TrialSummary:
     """Monte Carlo wrapper: plan once, then run/decode independent trials.
@@ -661,51 +780,9 @@ def simulate_trials(M: int, N1: int, N2: int, trials: int, seed,
     stacks are built once, and the block is run and decoded as one stack.
     ``check_trial_size`` runs first, and a SeedSequence ``seed`` that would
     pass MAX_SPAWNED children is refused before anything is spawned.
+    This is the one-seed case of ``simulate_runs``.
     """
-    if trials < 1:
-        raise SchemeError("need at least one trial")
-    spec = plan_two_user(M, N1, N2, time_weights=time_weights)
-    check_trial_size(spec, trials)
-    from ._seeds import trial_seeds  # loads numpy.random on first use, not at import
-
-    root = _seed_sequence(seed)
-    if root.n_children_spawned + trials > MAX_SPAWNED:
-        raise SchemeError("the seed sequence has spawned %d children; %d more would pass numpy's "
-                          "limit of %d" % (root.n_children_spawned, trials, MAX_SPAWNED))
-    ch_seeds, sym_seeds = trial_seeds(root, trials)
-    if root is seed:  # a caller's sequence moves past the children hashed here
-        # as root.spawn(trials) would, without building the children it drops:
-        # numpy's counter is read-only, and the same entropy, spawn key and
-        # pool size give the same pool again
-        root.__init__(root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size,
-                      n_children_spawned=root.n_children_spawned + trials)
-    block = max(1, _BLOCK_ENTRIES // spec.channel_entries)
-    failures = []
-    max_res = 0.0
-    max_cond = 0.0
-    solves = 0
-    ill = 0
-    for start in range(0, trials, block):
-        chunk = slice(start, start + block)
-        report = decode(run_phases(spec, _channels(spec, ch_seeds[chunk]), _symbols(spec, sym_seeds[chunk])))
-        failures.extend((start + i, slot, cond) for i, slot, cond, _ in report.failures)
-        max_res = max(max_res, report.residual_user1, report.residual_user2)
-        max_cond = max(max_cond, report.max_condition)
-        solves += report.solves
-        ill += report.ill_conditioned
-    achieved, matches = _corner(spec)
-    matches = matches and not failures and max_res < RESIDUAL_TOL
-    return TrialSummary(
-        spec=spec,
-        trials=trials,
-        failures=tuple(failures),
-        max_residual=max_res,
-        max_condition=max_cond,
-        solves=solves,
-        ill_conditioned=ill,
-        achieved=achieved,
-        matches_corner=matches,
-    )
+    return simulate_runs(M, N1, N2, trials, [seed], time_weights=time_weights)[0]
 
 
 def simulate_single_user(M: int, N: int, trials: int, seed) -> TrialSummary:

@@ -242,7 +242,8 @@ def _refuse_trials(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("trials ran before the flags were checked")
 
-    monkeypatch.setattr(scheme, "simulate_trials", refuse)
+    for entry in ("simulate_trials", "simulate_runs"):
+        monkeypatch.setattr(scheme, entry, refuse)
 
 
 def test_simulate_two_user_refuses_target(capsys, monkeypatch):
@@ -278,6 +279,22 @@ def test_simulate_three_user_checks_trials_before_any_output(capsys, monkeypatch
         assert code == EXIT_USAGE
         assert stdout == ""
         assert message in err
+
+
+def test_simulate_three_user_stacks_the_components_of_each_plan(capsys, monkeypatch):
+    # the interior plan has two two-user and three single-user components:
+    # one stack of each, the components' seeds in plan order
+    real, calls = scheme.simulate_runs, []
+
+    def stack(m, n1, n2, trials, seeds, time_weights=None):
+        calls.append((m, n1, n2, trials, [s.spawn_key for s in seeds], time_weights))
+        return real(m, n1, n2, trials, seeds, time_weights=time_weights)
+
+    monkeypatch.setattr(scheme, "simulate_runs", stack)
+    code, stdout, _ = run_cli(capsys, "simulate", "--M", "3", "--N", "2,2,2",
+                              "--target", "1/2,1/3,1/5", "--trials", "4", "--seed", "1")
+    assert code == EXIT_OK and stdout.count(": simulated") == 5
+    assert calls == [(3, 2, 2, 4, [(2,), (4,)], None), (2, 2, 2, 4, [(1,), (3,), (5,)], (1, 0))]
 
 
 def _refuse_draws(monkeypatch):
@@ -604,7 +621,8 @@ def test_simulate_checks_out_before_any_trial(tmp_path, capsys, monkeypatch, arg
     def refuse(*args, **kwargs):
         raise AssertionError("a trial ran before --out was checked")
 
-    monkeypatch.setattr(scheme, "simulate_trials", refuse)
+    for entry in ("simulate_trials", "simulate_runs"):
+        monkeypatch.setattr(scheme, entry, refuse)
     out = tmp_path / "missing" / "x.json"
     status, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert status == EXIT_USAGE and stdout == ""

@@ -112,6 +112,10 @@ def test_rat_str():
     assert rat_str(F(12, 5)) == "12/5"
     assert rat_str(F(3)) == "3"
     assert rat_str(F(-1, 2)) == "-1/2"
+    assert rat_str(7) == "7" and rat_str("6/4") == "3/2"
+    for inexact in (0.1, np.float64(0.5)):
+        with pytest.raises(TypeError):
+            rat_str(inexact)
 
 
 def test_halfspace_validation():

@@ -72,6 +72,8 @@ CLI_CASES = [
                               "--trials", "4", "--seed", "1"], (), 2),
     ("simulate-3u-mixed", ["simulate", "--M", "3", "--N", "2,2,2", "--target", "1/2,1/2,1/2",
                            "--trials", "4", "--seed", "1"], (), 2),
+    ("simulate-3u-interior", ["simulate", "--M", "3", "--N", "2,2,2", "--target", "1/2,1/3,1/5",
+                              "--trials", "4", "--seed", "1"], (), 0),
 ]
 
 PLANS = {

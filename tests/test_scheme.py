@@ -19,6 +19,7 @@ from doflab.scheme import (
     generate_channels,
     plan_two_user,
     run_phases,
+    simulate_runs,
     simulate_single_user,
     simulate_trials,
 )
@@ -523,8 +524,9 @@ def test_screened_conditions_match_svd():
     assert np.array_equal(np.concatenate(scheme._conditions(stacks, _screens(stacks)), axis=1), got)
 
 
-def _all_svd(stacks, screens):
-    """Reference ``_conditions``: the SVD of every matrix, inf for a non-finite one."""
+def _all_svd(stacks, screens, runs=None):
+    """Reference ``_conditions``: the SVD of every matrix, inf for a non-finite one,
+    whatever the runs."""
     out = []
     for m in stacks:
         c = np.full(m.shape[:2], np.inf)
@@ -607,6 +609,36 @@ def test_decode_matches_all_svd_reference_across_thresholds(monkeypatch, scale, 
         assert ill == 2 and scheme.ILL_CONDITIONED < max_condition < scheme.COND_LIMIT
     if trials == [5, 6, 7]:
         assert 998.0 < max_condition < scheme.SCREEN and failures == ()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150])
+@pytest.mark.parametrize("runs", [(8,), (3, 2, 3), (5, 3), (1,) * 8, (2, 6)])
+def test_decode_runs_report_as_if_each_decoded_alone(scale, runs):
+    # the straddling block split into contiguous runs: trial 1 holds two
+    # ill-conditioned matrices, trials 3 and 4 fail, trials 5-7 hold near-equal maxima
+    spec, channels, symbols = _straddling_block(scale)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        whole = _report_fields(spec, channels, symbols)
+        report = decode(run_phases(spec, channels, symbols), runs)
+        assert len(report.runs) == (len(runs) if len(runs) > 1 else 0)
+        first = 0
+        for n, part in zip(runs, report.runs or (report,)):
+            rows = slice(first, first + n)
+            alone = _report_fields(spec, scheme.ChannelRealization(channels.h1[rows], channels.h2[rows]),
+                                   tuple(u[rows] for u in symbols))
+            assert (part.failures, part.solves, part.ill_conditioned, part.max_condition,
+                    part.residual_user1, part.residual_user2) == alone
+            first += n
+    assert (report.failures, report.solves, report.ill_conditioned, report.max_condition,
+            report.residual_user1, report.residual_user2) == whole
+
+
+def test_decode_refuses_runs_that_do_not_split_the_stack():
+    spec, channels, symbols = _first_block(4, 3, 2, 5, 0)
+    transcript = run_phases(spec, channels, symbols)
+    for runs in ((2, 2), (3, 3), (5, 0), ()):
+        with pytest.raises(SchemeError, match="do not split a stack of 5"):
+            decode(transcript, runs)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -942,6 +974,96 @@ def test_batched_trials_match_per_trial_decode(monkeypatch, m, n1, n2, trials, t
     assert (summary.solves, summary.ill_conditioned) == (solves, ill)
     assert summary.max_condition == max_cond
     assert summary.max_residual == max_res
+
+
+def _alone(m, n1, n2, trials, seeds, time_weights=None):
+    """One simulate_trials call per seed."""
+    return [simulate_trials(m, n1, n2, trials, seed, time_weights=time_weights) for seed in seeds]
+
+
+@pytest.mark.parametrize("m,n1,n2,trials,time_weights", [
+    *((*setup, None) for setup in MONTECARLO_SETUPS),
+    (2, 2, 2, 10, (1, 0)),  # a three-user plan's single-user component
+])
+def test_simulate_runs_match_separate_calls(m, n1, n2, trials, time_weights):
+    seeds = [3, 14, 15]
+    stacked = simulate_runs(m, n1, n2, trials, seeds, time_weights=time_weights)
+    assert len(stacked) == len(seeds)
+    for got, want in zip(stacked, _alone(m, n1, n2, trials, seeds, time_weights)):
+        assert vars(got) == vars(want)
+
+
+def test_simulate_runs_straddle_blocks(monkeypatch):
+    # 37-trial runs in 21-trial blocks: the second block holds the end of run
+    # 0 and the start of run 1, the fourth the end of run 1 and the start of run 2
+    sizes = []
+    real = scheme.run_phases
+
+    def run(spec, channels, symbols):
+        sizes.append(len(channels.h1))
+        return real(spec, channels, symbols)
+
+    seeds = [5, 6, 7]
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme, "run_phases", run)
+        stacked = simulate_runs(8, 4, 4, 37, seeds)
+    assert sizes == [21] * 5 + [6]
+    for got, want in zip(stacked, _alone(8, 4, 4, 37, seeds)):
+        assert vars(got) == vars(want)
+
+
+def test_simulate_runs_keep_a_failed_trial_in_its_own_run(monkeypatch):
+    # trial 30 of the middle run, in the second 21-trial block, is zeroed
+    target = _seeds.trial_seeds(np.random.SeedSequence(6), 37)[0][30].words
+    real = scheme._channels
+
+    def channels(spec, seeds):
+        ch = real(spec, seeds)
+        for k, seed in enumerate(seeds):
+            if np.array_equal(seed.words, target):
+                ch.h1[k] = 0.0
+        return ch
+
+    seeds = [5, 6, 7]
+    clean = _alone(8, 4, 4, 37, seeds)
+    monkeypatch.setattr(scheme, "_channels", channels)
+    stacked = simulate_runs(8, 4, 4, 37, seeds)
+    alone = _alone(8, 4, 4, 37, seeds)
+    assert [f[0] for f in stacked[1].failures] == [30]
+    assert stacked[1].matches_corner is False and stacked[1].solves == 36 * 64
+    for got, want in zip(stacked, alone):
+        assert vars(got) == vars(want)
+    for i in (0, 2):
+        assert vars(stacked[i]) == vars(clean[i])
+
+
+def test_simulate_runs_advance_seed_sequences_as_separate_calls_do():
+    # the same sequence twice advances twice, in order, as spawn would
+    def roots():
+        a = np.random.SeedSequence(29, spawn_key=(3,), n_children_spawned=2)
+        return [a, np.random.SeedSequence(41), a]
+
+    stacked_roots, alone_roots, spawned = roots(), roots(), roots()
+    stacked = simulate_runs(4, 3, 2, 9, stacked_roots)
+    for got, want in zip(stacked, _alone(4, 3, 2, 9, alone_roots)):
+        assert vars(got) == vars(want)
+    for root in spawned[:2]:
+        root.spawn(9 * spawned.count(root))
+    for got, want in zip(stacked_roots, spawned):
+        assert got.n_children_spawned == want.n_children_spawned
+        assert got.state == want.state and np.array_equal(got.pool, want.pool)
+    assert stacked_roots[0].n_children_spawned == 2 + 18
+
+
+def test_simulate_runs_refuse_per_run_as_simulate_trials_does():
+    # the limits apply to one run's trials, not to the stack's
+    spec = plan_two_user(4, 3, 2)
+    trials = scheme.MAX_SLOT_TRIALS // spec.total_slots
+    with pytest.raises(SchemeError, match="exceed the limit"):
+        simulate_runs(4, 3, 2, trials + 1, [0, 1])
+    with pytest.raises(SchemeError, match="need at least one trial"):
+        simulate_runs(4, 3, 2, 0, [0, 1])
+    assert simulate_runs(4, 3, 2, 3, []) == ()
 
 
 def test_simulate_trials_reproducible():
