@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import index
 
 from .exactgeom import (
     MAX_VERTEX_K,
@@ -79,7 +80,11 @@ class AntennaConfig:
     N: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "N", tuple(int(n) for n in self.N))
+        try:  # operator.index takes numpy's integers too, and refuses floats and Fractions
+            object.__setattr__(self, "M", index(self.M))
+            object.__setattr__(self, "N", tuple(map(index, self.N)))
+        except TypeError:
+            raise ValueError("antenna counts must be integers, got M=%r N=%r" % (self.M, self.N)) from None
         if self.M < 1:
             raise ValueError("M must be a positive integer")
         if not self.N:

@@ -36,24 +36,16 @@ accounting.  The Monte Carlo wrapper runs and decodes its trials in blocks,
 as arrays over a leading trial axis, and every kind of matrix a trial
 inverts gets one batched LAPACK solve over the whole block, against
 [I | b]: each matrix is factored once, and that one LU gives both the
-solution and the inverse that screens its condition number (below).
-Every draw goes through ``_draw``: each trial's generator fills its row of
-the block's buffer with one call, in the order of the single-run draws, and
-each complex array is built once per block.  The trials' seeds are numpy's
-SeedSequence spawn tree, trial i drawing its channels and symbols from
-children 0 and 1 of the seed's child i, hashed for the whole call at once
-as arrays: the generators start from the same states, bit for bit.  The
-condition numbers of the matrices are screened from the inverses of those
-solves as kappa_F = |H|_F |H^-1|_F, which lies between the 2-norm
-condition number and n times it.  The SVD (``np.linalg.cond``) is
-re-taken only where that bound could matter: for every matrix screened at
-or above SCREEN (far below ILL_CONDITIONED), and for the kept trials'
-matrices whose bound reaches the largest SVD value among them.  Every
-threshold test, failure and maximum therefore reads the SVD's value.
+solution and the inverse that screens its condition number as
+kappa_F = |H|_F |H^-1|_F, between the 2-norm value and n times it.  The
+SVD (``np.linalg.cond``) is re-taken only where that bound could matter
+(``_conditions``), so every threshold test, failure and maximum reads the
+SVD's value.  Every draw goes through ``_draw``: each trial's generator
+fills its row of the block's buffer with one call, and each complex array
+is built once per block.  The trials' seeds are numpy's SeedSequence spawn
+tree, hashed for the whole call at once (``_seeds``), bit for bit.
 ``simulate_runs`` stacks the trials of several seeds' runs on one plan,
-run after run; ``decode`` is told where each run starts within a block,
-and takes the re-takes for the maximum per run, so each run's summary is
-what it would be alone.
+run after run, and ``decode`` reports each run as if decoded alone.
 A trial that fails the conditioning check is still reported with its slot;
 a matrix with a NaN or inf entry fails it with condition inf, without an SVD.
 A finite-SNR harness estimates Gaussian-signaling rates from the same
@@ -77,6 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +129,6 @@ _BLOCK_ENTRIES = 1 << 16  # complex channel entries stacked per block of trials
 # the largest kept SVD value taken.
 SCREEN = 1e3
 BAND = 1e-6
-_ONE_RUN = (slice(None),)  # the rows of a stack that holds one run
 
 
 class SchemeError(ValueError):
@@ -199,8 +191,13 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
     splits the air time between the users (defaults to an even split) and
     must be two nonnegative rationals summing to one.  Larger M yields the
     three-phase alignment plan (case B below N1+N2, case C at or above,
-    where only N1+N2 transmit antennas are used).
+    where only N1+N2 transmit antennas are used).  Antenna counts must be
+    integers; numpy's are taken as ints.
     """
+    try:  # numpy's integers pass, as ints; floats and Fractions do not
+        M, N1, N2 = index(M), index(N1), index(N2)
+    except TypeError:
+        raise SchemeError("antenna counts must be integers, got M=%r N1=%r N2=%r" % (M, N1, N2)) from None
     if not 1 <= N2 <= N1:
         raise SchemeError("need N1 >= N2 >= 1, got N1=%d N2=%d" % (N1, N2))
     if M < 1:
@@ -264,7 +261,6 @@ def _users(spec: SchemeSpec):
     )
 
 
-@functools.cache
 def _solve_order(spec: SchemeSpec):
     """The matrices a trial inverts, in decode's order: per phase-3 slot the
     user-1 then the user-2 alignment matrix, then the phase-1 and the phase-2
@@ -275,7 +271,6 @@ def _solve_order(spec: SchemeSpec):
     users = _users(spec)
     align = [i * t3 + k for k in range(t3) for i in range(len(users))]
     order = np.array(align + list(range(len(users) * t3, total + t3)))
-    order.flags.writeable = False  # cached: every decode of the plan reads it
     slots = [slot for slot in range(total - t3, total) for _ in users] + list(range(total - t3))
     what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
             + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
@@ -457,13 +452,6 @@ class DecodingReport:
     runs: tuple = ()  # each run's own report, when the stack holds more than one
 
 
-def _frobenius(a):
-    """``np.linalg.norm(a, "fro", axis=(-2, -1))`` bit for bit: the same
-    expression, without the argument handling that costs more than it on a
-    small stack."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
-
-
 def _screened_solve(matrices, rhs):
     """Solve (..., n, n) ``matrices`` against (..., n) ``rhs`` and screen them.
 
@@ -484,7 +472,8 @@ def _screened_solve(matrices, rhs):
     b[..., n] = rhs
     with np.errstate(all="ignore"):
         x = _umath_linalg.solve(matrices, b, signature="DD->D")
-        screens = _frobenius(matrices) * _frobenius(x[..., :n])
+        screens = (np.linalg.norm(matrices, "fro", axis=(-2, -1))
+                   * np.linalg.norm(x[..., :n], "fro", axis=(-2, -1)))
     screens[np.isnan(screens) & ~np.isnan(matrices).any(axis=(-2, -1))] = np.inf
     return x[..., n].copy(), screens
 
@@ -494,7 +483,7 @@ def _unusable(conds):
     return ~np.isfinite(conds) | (conds > COND_LIMIT)
 
 
-def _conditions(stacks, screens, runs=_ONE_RUN):
+def _conditions(stacks, screens, runs=(slice(None),)):
     """``np.linalg.cond`` of (trials, k, n, n) stacks, wherever decode reads it.
 
     ``screens`` holds each stack's kappa_F, (trials, k), from the inverses
@@ -506,11 +495,11 @@ def _conditions(stacks, screens, runs=_ONE_RUN):
     and then, since kappa_2 <= kappa_F, for every kept matrix whose kappa_F
     reaches within BAND of the run's largest SVD value so taken: no other
     can hold the run's maximum.  ``runs`` holds the row slices of the
-    contiguous runs of trials, in order; the default, _ONE_RUN, is one run
-    of every row.  ``np.linalg.cond`` factors each matrix of a stack on its
-    own, so a re-taken value is the full stack's bit for bit; the rest are
-    kappa_F, between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a
-    NaN or inf entry is given condition inf without an SVD.
+    contiguous runs of trials, in order, by default one run of every row.
+    ``np.linalg.cond`` factors each matrix of a stack on its own, so a
+    re-taken value is the full stack's bit for bit; the rest are kappa_F,
+    between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a NaN or inf
+    entry is given condition inf without an SVD.
     Returns the values, (trials, k) per stack, views of one array that
     holds the stacks' columns in turn; ``screens`` is left as it is.
     """
@@ -543,12 +532,9 @@ def _conditions(stacks, screens, runs=_ONE_RUN):
                 first[rows, lo:hi].flat[top[rows, lo:hi].argmax()] = True
     retake(first)
     top = np.where(kept & exact, c, 0.0)
-    if len(runs) == 1:
-        band = (1.0 - BAND) * top.max(initial=0.0)
-    else:  # each run's rows compare with its own largest value
-        band = np.empty((len(c), 1))
-        for rows in runs:
-            band[rows] = (1.0 - BAND) * top[rows].max(initial=0.0)
+    band = np.empty((len(c), 1))  # each run's rows compare with its own largest value
+    for rows in runs:
+        band[rows] = (1.0 - BAND) * top[rows].max(initial=0.0)
     retake(kept & (c >= band))
     return [c[:, lo:hi] for _, lo, hi in spans]
 
@@ -582,11 +568,11 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
     in ``failures``.
 
     ``runs``, the trial counts of the contiguous runs a stack holds in
-    order, splits it into runs that are each reported as if decoded alone:
-    ``_conditions`` re-takes the SVD for each run's maximum, and ``runs``
-    of the report holds one report per run, its failures numbered from the
-    run's first trial.  The report's own fields then cover the whole stack,
-    as they do when ``runs`` is left out (one run of every trial).
+    order (any iterable), splits it into runs that are each reported as if
+    decoded alone: ``_conditions`` re-takes the SVD for each run's maximum,
+    and, for more than one run, ``runs`` of the report holds one report per
+    run, its failures numbered from the run's first trial.  The report's
+    own fields cover the whole stack.
     """
     spec = transcript.spec
     users = _users(spec)
@@ -621,11 +607,12 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
         u_hats.append(u_hat)
         screens.append(screen)
     if runs is None:
-        bounds = _ONE_RUN
+        bounds = [slice(None)]
     else:
+        runs = tuple(runs)
         ends = list(itertools.accumulate(runs))
         if min(runs, default=0) < 1 or ends[-1] != trials:
-            raise SchemeError("runs of %r trials do not split a stack of %d" % (tuple(runs), trials))
+            raise SchemeError("runs of %r trials do not split a stack of %d" % (runs, trials))
         bounds = [slice(end - n, end) for n, end in zip(runs, ends)]
     order, slots, what = _solve_order(spec)
     conds = np.concatenate(_conditions(align + data, screens, bounds), axis=1)[:, order]
@@ -633,14 +620,14 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
     failed, first = bad.any(axis=1), bad.argmax(axis=1)
     if single and failed[0]:
         raise SingularChannelError(slots[first[0]], float(conds[0, first[0]]), what[first[0]])
-    reports = []
-    for rows in bounds:
+
+    def report(rows, runs=()):
         run_failed, run_first, run_conds = failed[rows], first[rows], conds[rows]
         ok = ~run_failed
         residuals = [float(np.abs(np.swapaxes(u_hat[rows][ok], 1, 2) - u[rows][ok]).max(initial=0.0))
                      for u_hat, u in zip(u_hats, us)]
         kept = run_conds[ok]
-        reports.append(DecodingReport(
+        return DecodingReport(
             *spec.symbol_counts,
             *residuals,
             max_condition=float(kept.max(initial=0.0)),
@@ -649,20 +636,10 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
             spec=spec,
             failures=tuple((int(i), int(slots[run_first[i]]), float(run_conds[i, run_first[i]]),
                             what[run_first[i]]) for i in np.flatnonzero(run_failed)),
-        ))
-    if len(reports) == 1:
-        return reports[0]
-    return DecodingReport(
-        *spec.symbol_counts,
-        max(r.residual_user1 for r in reports),
-        max(r.residual_user2 for r in reports),
-        max_condition=max(r.max_condition for r in reports),
-        solves=sum(r.solves for r in reports),
-        ill_conditioned=sum(r.ill_conditioned for r in reports),
-        spec=spec,
-        failures=tuple((rows.start + i, *rest) for rows, r in zip(bounds, reports) for i, *rest in r.failures),
-        runs=tuple(reports),
-    )
+            runs=runs,
+        )
+
+    return report(slice(None), tuple(map(report, bounds)) if len(bounds) > 1 else ())
 
 
 @dataclass(eq=False)
@@ -789,7 +766,9 @@ def simulate_single_user(M: int, N: int, trials: int, seed) -> TrialSummary:
     """Point-to-point check: the time-division plan on min(M, N) antennas
     with all air time given to user 1, decoded by simulate_trials.
 
-    Used when a time-sharing component turns every other user off.
+    The CLI no longer calls it: it runs a component that turns every other
+    user off through ``simulate_runs`` with ``time_weights=(1, 0)``.  It
+    stays while ``bench/spans.py`` resolves it by name.
     """
     return simulate_trials(min(M, N), N, N, trials, seed, time_weights=(1, 0))
 

@@ -1,6 +1,7 @@
 """Three-phase alignment simulator: planning, routing, decoding, accounting."""
 
 import math
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ from scipy.linalg import lu
 
 from doflab import _seeds, scheme
 from doflab.exactgeom import contains
-from doflab.regions import DominantFace, point_Q, two_user_region
+from doflab.regions import AntennaConfig, DominantFace, point_Q, two_user_region
 from doflab.scheme import (
     SchemeError,
     SingularChannelError,
@@ -101,6 +102,23 @@ def test_plan_rejects_bad_antennas():
         plan_two_user(0, 1, 1)
     with pytest.raises(SchemeError):
         plan_two_user(4, 3, 0)  # single-user setups are out of plan scope
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: AntennaConfig(4, (2.5, 1)), "2.5"),
+    (lambda: AntennaConfig(4.5, (2, 1)), "4.5"),
+    (lambda: AntennaConfig(F(4), (2, 1)), "Fraction(4, 1)"),
+    (lambda: plan_two_user(4.5, 2, 1), "4.5"),
+    (lambda: plan_two_user(4, 2, 1.0), "1.0"),
+], ids=["config-N", "config-M", "config-fraction-M", "plan-M", "plan-N2"])
+def test_non_integral_antenna_counts_are_refused(build, value):
+    with pytest.raises(ValueError, match=re.escape(value)):
+        build()
+    # numpy's integers are integers, kept as ints so that they serialize
+    config = AntennaConfig(np.int64(4), (np.int64(2), 1))
+    spec = plan_two_user(np.int64(4), np.int64(2), np.int64(1))
+    assert (config.M, config.N, spec.M, spec.N1, spec.N2, spec.phase_lengths) == (4, (2, 1), 4, 2, 1, (4, 1, 2))
+    assert {type(x) for x in (config.M, *config.N, spec.M, spec.N1, spec.N2)} == {int}
 
 
 @pytest.mark.parametrize("m,n1,n2", SCHEME_CONFIGS)
@@ -619,8 +637,10 @@ def test_decode_runs_report_as_if_each_decoded_alone(scale, runs):
     spec, channels, symbols = _straddling_block(scale)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         whole = _report_fields(spec, channels, symbols)
-        report = decode(run_phases(spec, channels, symbols), runs)
+        transcript = run_phases(spec, channels, symbols)
+        report = decode(transcript, runs)
         assert len(report.runs) == (len(runs) if len(runs) > 1 else 0)
+        again = decode(transcript, iter(runs))  # any iterable of trial counts
         first = 0
         for n, part in zip(runs, report.runs or (report,)):
             rows = slice(first, first + n)
@@ -631,6 +651,11 @@ def test_decode_runs_report_as_if_each_decoded_alone(scale, runs):
             first += n
     assert (report.failures, report.solves, report.ill_conditioned, report.max_condition,
             report.residual_user1, report.residual_user2) == whole
+
+    def fields(r):
+        return r.failures, r.solves, r.ill_conditioned, r.max_condition, r.residual_user1, r.residual_user2
+
+    assert [fields(r) for r in (again, *again.runs)] == [fields(r) for r in (report, *report.runs)]
 
 
 def test_decode_refuses_runs_that_do_not_split_the_stack():
@@ -681,6 +706,11 @@ def test_screened_solve_is_numpys_solve_and_cond(n, trials):
         x, screens = scheme._screened_solve(m, b)
         assert np.array_equal(x, np.linalg.solve(m, b[..., None])[..., 0])
         assert np.array_equal(screens, np.linalg.cond(m, "fro"))
+        # an empty (trials, 0, n, n) stack, the shape of case A's alignment stacks
+        x, screens = scheme._screened_solve(m[:, :0], b[:, :0])
+        assert (x.shape, x.dtype, screens.shape, screens.dtype) == (
+            (trials, 0, n), np.dtype(complex), (trials, 0), np.dtype(float))
+        assert np.array_equal(screens, np.linalg.cond(m[:, :0], "fro"))
         # an exactly singular matrix, a zero row, and one with a NaN entry:
         # solved with the rest, they raise and warn about nothing
         m[0, 1, -1] = 0.0
