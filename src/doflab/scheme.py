@@ -22,7 +22,8 @@ The two users are handled alike.  ``_users`` states the layout once, one
 entry per user i: the slots of its own phase, the symbols s_i sent per
 slot, N_i, the LCs it is owed per slot and the first phase-3 antenna of
 those LCs (0 for user 1, E - N2 for user 2); the other user is 1 - i.
-``run_phases``, ``decode`` and the rate model each loop over that table.
+``_cuts`` cuts each user's channels by that table once, and ``run_phases``,
+``decode`` and the rate model read those cuts.
 
 M <= N1 needs no alignment: plain time division between single-user
 transmissions traces the region's dominant face.  It runs through the same
@@ -69,6 +70,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from operator import index
 from typing import NamedTuple
 
@@ -189,10 +191,10 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
 
     M <= N1 yields the case-A time-division plan; ``time_weights`` then
     splits the air time between the users (defaults to an even split) and
-    must be two nonnegative rationals summing to one.  Larger M yields the
-    three-phase alignment plan (case B below N1+N2, case C at or above,
-    where only N1+N2 transmit antennas are used).  Antenna counts must be
-    integers; numpy's are taken as ints.
+    must be a pair of nonnegative rationals summing to one.  Larger M
+    yields the three-phase alignment plan (case B below N1+N2, case C at or
+    above, where only N1+N2 transmit antennas are used).  Antenna counts
+    must be integers; numpy's are taken as ints.
     """
     try:  # numpy's integers pass, as ints; floats and Fractions do not
         M, N1, N2 = index(M), index(N1), index(N2)
@@ -206,37 +208,24 @@ def plan_two_user(M: int, N1: int, N2: int, time_weights=None) -> SchemeSpec:
     if M <= N1:
         if time_weights is None:
             time_weights = (Fraction(1, 2), Fraction(1, 2))
+        if not (isinstance(time_weights, (tuple, list)) and len(time_weights) == 2
+                and all(isinstance(w, Rational) for w in time_weights)):
+            raise SchemeError("time weights must be a pair of rationals, got %r" % (time_weights,))
         w1, w2 = (rat(w) for w in time_weights)
         if w1 < 0 or w2 < 0 or w1 + w2 != 1:
             raise SchemeError("time weights must be nonnegative and sum to 1")
         scale = math.lcm(w1.denominator, w2.denominator)
-        t1, t2 = int(w1 * scale), int(w2 * scale)
-        return SchemeSpec(
-            M=M,
-            N1=N1,
-            N2=N2,
-            case="A",
-            effective_m=M,
-            phase_lengths=(t1, t2, 0),
-            symbols_per_slot=(min(M, N1), min(M, N2), 0),
-        )
-
-    if time_weights is not None:
+        case, eff = "A", M
+        lengths = (int(w1 * scale), int(w2 * scale), 0)
+        symbols = (M, min(M, N2), 0)
+    elif time_weights is not None:
         raise SchemeError("time weights apply only to the time-division case (M <= N1)")
-    eff = min(M, N1 + N2)
-    case = "B" if M < N1 + N2 else "C"
-    t1 = N1 * (eff - N2)
-    t2 = N2 * (eff - N1)
-    t3 = (eff - N1) * (eff - N2)
-    return SchemeSpec(
-        M=M,
-        N1=N1,
-        N2=N2,
-        case=case,
-        effective_m=eff,
-        phase_lengths=(t1, t2, t3),
-        symbols_per_slot=(eff, eff, 0),
-    )
+    else:
+        case, eff = "B" if M < N1 + N2 else "C", min(M, N1 + N2)
+        lengths = (N1 * (eff - N2), N2 * (eff - N1), (eff - N1) * (eff - N2))
+        symbols = (eff, eff, 0)
+    return SchemeSpec(M=M, N1=N1, N2=N2, case=case, effective_m=eff,
+                      phase_lengths=lengths, symbols_per_slot=symbols)
 
 
 class _User(NamedTuple):
@@ -261,20 +250,41 @@ def _users(spec: SchemeSpec):
     )
 
 
+class _Cut(NamedTuple):  # one user's channel cuts, over the channels' leading trial axes
+    direct: np.ndarray  # (..., T_i, N_i, s_i) its channel in its own phase, on its symbols
+    lcmap: np.ndarray  # (..., T_i, needed_i, s_i) the other receiver's there, under the LCs
+    align: np.ndarray  # (..., T3, N_i, N_i) its phase-3 channel under its own LCs' antennas
+    side: np.ndarray  # (..., T3, N_i, N_other) its phase-3 channel under the other user's LCs
+
+
+def _cuts(spec: SchemeSpec, h1, h2):
+    """Each user's ``_Cut`` of the channels h1 and h2, user 1 then user 2, as views.
+
+    With M <= N1 there is no phase-3 slot, and each phase-3 window is an
+    empty stack of its shape.
+    """
+    users, hs = _users(spec), (h1, h2)
+    t3 = spec.phase_lengths[2]
+
+    def window(h, user):  # h under the phase-3 antennas of the user's LCs
+        phase3 = h[..., spec.total_slots - t3 :, :, user.lo : user.lo + user.n]
+        return phase3.reshape(h.shape[:-3] + (t3, h.shape[-2], user.n))
+
+    return tuple(_Cut(h[..., user.own, :, : user.s], heard[..., user.own, : user.needed, : user.s],
+                      window(h, user), window(h, other))
+                 for user, other, h, heard in zip(users, users[::-1], hs, hs[::-1]))
+
+
 def _solve_order(spec: SchemeSpec):
-    """The matrices a trial inverts, in decode's order: per phase-3 slot the
-    user-1 then the user-2 alignment matrix, then the phase-1 and the phase-2
-    data matrices.  Returns their columns among the stacks' (the user-1 then
-    the user-2 alignment stack, then the two data stacks), their slots and
-    their names."""
+    """The slots and the names of the matrices a trial inverts, in decode's
+    order: per phase-3 slot the user-1 then the user-2 alignment matrix,
+    then the phase-1 and the phase-2 data matrices."""
     total, t3 = spec.total_slots, spec.phase_lengths[2]
     users = _users(spec)
-    align = [i * t3 + k for k in range(t3) for i in range(len(users))]
-    order = np.array(align + list(range(len(users) * t3, total + t3)))
     slots = [slot for slot in range(total - t3, total) for _ in users] + list(range(total - t3))
     what = (["user-%d alignment solve" % (i + 1) for _ in range(t3) for i in range(len(users))]
             + ["user-%d data solve" % (i + 1) for i, user in enumerate(users) for _ in range(user.t)])
-    return order, tuple(slots), tuple(what)
+    return tuple(slots), tuple(what)
 
 
 @functools.cache
@@ -377,16 +387,6 @@ class Transcript:
     y2: np.ndarray  # ([trials,] T, N2)
 
 
-def _phase3_window(spec: SchemeSpec, h, lo: int, width: int):
-    """Phase-3 channels ``h`` under antennas lo..lo+width-1, stacked over slots.
-
-    Shaped ([trials,] T3, N, width), N the receiver's antennas.  With M <= N1
-    there is no phase-3 slot and the window is an empty stack of that shape.
-    """
-    t1, t2, t3 = spec.phase_lengths
-    return h[..., t1 + t2 :, :, lo : lo + width].reshape(h.shape[:-3] + (t3, h.shape[-2], width))
-
-
 def _apply(h, v):
     """Stacked matrix-vector products h @ v over all leading axes."""
     return (h @ v[..., None])[..., 0]
@@ -418,11 +418,10 @@ def run_phases(spec: SchemeSpec, channels: ChannelRealization, symbols,
 
     x = np.zeros(trials + (total, spec.M), dtype=complex)
     lcs = []
-    for i, (user, u) in enumerate(zip(users, symbols)):
+    for user, cut, u in zip(users, _cuts(spec, *hs), symbols):
         sent = np.swapaxes(u, -1, -2)
         x[..., user.own, : user.s] = sent
-        # the LCs the other receiver overheard, reconstructed from delayed CSI
-        lc = _apply(hs[1 - i][..., user.own, : user.needed, : user.s], sent)
+        lc = _apply(cut.lcmap, sent)  # what the other receiver overheard, from delayed CSI
         if t3:  # phase 3 forwards every overheard LC once: the routing reshape
             x[..., total - t3 :, user.lo : user.lo + user.n] += lc.reshape(trials + (t3, user.n))
         lcs.append(lc)
@@ -500,6 +499,7 @@ def _conditions(stacks, screens, runs=(slice(None),)):
     re-taken value is the full stack's bit for bit; the rest are kappa_F,
     between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a NaN or inf
     entry is given condition inf without an SVD.
+    No value depends on the order of the stacks.
     Returns the values, (trials, k) per stack, views of one array that
     holds the stacks' columns in turn; ``screens`` is left as it is.
     """
@@ -544,7 +544,7 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
 
     Each solve is an LU solve; a noiseless decode certifies the corner when
     its largest symbol error is below RESIDUAL_TOL.  Both users decode
-    alike, by one loop over ``_users``.
+    alike, each in one pass over its ``_cuts``.
     Phase 3: each receiver subtracts the forwarded LCs it already holds
     (rows of its own signal in the other user's phase) and inverts the
     square submatrix of its channel under its own LCs' antenna positions.
@@ -553,19 +553,19 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
     first s_i rows and columns, s_i the symbols sent per slot: the whole
     stack in cases B/C, the direct rows alone in case A.
 
-    A trial inverts, in order: per phase-3 slot the user-1 then the user-2
-    alignment matrix, then the phase-1 and the phase-2 data matrices.  Each
-    kind is solved for every trial of the stack by one LAPACK call
-    (``_screened_solve``), the alignment matrices first, since their
-    solutions complete the data right-hand sides: each matrix is factored
-    once, and the same LU gives its kappa_F screen.  ``_conditions`` then
-    re-takes the SVD for the values at or above SCREEN and for the kept
-    matrices that may hold the maximum, so the failures, ``ill_conditioned``
-    and ``max_condition`` all read the SVD's value.  A trial fails at its
-    first matrix that is not finite or above COND_LIMIT; its solutions are
-    dropped and it counts toward nothing else.  A single run that fails
-    raises SingularChannelError; a stack of trials lists its failed trials
-    in ``failures``.
+    Each user's alignment matrices, whose solutions complete its data
+    right-hand sides, then its data matrices, are solved for every trial of
+    the stack by one LAPACK call each (``_screened_solve``): each matrix is
+    factored once, and the same LU gives its kappa_F screen.  A trial
+    inverts, in order (``_solve_order``): per phase-3 slot the user-1 then
+    the user-2 alignment matrix, then the phase-1 and the phase-2 data
+    matrices.  ``_conditions`` then re-takes the SVD for the values at or
+    above SCREEN and for the kept matrices that may hold the maximum, so
+    the failures, ``ill_conditioned`` and ``max_condition`` all read the
+    SVD's value.  A trial fails at its first matrix that is not finite or
+    above COND_LIMIT; its solutions are dropped and it counts toward
+    nothing else.  A single run that fails raises SingularChannelError; a
+    stack of trials lists its failed trials in ``failures``.
 
     ``runs``, the trial counts of the contiguous runs a stack holds in
     order (any iterable), splits it into runs that are each reported as if
@@ -584,28 +584,21 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
                      (transcript.y1, transcript.y2), (transcript.u1, transcript.u2))
     )
     trials = len(hs[0])
-    # each user's alignment, then each user's data matrices, solved for every
-    # trial; their screens in that order
-    align, data, recs, u_hats, screens = [], [], [], [], []
-    for i, user in enumerate(users):
-        other = users[1 - i]
-        align.append(_phase3_window(spec, hs[i], user.lo, user.n))
+    # per user, for every trial, the alignment solves and then the data
+    # solves, whose right-hand sides the alignment solutions complete
+    stacks, screens, u_hats = [], [], []
+    for user, other, cut, y in zip(users, users[::-1], _cuts(spec, *hs), ys):
         # the routing reshape: the other user's LCs are rows of this
-        # receiver's signal in the other user's phase; its channel under
-        # them cancels them
-        known = ys[i][:, other.own, : other.needed].reshape(trials, t3, other.n)
-        side = _phase3_window(spec, hs[i], other.lo, other.n)
-        rec, screen = _screened_solve(align[i], ys[i][:, total - t3 :] - _apply(side, known))
-        recs.append(rec.reshape(trials, user.t, user.needed))
-        screens.append(screen)
-    for i, user in enumerate(users):
-        data.append(np.concatenate([hs[i][:, user.own, :, : user.s],
-                                    hs[1 - i][:, user.own, : user.needed, : user.s]],
-                                   axis=2)[:, :, : user.s])
-        u_hat, screen = _screened_solve(
-            data[i], np.concatenate([ys[i][:, user.own], recs[i]], axis=2)[:, :, : user.s])
+        # receiver's signal in the other user's phase; its side channel
+        # under them cancels them
+        known = y[:, other.own, : other.needed].reshape(trials, t3, other.n)
+        lc, align_screen = _screened_solve(cut.align, y[:, total - t3 :] - _apply(cut.side, known))
+        data = np.concatenate([cut.direct, cut.lcmap], axis=2)[:, :, : user.s]
+        u_hat, data_screen = _screened_solve(data, np.concatenate(
+            [y[:, user.own], lc.reshape(trials, user.t, user.needed)], axis=2)[:, :, : user.s])
+        stacks += [cut.align, data]
+        screens += [align_screen, data_screen]
         u_hats.append(u_hat)
-        screens.append(screen)
     if runs is None:
         bounds = [slice(None)]
     else:
@@ -614,8 +607,11 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
         if min(runs, default=0) < 1 or ends[-1] != trials:
             raise SchemeError("runs of %r trials do not split a stack of %d" % (runs, trials))
         bounds = [slice(end - n, end) for n, end in zip(runs, ends)]
-    order, slots, what = _solve_order(spec)
-    conds = np.concatenate(_conditions(align + data, screens, bounds), axis=1)[:, order]
+    align1, data1, align2, data2 = _conditions(stacks, screens, bounds)
+    # decode's order: the two users' alignment matrices slot by slot, then the data matrices
+    align = np.stack([align1, align2], axis=2).reshape(trials, 2 * t3)
+    conds = np.concatenate([align, data1, data2], axis=1)
+    slots, what = _solve_order(spec)
     bad = _unusable(conds)
     failed, first = bad.any(axis=1), bad.argmax(axis=1)
     if single and failed[0]:
@@ -709,7 +705,7 @@ def simulate_runs(M: int, N1: int, N2: int, trials: int, seeds,
         stop = min(start + block, len(ch_seeds))
         # where the block's parts of runs start, and their trial counts
         firsts = [start, *range(start - start % trials + trials, stop, trials)]
-        runs = [end - first for first, end in zip(firsts, firsts[1:] + [stop])] if firsts[1:] else None
+        runs = [end - first for first, end in zip(firsts, firsts[1:] + [stop])]
         report = decode(run_phases(spec, _channels(spec, ch_seeds[start:stop]),
                                    _symbols(spec, sym_seeds[start:stop])), runs)
         for first, part in zip(firsts, report.runs or (report,)):
@@ -811,24 +807,20 @@ def _user_models(spec: SchemeSpec, channels: ChannelRealization):
     factorization needs no conditioning check.  Phase-3 transmissions are
     scaled by 1/sqrt(E) so each phase meets the average power constraint.
     """
-    hs = (channels.h1, channels.h2)
-    users = _users(spec)
     scale = 1.0 / np.sqrt(spec.effective_m)
     models = []
-    for i, user in enumerate(users):
-        other = users[1 - i]
+    for user, cut in zip(_users(spec), _cuts(spec, channels.h1, channels.h2)):
         # gcd(0, N_i) = N_i: in case A a group is one own slot and no LC
         d = math.gcd(user.needed, user.n)
         a, b = user.n // d, user.needed // d
         groups, g = user.t // a, b * user.n
-        direct = _block_diagonal(hs[i][user.own, :, : user.s].reshape(groups, a, user.n, user.s))
+        direct = _block_diagonal(cut.direct.reshape(groups, a, user.n, user.s))
         # the group's LCs as a block-diagonal map from its symbols, N_i rows per phase-3 slot
-        lcmap = _block_diagonal(hs[1 - i][user.own, : user.needed, : user.s].reshape(
-            groups, a, user.needed, user.s)).reshape(groups, b, user.n, a * user.s)
-        side = _phase3_window(spec, hs[i], other.lo, other.n)
-        cov = np.eye(user.n) + (scale ** 2) * side @ np.swapaxes(side.conj(), 1, 2)
-        align = scale * _phase3_window(spec, hs[i], user.lo, user.n)
-        whitened = np.linalg.solve(np.linalg.cholesky(cov), align).reshape(groups, b, user.n, user.n)
+        lcmap = _block_diagonal(cut.lcmap.reshape(groups, a, user.needed, user.s)).reshape(
+            groups, b, user.n, a * user.s)
+        cov = np.eye(user.n) + (scale ** 2) * cut.side @ np.swapaxes(cut.side.conj(), 1, 2)
+        whitened = np.linalg.solve(np.linalg.cholesky(cov), scale * cut.align).reshape(
+            groups, b, user.n, user.n)
         g3 = (whitened @ lcmap).reshape(groups, g, a * user.s)
         models.append((np.concatenate([direct, g3], axis=1), cov))
     return models

@@ -2,13 +2,15 @@
 
 Rationals render as "p/q" (plain "p" when q == 1) and point columns are
 named "d1,...,dK".  CSV is a header row plus data rows, each line ending in
-a newline.  JSON is indented by two spaces with sorted keys and ends in a
-newline.  Identical inputs give identical bytes.
+a newline.  JSON is RFC 8259 JSON, indented by two spaces with sorted keys,
+ending in a newline; an infinite condition number is the string "inf".
+Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .exactgeom import DimensionMismatchError, rat_str
 
@@ -33,7 +35,7 @@ def _csv_text(header, rows) -> str:
 
 
 def json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _config_dict(config) -> dict:
@@ -149,7 +151,8 @@ def trials_document(summary, curve=None) -> dict:
         "config": {"M": spec.M, "N1": spec.N1, "N2": spec.N2},
         "case": spec.case,
         "trials": summary.trials,
-        "failures": [list(f) for f in summary.failures],
+        "failures": [[trial, slot, "inf" if math.isinf(cond) else cond]
+                     for trial, slot, cond in summary.failures],
         "max_residual": summary.max_residual,
         "max_condition": summary.max_condition,
         "achieved_dof": _rats(summary.achieved),

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from doflab import cli
+from doflab import cli, scheme
 from doflab.regions import achievability_plan
 from doflab.serialize import plan_document
 from sweep_digest import plan_lines, slice_lines, small_outer_bound_lines
@@ -193,6 +193,32 @@ def test_library_formats_match_golden(file_name):
 
 def test_golden_directory_holds_only_the_corpus():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(_corpus_names())
+
+
+def _strict_json(text):
+    """``json.loads`` refusing the NaN and Infinity tokens RFC 8259 JSON has no place for."""
+    def refuse(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_artifacts_are_standard_json(tmp_path, monkeypatch):
+    for name in sorted(_corpus_names()):
+        if name.endswith(".json"):
+            _strict_json((GOLDEN / name).read_text())
+    # a simulate report whose trial 1 fails at a zero channel, condition inf
+    real = scheme._channels
+
+    def zero_trial_1(spec, seeds):
+        channels = real(spec, seeds)
+        channels.h1[1] = 0
+        return channels
+
+    monkeypatch.setattr(scheme, "_channels", zero_trial_1)
+    code, _, files = _run_cli("failed", ["simulate", "--M", "4", "--N", "3,2", "--trials", "3",
+                                         "--seed", "7"], None, tmp_path)
+    assert code == 2
+    assert _strict_json(files["failed.json"].decode())["failures"] == [[1, 8, "inf"]]
 
 
 SWEEP_DIGESTS = {

@@ -95,6 +95,12 @@ def test_plan_case_a_weights():
         plan_two_user(4, 3, 2, time_weights=(F(1), F(0)))
 
 
+@pytest.mark.parametrize("weights", ["10", (1,), (1, 0, 0)])
+def test_plan_case_a_refuses_weights_that_are_not_a_pair(weights):
+    with pytest.raises(SchemeError, match=re.escape(repr(weights))):
+        plan_two_user(2, 3, 2, time_weights=weights)
+
+
 def test_plan_rejects_bad_antennas():
     with pytest.raises(SchemeError):
         plan_two_user(4, 2, 3)
