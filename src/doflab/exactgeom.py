@@ -100,10 +100,15 @@ def dot(a, b) -> Fraction:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """One inequality ``coeffs . d <= bound``."""
+    """One inequality ``coeffs . d <= bound``.
+
+    ``_row`` holds its ``_row_of`` once it is built; it takes no part in
+    comparison, hashing or repr.
+    """
 
     coeffs: tuple
     bound: Fraction
+    _row: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(map(rat, self.coeffs)))
@@ -280,15 +285,19 @@ def _double_description(region: DoFRegion):
     Invariant: the rays are exactly the extreme rays of the cone cut so
     far, each a gcd-normalized tuple of ints with its zero set, the
     bitmask of the constraints it meets with equality: bit i < K for
-    d_i >= 0, bit K for t >= 0 and bit K+1+j for row j.  Each row is
-    scaled to integers once, and a ray's excess on it, coeffs . d -
-    bound * t, is one ``sum(map(mul, ...))``.  A new row keeps the rays
-    of excess <= 0 and, for each ray p strictly inside (excess < 0) and n
-    strictly outside (excess > 0) that are adjacent, adds the positive
-    combination of p and n on its hyperplane.  The cone is pointed, since
-    it lies in the orthant, so p and n are adjacent iff no third ray's
-    zero set contains Z(p) & Z(n).  The constraints have rank K+1,
-    so adjacency also needs |Z(p) & Z(n)| >= K-1, which is checked first.
+    d_i >= 0, bit K for t >= 0 and bit K+1+j for row j.  Each row is read
+    as integers once (``_row_of``), and a ray's excess on it, coeffs . d -
+    bound * t, is one ``sum(map(mul, ...))``.  One pass over the rays
+    computes each excess once and files the ray: excess <= 0 keeps it,
+    with the row's bit added to its zero set when the excess is 0, and
+    excess < 0 or > 0 also lists it, with its zero set and excess, as
+    strictly inside or strictly outside.  Then, for each p inside and n
+    outside that are adjacent, the positive combination of p and n on the
+    row's hyperplane is added after the kept rays.  The cone is pointed,
+    since it lies in the orthant, so p and n are adjacent iff no third
+    ray's zero set contains Z(p) & Z(n); the scan over the zero sets stops
+    at the third that does.  The constraints have rank K+1, so adjacency
+    also needs |Z(p) & Z(n)| >= K-1, which is checked first.
 
     The region is a pointed polyhedron, so it is the convex hull of the
     final rays with t > 0, divided by t, plus the cone of those with
@@ -305,39 +314,62 @@ def _double_description(region: DoFRegion):
     rays = [(0,) * i + (1,) + (0,) * (k - i) for i in range(k + 1)]
     zeros = [((1 << (k + 1)) - 1) ^ (1 << i) for i in range(k + 1)]
     for bit, hs in enumerate(region.halfspaces, start=k + 1):
-        row = _integer_row(hs.coeffs + (hs.bound,))
-        row[k] = -row[k]
+        row = _row_of(hs)
         flag = 1 << bit
-        excess = [sum(map(mul, row, r)) for r in rays]  # coeffs . d - bound * t, scaled
-        outside = [(n, en) for n, en in enumerate(excess) if en > 0]
-        added_rays = []
-        added_zeros = []
-        for p, ep in enumerate(excess):
-            if ep >= 0:
-                continue
-            zp = zeros[p]
-            for n, en in outside:
-                common = zp & zeros[n]
-                if common.bit_count() < k - 1 or _contained_in_third(common, zeros):
+        kept_rays, kept_zeros, inside, outside = [], [], [], []
+        for r, z in zip(rays, zeros):
+            e = sum(map(mul, row, r))
+            if e < 0:
+                kept_rays.append(r)
+                kept_zeros.append(z)
+                inside.append((r, z, e))
+            elif e:
+                outside.append((r, z, e))
+            else:
+                kept_rays.append(r)
+                kept_zeros.append(z | flag)
+        for rp, zp, ep in inside:
+            for rn, zn, en in outside:
+                common = zp & zn
+                if common.bit_count() < k - 1:
                     continue
-                ray = [en * a - ep * b for a, b in zip(rays[p], rays[n])]
-                g = gcd(*ray)
-                added_rays.append(tuple(x // g for x in ray) if g > 1 else tuple(ray))
-                added_zeros.append(common | flag)
-        rays = [r for r, e in zip(rays, excess) if e <= 0] + added_rays
-        zeros = [z if e else z | flag for z, e in zip(zeros, excess) if e <= 0] + added_zeros
+                found = 0  # zero sets that contain common: p's, n's and a third?
+                for z in zeros:
+                    if z & common == common:
+                        found += 1
+                        if found > 2:
+                            break
+                else:
+                    ray = [en * a - ep * b for a, b in zip(rp, rn)]
+                    g = gcd(*ray)
+                    if g > 1:
+                        ray = [x // g for x in ray]
+                    kept_rays.append(tuple(ray))
+                    kept_zeros.append(common | flag)
+        rays, zeros = kept_rays, kept_zeros
     return tuple(rays), tuple(zeros)
 
 
-def _contained_in_third(common, zeros):
-    """True iff a third zero set besides the pair's own two contains ``common``."""
-    found = 0
-    for z in zeros:
-        if z & common == common:
-            found += 1
-            if found > 2:
-                return True
-    return False
+def _row_of(hs: HalfSpace):
+    """The row ``coeffs . d - bound * t`` of the homogenized cone as a tuple of
+    ints: coefficients and bound scaled to integers together, the bound
+    negated.  Built on the half-space's first use unless its constructor
+    set it (``_reciprocal_halfspace``), and kept."""
+    if hs._row is None:
+        row = _integer_row(hs.coeffs + (hs.bound,))
+        row[-1] = -row[-1]
+        object.__setattr__(hs, "_row", tuple(row))
+    return hs._row
+
+
+def _reciprocal_halfspace(caps, reciprocals):
+    """``HalfSpace(reciprocals, 1)`` for positive int ``caps`` with
+    ``reciprocals[i] == 1 / caps[i]``, its ``_row_of`` read off the caps:
+    lcm(caps) // caps[i], then -lcm(caps), with no Fraction touched."""
+    hs = HalfSpace(reciprocals, _ONE)
+    scale = lcm(*caps)
+    object.__setattr__(hs, "_row", tuple([scale // c for c in caps]) + (-scale,))
+    return hs
 
 
 def _rays_of(region: DoFRegion):
@@ -481,15 +513,15 @@ def region_includes(outer: DoFRegion, inner: DoFRegion) -> bool:
     Inner lies in outer iff no row of outer is exceeded by inner's support
     in that row's direction.  The supports are read off inner's double
     description; they raise as ``lp_max`` on inner would.  Each row and its
-    bound are scaled to integers together, so no Fraction is built.
+    bound are read as integers (``_row_of``), so no Fraction is built.
     """
     if outer.dimension != inner.dimension:
         raise DimensionMismatchError("regions of dimension %d vs %d" % (outer.dimension, inner.dimension))
     rays, _ = _rays_of(inner)
     for hs in outer.halfspaces:
-        *coeffs, bound = _integer_row(hs.coeffs + (hs.bound,))
+        *coeffs, minus_bound = _row_of(hs)
         v, t = _best_vertex(rays, coeffs)
-        if v > bound * t:
+        if v + minus_bound * t > 0:
             return False
     return True
 

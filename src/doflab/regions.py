@@ -30,6 +30,7 @@ from .exactgeom import (
     GeometryError,
     HalfSpace,
     UnsupportedDimensionError,
+    _reciprocal_halfspace,
     contains,
     rat,
     rat_str,
@@ -123,7 +124,7 @@ def permutation_inequalities(config: AntennaConfig):
             for c in caps:
                 if c not in inverse:
                     inverse[c] = Fraction(1, c)
-            rows[caps] = HalfSpace(tuple(map(inverse.__getitem__, caps)), _ONE)
+            rows[caps] = _reciprocal_halfspace(caps, tuple(map(inverse.__getitem__, caps)))
     return list(rows.values())
 
 

@@ -22,8 +22,9 @@ The two users are handled alike.  ``_users`` states the layout once, one
 entry per user i: the slots of its own phase, the symbols s_i sent per
 slot, N_i, the LCs it is owed per slot and the first phase-3 antenna of
 those LCs (0 for user 1, E - N2 for user 2); the other user is 1 - i.
-``_cuts`` cuts each user's channels by that table once, and ``run_phases``,
-``decode`` and the rate model read those cuts.
+``_cuts`` states each user's channel cuts by that table once, and
+``run_phases``, ``decode`` and the rate model read them; the phase-3
+windows are cut only where they are read.
 
 M <= N1 needs no alignment: plain time division between single-user
 transmissions traces the region's dominant face.  It runs through the same
@@ -250,29 +251,47 @@ def _users(spec: SchemeSpec):
     )
 
 
-class _Cut(NamedTuple):  # one user's channel cuts, over the channels' leading trial axes
+class _Cut(NamedTuple):
+    """One user's channel cuts, over the channels' leading trial axes, as views.
+
+    ``direct`` and ``lcmap`` are cut with the ``_Cut``; the phase-3 windows
+    ``align`` and ``side`` are cut each time they are read, as
+    ``run_phases`` reads neither.  With M <= N1 there is no phase-3 slot,
+    and each window is an empty stack of its shape.
+    """
+
     direct: np.ndarray  # (..., T_i, N_i, s_i) its channel in its own phase, on its symbols
     lcmap: np.ndarray  # (..., T_i, needed_i, s_i) the other receiver's there, under the LCs
-    align: np.ndarray  # (..., T3, N_i, N_i) its phase-3 channel under its own LCs' antennas
-    side: np.ndarray  # (..., T3, N_i, N_other) its phase-3 channel under the other user's LCs
+    h: np.ndarray  # (..., T, N_i, M) its whole channel
+    phase3: slice  # the phase-3 slots
+    own: slice  # the phase-3 antennas of its own LCs
+    other: slice  # the phase-3 antennas of the other user's LCs
+
+    @property
+    def align(self):  # (..., T3, N_i, N_i) its phase-3 channel under its own LCs' antennas
+        return self._window(self.own)
+
+    @property
+    def side(self):  # (..., T3, N_i, N_other) its phase-3 channel under the other user's LCs
+        return self._window(self.other)
+
+    def _window(self, antennas):
+        window = self.h[..., self.phase3, :, antennas]
+        width = antennas.stop - antennas.start
+        if window.shape[-1] == width:
+            return window
+        return window.reshape(window.shape[:-1] + (width,))  # no slot: an empty stack
 
 
 def _cuts(spec: SchemeSpec, h1, h2):
-    """Each user's ``_Cut`` of the channels h1 and h2, user 1 then user 2, as views.
-
-    With M <= N1 there is no phase-3 slot, and each phase-3 window is an
-    empty stack of its shape.
-    """
+    """Each user's ``_Cut`` of the channels h1 and h2, user 1 then user 2."""
     users, hs = _users(spec), (h1, h2)
-    t3 = spec.phase_lengths[2]
-
-    def window(h, user):  # h under the phase-3 antennas of the user's LCs
-        phase3 = h[..., spec.total_slots - t3 :, :, user.lo : user.lo + user.n]
-        return phase3.reshape(h.shape[:-3] + (t3, h.shape[-2], user.n))
-
+    total = spec.total_slots
+    phase3 = slice(total - spec.phase_lengths[2], total)
+    antennas = [slice(user.lo, user.lo + user.n) for user in users]
     return tuple(_Cut(h[..., user.own, :, : user.s], heard[..., user.own, : user.needed, : user.s],
-                      window(h, user), window(h, other))
-                 for user, other, h, heard in zip(users, users[::-1], hs, hs[::-1]))
+                      h, phase3, own, other)
+                 for user, h, heard, own, other in zip(users, hs, hs[::-1], antennas, antennas[::-1]))
 
 
 def _solve_order(spec: SchemeSpec):
@@ -592,11 +611,12 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
         # receiver's signal in the other user's phase; its side channel
         # under them cancels them
         known = y[:, other.own, : other.needed].reshape(trials, t3, other.n)
-        lc, align_screen = _screened_solve(cut.align, y[:, total - t3 :] - _apply(cut.side, known))
+        align = cut.align
+        lc, align_screen = _screened_solve(align, y[:, total - t3 :] - _apply(cut.side, known))
         data = np.concatenate([cut.direct, cut.lcmap], axis=2)[:, :, : user.s]
         u_hat, data_screen = _screened_solve(data, np.concatenate(
             [y[:, user.own], lc.reshape(trials, user.t, user.needed)], axis=2)[:, :, : user.s])
-        stacks += [cut.align, data]
+        stacks += [align, data]
         screens += [align_screen, data_screen]
         u_hats.append(u_hat)
     if runs is None:
@@ -818,7 +838,8 @@ def _user_models(spec: SchemeSpec, channels: ChannelRealization):
         # the group's LCs as a block-diagonal map from its symbols, N_i rows per phase-3 slot
         lcmap = _block_diagonal(cut.lcmap.reshape(groups, a, user.needed, user.s)).reshape(
             groups, b, user.n, a * user.s)
-        cov = np.eye(user.n) + (scale ** 2) * cut.side @ np.swapaxes(cut.side.conj(), 1, 2)
+        side = cut.side
+        cov = np.eye(user.n) + (scale ** 2) * side @ np.swapaxes(side.conj(), 1, 2)
         whitened = np.linalg.solve(np.linalg.cholesky(cov), scale * cut.align).reshape(
             groups, b, user.n, user.n)
         g3 = (whitened @ lcmap).reshape(groups, g, a * user.s)

@@ -15,6 +15,10 @@ It hashes three corpora, rendered as text:
   region's vertices, then every vertex and every midpoint of two vertices
   of each region (ties in the smallest coordinate, z = 0 and z = MN/(M+2N)).
 
+A second line hashes the raw double description of each bound of the
+outer-bound sweep: the rays and zero sets that ``_double_description``
+returns for the unreduced permutation rows, in order.
+
 Run it on two checkouts and compare the lines: equal digests mean equal
 outputs.  Not a test module, so pytest does not collect it.
 """
@@ -24,12 +28,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from doflab.exactgeom import rat_str, vertex_enumerate
+from doflab.exactgeom import DoFRegion, _double_description, rat_str, vertex_enumerate
 from doflab.regions import (
     AntennaConfig,
     achievability_plan,
     d3_max,
     outer_bound_region,
+    permutation_inequalities,
     plane_slice,
     three_user_region,
 )
@@ -59,6 +64,14 @@ def outer_bound_lines(shapes=SMALL_SHAPES + K5_SHAPES):
             yield "outer %d %s" % (m, ",".join(map(str, n)))
             yield from ("  " + hs.render() for hs in region.halfspaces)
             yield from ("  v " + _point(v) for v in vertex_enumerate(region))
+
+
+def double_description_lines(shapes=SMALL_SHAPES + K5_SHAPES):
+    for n in shapes:
+        for m in range(1, sum(n) + 2):
+            raw = DoFRegion(len(n), tuple(permutation_inequalities(AntennaConfig(m, n))))
+            yield "dd %d %s" % (m, ",".join(map(str, n)))
+            yield from ("  %s %d" % (",".join(map(str, r)), z) for r, z in zip(*_double_description(raw)))
 
 
 def slice_lines():
@@ -98,16 +111,24 @@ def plan_lines():
         yield "  " + json_text(plan_document(achievability_plan(m, n, target)))
 
 
-def main():
+def _hash(*corpora):
+    """sha256 over every line of the corpora, and each corpus's header count."""
     digest = hashlib.sha256()
     counts = []
-    for lines in (outer_bound_lines(), slice_lines(), plan_lines()):
+    for lines in corpora:
         headers = 0
         for line in lines:
             headers += not line.startswith(" ")
             digest.update(line.encode() + b"\n")
         counts.append(headers)
-    print("%s  outer bounds=%d slices=%d plans=%d" % (digest.hexdigest(), *counts))
+    return digest.hexdigest(), counts
+
+
+def main():
+    digest, counts = _hash(outer_bound_lines(), slice_lines(), plan_lines())
+    print("%s  outer bounds=%d slices=%d plans=%d" % (digest, *counts))
+    digest, counts = _hash(double_description_lines())
+    print("%s  double descriptions=%d" % (digest, *counts))
 
 
 if __name__ == "__main__":

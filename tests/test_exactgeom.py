@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction as F
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -49,6 +49,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import halfspaces_to_csv, vertices_to_csv
+from reference_dd import double_description as reference_double_description
 from reference_simplex import _OPTIMAL, _solve_lp, reference_is_bounded, reference_lp_argmax
 
 
@@ -825,6 +826,56 @@ def test_cached_double_description_is_invisible_to_equality_hash_and_repr():
         vertex_enumerate(copy)
         assert copy == region and copy._rays is not region._rays
 
+
+def test_cached_integer_row_is_invisible_to_equality_hash_and_repr():
+    built, plain = HalfSpace((F(1, 2), F(1, 3)), 1), HalfSpace((F(1, 2), F(1, 3)), 1)
+    assert exactgeom._row_of(built) == (3, 2, -6)
+    assert built._row is not None and plain._row is None
+    assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+
+
+# ---------------------------------------------------------------------------
+# the double description against the earlier row loop (reference_dd)
+# ---------------------------------------------------------------------------
+
+ORACLE_BOUNDS = [
+    (m, n)
+    for k in range(1, 6)
+    for n in combinations_with_replacement(range(2 if k == 5 else 3, 0, -1), k)
+    for m in range(1, sum(n) + 2)
+] + [(12, (5, 4, 3, 2, 1))]
+
+
+def test_double_description_matches_the_earlier_row_loop_on_raw_outer_bounds():
+    # K <= 4 with N_i <= 3, K = 5 with N_i <= 2, every M up to sum(N) + 1,
+    # and the K = 5 bound with 102 rows and 341 rays: the same rays and zero
+    # sets in the same order, with the rows read off the caps on one side
+    # and scaled from their Fractions on the other
+    for m, n in ORACLE_BOUNDS:
+        region = _raw_outer_bound(AntennaConfig(m, n))
+        assert exactgeom._double_description(region) == reference_double_description(region), (m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(redundancy_regions(), vertex_regions()))
+def test_double_description_matches_the_earlier_row_loop(region):
+    # negative coefficients and bounds, duplicated and proportional rows:
+    # rays on a row's hyperplane, empty and unbounded regions
+    assert exactgeom._double_description(region) == reference_double_description(region)
+
+
+def test_outer_bound_rows_read_off_the_caps_are_their_scaled_fractions():
+    for m, n in ORACLE_BOUNDS:
+        for hs in permutation_inequalities(AntennaConfig(m, n)):
+            *coeffs, bound = exactgeom._integer_row(hs.coeffs + (hs.bound,))
+            assert hs._row == (*coeffs, -bound), (m, n, hs)
+
+
+@pytest.mark.parametrize("m, n, rays", [
+    (3, (1, 1, 1), 8), (12, (5, 4, 3, 2, 1), 341), (15, (5, 4, 3, 2, 1), 548),
+], ids=["3-111", "12-54321", "15-54321"])
+def test_raw_outer_bound_ray_counts(m, n, rays):
+    assert len(exactgeom._double_description(_raw_outer_bound(AntennaConfig(m, n)))[0]) == rays
 
 def test_lp_with_lower_bound_row():
     # regression: a negative-rhs row (x >= 1/3) goes through phase 1; the

@@ -393,6 +393,35 @@ def test_overheard_lcs_match_channel_rows_exactly():
         assert np.array_equal(tr.lc_user2[t], expected)
 
 
+@pytest.mark.parametrize("m, n1, n2", [(4, 3, 2), (3, 3, 3), (3, 2, 1), (2, 3, 3), (3, 4, 2)])
+def test_cut_windows_are_the_phase3_channel_under_each_users_lcs(m, n1, n2):
+    # align and side are a user's channel in the last T3 slots under the
+    # antennas of its own LCs and of the other user's; with M <= N1 there is
+    # no phase-3 slot, and both are empty stacks of their shape
+    spec = plan_two_user(m, n1, n2)
+    channels = generate_channels(spec, 3)
+    t3 = spec.phase_lengths[2]
+    users = scheme._users(spec)
+    cuts = scheme._cuts(spec, channels.h1, channels.h2)
+    for user, other, h, cut in zip(users, users[::-1], (channels.h1, channels.h2), cuts):
+        assert cut.align.shape == (t3, user.n, user.n)
+        assert cut.side.shape == (t3, user.n, other.n)
+        if t3:
+            phase3 = h[spec.total_slots - t3 :]
+            assert np.array_equal(cut.align, phase3[:, :, user.lo : user.lo + user.n])
+            assert np.array_equal(cut.side, phase3[:, :, other.lo : other.lo + other.n])
+
+
+def test_run_phases_cuts_no_phase3_window(monkeypatch):
+    # run_phases reads only the LC maps; the phase-3 windows are decode's
+    def refuse(cut, antennas):
+        raise AssertionError("run_phases cut a phase-3 window")
+
+    monkeypatch.setattr(scheme._Cut, "_window", refuse)
+    spec, tr = _run(4, 3, 2)
+    assert tr.x.shape == (spec.total_slots, 4)
+
+
 def test_run_phases_shape_mismatch():
     spec = plan_two_user(4, 3, 2)
     channels = generate_channels(spec, 0)
