@@ -220,9 +220,9 @@ def is_bounded(region: DoFRegion) -> bool:
 
 def _integer_row(values):
     """Rationals scaled by the lcm of their denominators: a list of ints."""
-    dens = [v.denominator for v in values]
-    scale = lcm(*dens)
-    return [v.numerator * (scale // d) for v, d in zip(values, dens)]
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios]
 
 
 def _solve_int(rows):

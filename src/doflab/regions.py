@@ -100,6 +100,46 @@ class AntennaConfig:
         return len(self.N)
 
 
+def _permutation_caps(config: AntennaConfig):
+    """Each distinct cap tuple of the permutation rows, in first-occurrence
+    order, with its facet flag (``outer_bound_region`` proves the rule).
+
+    A permutation is read from its last user; the first user whose tail
+    would reach M, and every user before it, sits at M, so the loop stops
+    there.  With ``tail`` the sum of N over the users below M, the row is a
+    facet iff ``tail + N_u >= M`` for every user u at M.  N is
+    non-increasing, so the last of those users has the smallest N_u, and
+    the test is made once per distinct row.
+    """
+    M, N, K = config.M, config.N, config.K
+    seen = set()
+    for pi in permutations(range(K)):
+        caps = [M] * K
+        tail = 0
+        for user in reversed(pi):
+            if tail + N[user] >= M:
+                break
+            tail += N[user]
+            caps[user] = tail
+        caps = tuple(caps)
+        if caps not in seen:
+            seen.add(caps)
+            yield caps, M not in caps or tail + N[K - 1 - caps[::-1].index(M)] >= M
+
+
+def _reciprocal_rows(caps_rows):
+    """``HalfSpace(1 / caps, 1)`` for each cap tuple, each distinct 1/cap
+    built once and each row's integers read off its caps."""
+    inverse = {}
+    rows = []
+    for caps in caps_rows:
+        for c in caps:
+            if c not in inverse:
+                inverse[c] = Fraction(1, c)
+        rows.append(_reciprocal_halfspace(caps, tuple(map(inverse.__getitem__, caps))))
+    return rows
+
+
 def permutation_inequalities(config: AntennaConfig):
     """The distinct raw outer-bound inequalities, in permutation order.
 
@@ -107,39 +147,54 @@ def permutation_inequalities(config: AntennaConfig):
     sum_i d_{pi(i)} / min(M, N_{pi(i)} + ... + N_{pi(K)}) <= 1.
     Permutations that give the same coefficients (users with equal N_i,
     or tails capped at M) yield one half-space, at the first of them; rows
-    are keyed by their integer denominators, so a repeat builds nothing,
-    and each distinct 1/cap is built once.
+    are keyed by their caps, so a repeat builds nothing, and each distinct
+    1/cap is built once.  Every row is returned, facet or not: the rows
+    come from the loop that ``outer_bound_region`` reads, which flags the
+    facets, and this list ignores the flag.
     """
-    M, N, K = config.M, config.N, config.K
-    rows = {}
-    inverse = {}
-    for pi in permutations(range(K)):
-        caps = [0] * K
-        tail = 0
-        for user in reversed(pi):
-            tail += N[user]
-            caps[user] = tail if tail < M else M
-        caps = tuple(caps)
-        if caps not in rows:
-            for c in caps:
-                if c not in inverse:
-                    inverse[c] = Fraction(1, c)
-            rows[caps] = _reciprocal_halfspace(caps, tuple(map(inverse.__getitem__, caps)))
-    return list(rows.values())
+    return _reciprocal_rows(caps for caps, _ in _permutation_caps(config))
 
 
 def outer_bound_region(config: AntennaConfig) -> DoFRegion:
     """Outer bound on the delayed-CSIT DoF region, redundancy-reduced.
 
     Refuses K > MAX_VERTEX_K before building the K! permutation
-    inequalities.  Every inequality has bound 1, as ``remove_redundant``
-    needs, so it reads the facets off one double description.
+    inequalities.  The facets are read off the permutations, with no
+    double description: the region keeps the facet rows of
+    ``permutation_inequalities``, in its order, which are the rows that
+    ``remove_redundant`` keeps on those rows.  The region builds its double
+    description on its first query, over the facets only.
+
+    Read pi from its last user.  The tails S_1 < ... < S_L < M are those of
+    the users s_1, ..., s_L, every tail grows by some N_i >= 1, and every
+    other user, the set R, sits at cap M.  A cap tuple fixes R and S_L, so
+    the verdict is the same for every permutation of one row.
+
+    Not a facet if some u in R has S_L + N_u < M.  The row of the tail
+    s_1, ..., s_L, u has the same caps except a smaller one, S_L + N_u, on
+    u.  For d >= 0 it strictly implies this row, so this row's face lies
+    in {d_u = 0}.  Every bound is 1 > 0, so the region is
+    full-dimensional, a facet's vertices span its hyperplane, and a row
+    whose hyperplane is not {d_u = 0} defines no facet there.
+
+    A facet otherwise.  Take y > 0 with y_{s_1} >> ... >> y_{s_L} >> y_R
+    and scale it onto this row.  Another row differs from this one first,
+    in the order s_1, ..., s_L, at some s_j.  Its tail there is > S_j,
+    because tails grow by N >= 1, so its coefficient there is smaller, and
+    y is strictly inside it.  A row that agrees on every s_j puts each u in
+    R at a tail of at least S_L + N_u >= M, so it is this row.  Then y is
+    strictly inside every other row and d > 0 there, so a neighbourhood of
+    y in this row's hyperplane lies in the region, and the face has
+    dimension K-1.  As the rows are distinct and have bound 1, no two
+    define one facet, so ``remove_redundant``'s keep-the-last rule for
+    equal incidence never applies, and the two agree row for row.
     """
     if config.K > MAX_VERTEX_K:
         raise UnsupportedDimensionError(
             "outer bound supports K <= %d, got K=%d" % (MAX_VERTEX_K, config.K)
         )
-    return remove_redundant(DoFRegion(config.K, tuple(permutation_inequalities(config))))
+    facets = _reciprocal_rows(caps for caps, facet in _permutation_caps(config) if facet)
+    return DoFRegion(config.K, tuple(facets))
 
 
 def two_user_region(M: int, N1: int, N2: int) -> DoFRegion:
@@ -412,7 +467,9 @@ def achievability_plan(M: int, N: int, target) -> AchievabilityPlan:
         raise ValueError("target must have three coordinates")
     region = three_user_region(M, N)
     if not contains(region, target):
-        raise GeometryError("target %r is outside the three-user region" % (target,))
+        raise GeometryError(
+            "target (%s) is outside the three-user region" % ", ".join(map(rat_str, target))
+        )
 
     k_axis = min(range(3), key=lambda i: (target[i], i))
     p_axis, r_axis = [i for i in range(3) if i != k_axis]

@@ -421,6 +421,17 @@ def test_simulate_three_user_external_not_simulated(capsys):
     assert "not simulated" in stdout
 
 
+def test_simulate_three_user_target_outside_region_is_rendered_exactly(capsys, monkeypatch):
+    _refuse_trials(monkeypatch)
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--M", "2", "--N", "1,1,1", "--target", "2/3,2/3,2/3", "--trials", "1",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "target (2/3, 2/3, 2/3) is outside the three-user region" in err
+    assert "Fraction" not in err
+
+
 def test_simulate_three_user_needs_target(capsys):
     code, _, err = run_cli(capsys, "simulate", "--M", "2", "--N", "1,1,1")
     assert code == EXIT_USAGE

@@ -346,13 +346,13 @@ def fresh(region):
 
 
 def test_remove_redundant_reads_outer_bound_facets_without_lp(monkeypatch):
-    # one double description per outer bound, whatever its number of rows
+    # one double description per raw outer bound, whatever its number of rows
     calls = count_double_descriptions(monkeypatch)
-    assert len(outer_bound_region(AntennaConfig(3, (1,) * 5)).halfspaces) == 20
-    assert len(outer_bound_region(AntennaConfig(4, (1,) * 5)).halfspaces) == 60
+    assert len(remove_redundant(_raw_outer_bound(AntennaConfig(3, (1,) * 5))).halfspaces) == 20
+    assert len(remove_redundant(_raw_outer_bound(AntennaConfig(4, (1,) * 5))).halfspaces) == 60
     config = AntennaConfig(5, (2, 2, 1, 1))
     assert len(_raw_outer_bound(config).halfspaces) == 22
-    assert len(outer_bound_region(config).halfspaces) == 14
+    assert len(remove_redundant(_raw_outer_bound(config)).halfspaces) == 14
     assert len(calls) == 3
 
 
@@ -770,7 +770,7 @@ def test_is_bounded():
 def test_nonnegative_region_bounded_without_lp(monkeypatch):
     # vertex enumeration reads boundedness off its own rays, with no separate
     # pass; is_bounded is one double description whatever the signs
-    region = outer_bound_region(AntennaConfig(3, (2, 2, 1)))
+    region = remove_redundant(_raw_outer_bound(AntennaConfig(3, (2, 2, 1))))
     calls = count_double_descriptions(monkeypatch)
     # the reduced region came with the rays of the raw rows
     expected = vertex_enumerate(region)
@@ -807,11 +807,13 @@ def _geometry_op(m, n):
     (4, (2, 1, 1, 1)), (3, (2, 1, 1, 1, 1)),
 ], ids=["4-21", "7-42", "2-111", "3-111", "4-221", "4-2111", "3-21111"])
 def test_geometry_op_builds_each_region_once(monkeypatch, m, n):
-    # the raw rows once, and the closed form once where there is one; the
-    # reduced bound reuses the raw rows' double description
+    # the bound's facets once for its vertices (none at K = 5, which asks for
+    # none), and the closed form once where there is one; building the bound
+    # itself runs no double description
     calls = count_double_descriptions(monkeypatch)
     closed = _geometry_op(m, n)
-    assert calls[0].halfspaces == tuple(permutation_inequalities(AntennaConfig(m, n)))
+    facets = outer_bound_region(AntennaConfig(m, n)).halfspaces
+    assert [c.halfspaces for c in calls[:1]] == ([] if len(n) == 5 else [facets])
     assert calls[1:] == ([] if closed is None else [closed])
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -47,7 +48,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import plan_document, region_document
-from test_exactgeom import count_double_descriptions, fresh, scipy_redundant_oracle
+from test_exactgeom import ORACLE_BOUNDS, count_double_descriptions, fresh, scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SOURCES_BY_USER_COUNT = (SOURCE_TIME_DIVISION, SOURCE_SINGLE_USER, SOURCE_TWO_USER, SOURCE_EXTERNAL)
@@ -124,10 +125,13 @@ def test_outer_bound_completes_five_distinct_user_inputs_fast(monkeypatch, m, ke
     region = outer_bound_region(config)
     assert time.perf_counter() - start < 2.0
     assert len(region.halfspaces) == kept
-    assert len(calls) == 1
+    assert len(calls) == 0
     raw = DoFRegion(config.K, tuple(permutation_inequalities(config)))
     for i, hs in enumerate(raw.halfspaces):
         assert scipy_redundant_oracle(raw, i) == (hs not in region.halfspaces), hs.render()
+
+
+GOLDEN_OUTER_CONFIGS = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (4, (1,) * 5)}
 
 
 def _benchmark_geometry_configs():
@@ -148,7 +152,8 @@ def test_reduced_region_keeps_the_rays_of_a_fresh_build():
     # every K <= 4 config with N_i <= 3 and M <= sum(N) + 1, and the five above
     small = [(m, n) for k in range(1, 5) for n in combinations_with_replacement(range(3, 0, -1), k)
              for m in range(1, sum(n) + 2)]
-    reduced = [outer_bound_region(AntennaConfig(m, n)) for m, n in small + five]
+    reduced = [remove_redundant(DoFRegion(len(n), tuple(permutation_inequalities(AntennaConfig(m, n)))))
+               for m, n in small + five]
     reduced += [remove_redundant(plane_slice(m, n, d3_max(m, n) * j / 4).region)
                 for n in range(1, 5) for m in range(n + 1, 2 * n + 1) for j in range(5)]
     assert len(reduced) == 244 + 5 + 50
@@ -159,15 +164,69 @@ def test_reduced_region_keeps_the_rays_of_a_fresh_build():
 
 
 def test_outer_bound_work_limit_accepts_every_benchmark_and_golden_config(monkeypatch):
-    # One double description per bound, with no work limit beyond K <= 5;
+    # No double description per bound, and no work limit beyond K <= 5;
     # the real results are pinned elsewhere.
     calls = count_double_descriptions(monkeypatch)
-    golden = {(4, (3, 2)), (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (4, (1,) * 5)}
-    configs = _benchmark_geometry_configs() | golden
+    configs = _benchmark_geometry_configs() | GOLDEN_OUTER_CONFIGS
     assert len(configs) > 100
     for m, n in sorted(configs):
         outer_bound_region(AntennaConfig(m, n))
-    assert len(calls) == len(configs)
+    assert len(calls) == 0
+
+
+def test_outer_bound_facets_are_the_rows_the_double_description_keeps():
+    # the facet rule against remove_redundant on the raw rows: the same rows
+    # in the same order
+    configs = set(ORACLE_BOUNDS) | _benchmark_geometry_configs() | GOLDEN_OUTER_CONFIGS
+    configs |= {(12, (5, 4, 3, 2, 1)), (15, (5, 4, 3, 2, 1))}
+    for m, n in sorted(configs):
+        config = AntennaConfig(m, n)
+        raw = DoFRegion(config.K, tuple(permutation_inequalities(config)))
+        assert outer_bound_region(config).halfspaces == remove_redundant(raw).halfspaces, (m, n)
+
+
+def _tail_order(caps, m):
+    """The users below cap M by increasing cap (s_1, ..., s_L), and those at M (R)."""
+    below = sorted((c, user) for user, c in enumerate(caps) if c < m)
+    return [user for _, user in below], [user for user, c in enumerate(caps) if c == m]
+
+
+def test_outer_bound_facet_rule_proof_in_exact_arithmetic():
+    # The proof in outer_bound_region's docstring, checked row by row with no
+    # double description: a dropped row is strictly dominated by the row of
+    # its extended tail; a kept row has a point y > 0 on it that is strictly
+    # inside every other row, so its face has dimension K - 1.
+    rows = 0
+    for m, n in ORACLE_BOUNDS:
+        config = AntennaConfig(m, n)
+        k = config.K
+        raw = permutation_inequalities(config)
+        assert all(c.numerator == 1 for hs in raw for c in hs.coeffs)
+        caps_of = [tuple(c.denominator for c in hs.coeffs) for hs in raw]
+        kept = set(outer_bound_region(config).halfspaces)
+        scale = math.lcm(*(c for caps in caps_of for c in caps))
+        for caps, hs in zip(caps_of, raw):
+            rows += 1
+            tails, at_m = _tail_order(caps, m)
+            top = caps[tails[-1]] if tails else 0
+            if hs not in kept:
+                u = next(u for u in at_m if top + n[u] < m)
+                extended = list(caps)
+                extended[u] = top + n[u]
+                assert tuple(extended) in caps_of, (m, n, caps)
+                assert all(a <= b for a, b in zip(extended, caps)) and extended[u] < caps[u]
+                continue
+            assert all(top + n[u] >= m for u in at_m), (m, n, caps)
+            # y_{s_j} = eps^(j-1) and y_R = eps^L with eps = 1/q, scaled by q^L
+            q = 2 * k * m * m
+            y = [1] * k
+            for j, user in enumerate(tails):
+                y[user] = q ** (len(tails) - j)
+            value = sum(y[i] * (scale // caps[i]) for i in range(k))
+            for other in caps_of:
+                if other != caps:
+                    assert sum(y[i] * (scale // other[i]) for i in range(k)) < value, (m, n, caps, other)
+    assert rows == 4800
 
 
 def test_outer_bound_is_reduced():
@@ -415,6 +474,8 @@ def test_plane_slice_reduces_once(monkeypatch):
 
 
 def test_outer_bound_reduces_once(monkeypatch):
+    # the facets are read off the permutations: no reduction runs, and the
+    # bound is the reduced raw rows
     calls = []
     real = regions.remove_redundant
 
@@ -425,8 +486,10 @@ def test_outer_bound_reduces_once(monkeypatch):
     monkeypatch.setattr(regions, "remove_redundant", counting)
     for config in (AntennaConfig(3, (1, 1, 1)), AntennaConfig(5, (2, 2, 1, 1))):
         calls.clear()
-        outer_bound_region(config)
-        assert len(calls) == 1
+        region = outer_bound_region(config)
+        assert len(calls) == 0
+        raw = DoFRegion(config.K, tuple(permutation_inequalities(config)))
+        assert region.halfspaces == real(raw).halfspaces
 
 
 def test_plane_slice_errors():
