@@ -44,16 +44,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("%s: %s" % (self.prog, message))
 
 
+def _entries(text):
+    """The comma-separated entries of ``text``: none when every token is
+    empty ("" or ","), else every token, so that an empty one fails to parse."""
+    tokens = text.split(",")
+    return tokens if any(tokens) else []
+
+
 def _int_list(text):
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in _entries(text)]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
 
 
 def _float_list(text):
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        return [float(tok) for tok in _entries(text)]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated numbers, got %r" % text)
 
@@ -66,7 +73,7 @@ def _rational(text):
 
 
 def _rational_list(text):
-    return [_rational(tok) for tok in text.split(",") if tok != ""]
+    return [_rational(tok) for tok in _entries(text)]
 
 
 def _default_seed(args):

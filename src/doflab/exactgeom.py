@@ -282,6 +282,20 @@ def _double_description(region: DoFRegion):
     extreme rays are the K+1 unit vectors, and takes the rows one at a
     time in input order (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
+    When row 0 is a . d <= b with every a_i > 0 and b > 0, as in every
+    region that ``regions`` builds, the loop starts at row 1 from the cone
+    that row 0's pass would leave: the ray e_t, with every d_i >= 0 in
+    its zero set, then for i = 0..K-1 the ray (b e_i + a_i e_t) / gcd(a_i,
+    b), with d_j >= 0 for j != i and row 0 in its zero set.  That pass
+    finds each e_i strictly outside (excess a_i > 0) and e_t strictly
+    inside (excess -b < 0), so it keeps e_t alone.  Any two unit vectors
+    are adjacent in the orthant, a simplicial cone: Z(e_t) & Z(e_i) has K-1
+    bits and only e_t's and e_i's zero sets contain it.  So the pass adds,
+    in order of i, the combination a_i e_t + b e_i, gcd-normalized, with
+    that common set and row 0's bit: these rays, zero sets and order.  A
+    first row with a zero or negative coefficient, or with bound <= 0,
+    starts from the orthant.
+
     Invariant: the rays are exactly the extreme rays of the cone cut so
     far, each a gcd-normalized tuple of ints with its zero set, the
     bitmask of the constraints it meets with equality: bit i < K for
@@ -311,9 +325,21 @@ def _double_description(region: DoFRegion):
         raise UnsupportedDimensionError(
             "exact geometry supports K <= %d, got K=%d" % (MAX_VERTEX_K, k)
         )
-    rays = [(0,) * i + (1,) + (0,) * (k - i) for i in range(k + 1)]
-    zeros = [((1 << (k + 1)) - 1) ^ (1 << i) for i in range(k + 1)]
-    for bit, hs in enumerate(region.halfspaces, start=k + 1):
+    halfspaces = region.halfspaces
+    full = (1 << (k + 1)) - 1  # d >= 0 and t >= 0: every orthant constraint
+    first = _row_of(halfspaces[0]) if halfspaces else None
+    if first is not None and min(first[:k]) > 0 and first[k] < 0:
+        b, flag, start = -first[k], 1 << (k + 1), 1
+        rays, zeros = [(0,) * k + (1,)], [full ^ (1 << k)]
+        for i, a in enumerate(first[:k]):
+            g = gcd(a, b)
+            rays.append((0,) * i + (b // g,) + (0,) * (k - 1 - i) + (a // g,))
+            zeros.append(full ^ (1 << i) ^ (1 << k) | flag)
+    else:
+        start = 0
+        rays = [(0,) * i + (1,) + (0,) * (k - i) for i in range(k + 1)]
+        zeros = [full ^ (1 << i) for i in range(k + 1)]
+    for bit, hs in enumerate(halfspaces[start:], start=k + 1 + start):
         row = _row_of(hs)
         flag = 1 << bit
         kept_rays, kept_zeros, inside, outside = [], [], [], []
@@ -365,9 +391,18 @@ def _row_of(hs: HalfSpace):
 def _reciprocal_halfspace(caps, reciprocals):
     """``HalfSpace(reciprocals, 1)`` for positive int ``caps`` with
     ``reciprocals[i] == 1 / caps[i]``, its ``_row_of`` read off the caps:
-    lcm(caps) // caps[i], then -lcm(caps), with no Fraction touched."""
-    hs = HalfSpace(reciprocals, _ONE)
+    lcm(caps) // caps[i], then -lcm(caps), with no Fraction touched.
+
+    It sets the three fields itself and skips ``__post_init__``, whose
+    coercion and checks have nothing to do here: ``reciprocals`` is a
+    nonempty tuple of positive Fractions and the bound is Fraction(1), so
+    ``rat`` would return each as it is and no coefficient is zero.  The
+    row equals, hashes and reprs as the checked ``HalfSpace(reciprocals,
+    1)``."""
+    hs = object.__new__(HalfSpace)
     scale = lcm(*caps)
+    object.__setattr__(hs, "coeffs", reciprocals)
+    object.__setattr__(hs, "bound", _ONE)
     object.__setattr__(hs, "_row", tuple([scale // c for c in caps]) + (-scale,))
     return hs
 

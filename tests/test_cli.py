@@ -157,6 +157,25 @@ def test_compare_refuses_empty_m_list(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("region", "--model", "outer", "--M", "3", "--N", "2,,1"),
+     "expected comma-separated integers, got '2,,1'"),
+    (("region", "--model", "outer", "--M", "3", "--N", "2,1,"),
+     "expected comma-separated integers, got '2,1,'"),
+    (("compare", "--N", "3,2", "--M", ",4"), "expected comma-separated integers, got ',4'"),
+    (("simulate", "--M", "4", "--N", "3,2", "--snr-db", "30,,40"),
+     "expected comma-separated numbers, got '30,,40'"),
+    (("simulate", "--M", "4", "--N", "2,2,2", "--target", "1,,1"),
+     "expected a rational like 3 or 12/5, got ''"),
+], ids=["inner", "trailing", "leading", "floats", "rationals"])
+def test_list_flags_refuse_an_empty_token(capsys, argv, message):
+    # an empty token was skipped, so "2,,1" ran the two-user bound and exited 0
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert message in err
+
+
 def test_compare_svg(tmp_path, capsys):
     out = tmp_path / "sweep.svg"
     code, _, _ = run_cli(

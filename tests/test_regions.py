@@ -96,6 +96,18 @@ def test_permutation_inequalities_keep_first_occurrence_of_each_row():
     assert permutation_inequalities(AntennaConfig(3, (1, 1, 1, 1))) == expected
 
 
+def test_permutation_inequalities_past_the_largest_k():
+    # K=6 is past the permutation table (K <= MAX_VERTEX_K): the same first
+    # occurrences as above, 6!/4! = 30 distinct rows of 720
+    expected = []
+    for pi in permutations(range(6)):
+        coeffs = tuple(F(1, min(3, 6 - pi.index(user))) for user in range(6))
+        if coeffs not in expected:
+            expected.append(coeffs)
+    assert len(expected) == 30
+    assert [hs.coeffs for hs in permutation_inequalities(AntennaConfig(3, (1,) * 6))] == expected
+
+
 def test_outer_bound_432_is_the_two_theorem_lines():
     region = outer_bound_region(AntennaConfig(4, (3, 2)))
     assert set(region.halfspaces) == {
@@ -183,6 +195,19 @@ def test_outer_bound_facets_are_the_rows_the_double_description_keeps():
         config = AntennaConfig(m, n)
         raw = DoFRegion(config.K, tuple(permutation_inequalities(config)))
         assert outer_bound_region(config).halfspaces == remove_redundant(raw).halfspaces, (m, n)
+
+
+def test_outer_bound_rows_built_past_the_checks_are_checked_rows():
+    # _reciprocal_halfspace sets its fields without HalfSpace.__post_init__:
+    # each row is still the row the checked constructor builds
+    for m, n in ORACLE_BOUNDS:
+        config = AntennaConfig(m, n)
+        for hs in (*outer_bound_region(config).halfspaces, *permutation_inequalities(config)):
+            checked = HalfSpace(hs.coeffs, 1)
+            assert hs == checked and hash(hs) == hash(checked) and repr(hs) == repr(checked), (m, n)
+            assert type(hs.coeffs) is tuple and len(hs.coeffs) == config.K
+            assert all(type(c) is F and c > 0 for c in hs.coeffs), (m, n, hs)
+            assert type(hs.bound) is F and hs.bound == 1
 
 
 def _tail_order(caps, m):
