@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _entries(text):
     """The comma-separated entries of ``text``: none when every token is
-    empty ("" or ","), else every token, so that an empty one fails to parse."""
+    empty ("" or ","), else every token, so that an empty one is refused."""
     tokens = text.split(",")
     return tokens if any(tokens) else []
 
@@ -73,7 +73,10 @@ def _rational(text):
 
 
 def _rational_list(text):
-    return [_rational(tok) for tok in _entries(text)]
+    tokens = _entries(text)
+    if "" in tokens:
+        raise argparse.ArgumentTypeError("expected comma-separated rationals, got %r" % text)
+    return [_rational(tok) for tok in tokens]
 
 
 def _default_seed(args):

@@ -100,10 +100,6 @@ class AntennaConfig:
         return len(self.N)
 
 
-# every permutation of range(K), last user first, in permutation order, for K <= MAX_VERTEX_K
-_LAST_USER_FIRST = [tuple(pi[::-1] for pi in permutations(range(k))) for k in range(MAX_VERTEX_K + 1)]
-
-
 def _permutation_caps(config: AntennaConfig):
     """Each distinct cap tuple of the permutation rows, in first-occurrence
     order, with its facet flag (``outer_bound_region`` proves the rule).
@@ -117,11 +113,10 @@ def _permutation_caps(config: AntennaConfig):
     """
     M, N, K = config.M, config.N, config.K
     seen = set()
-    orders = _LAST_USER_FIRST[K] if K <= MAX_VERTEX_K else map(reversed, permutations(range(K)))
-    for order in orders:
+    for pi in permutations(range(K)):
         caps = [M] * K
         tail = 0
-        for user in order:
+        for user in reversed(pi):
             if tail + N[user] >= M:
                 break
             tail += N[user]

@@ -7,9 +7,12 @@ script sits in.  Each tree's ``src/doflab`` is loaded under its own package
 name, so both run in one process.  The ops are the distinct ``geometry``
 ops of this checkout's ``bench/workloads.catalog``, which is only read.
 
-First every op runs once on each tree, and both must give the same rows in
-the same order, the same vertices and the same verdict against the closed
-form.  Then the rounds alternate: each round runs every op once on each
+First every op runs once through ``bench/workloads.call``, on this
+checkout's doflab, and once through this script's own op on the same
+doflab: both must give the same rows in the same order, the same vertices
+and the same verdict, so that the A/B times the op that the benchmark
+times.  Then every op runs once on each tree, and both trees must give the
+same rows, vertices and verdicts.  Then the rounds alternate: each round runs every op once on each
 tree, the two trees taking turns to go first.  An op does what
 ``bench/workloads.call`` does, in stages timed with ``perf_counter``:
 
@@ -54,17 +57,31 @@ def load_tree(root: Path, name: str):
     return importlib.import_module(name + ".exactgeom"), importlib.import_module(name + ".regions")
 
 
-def geometry_ops():
-    """The distinct ``geometry`` ops of ``bench/workloads.catalog``."""
+def load_workloads():
+    """This checkout's ``bench/workloads``, with its doflab imported."""
     spec = importlib.util.spec_from_file_location("geometry_ab_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [(m, tuple(n)) for _, m, n in workloads.catalog("geometry")]
+    workloads.import_doflab()
+    return workloads
+
+
+def check_mirrors_call(workloads, ops):
+    """Assert that ``run_op`` gives what ``workloads.call`` gives on every op."""
+    tree = (workloads.exactgeom, workloads.regions)
+    for m, n in ops:
+        region, vertices, equal = workloads.call(("geometry", m, list(n)), None)
+        rows = [(hs.coeffs, hs.bound) for hs in region.halfspaces]
+        mirrored = run_op(tree, m, n, dict.fromkeys(STAGES, 0.0))
+        assert mirrored == (rows, vertices, equal), \
+            "run_op no longer mirrors bench/workloads.call on geometry op M=%d N=%s" % (m, n)
 
 
 def run_op(tree, m, n, times):
     """One ``geometry`` op on ``tree``, each stage's seconds added to ``times``;
-    returns its rows, vertices and verdict."""
+    returns its rows, vertices and verdict.  It must do what the ``geometry``
+    branch of ``bench/workloads.call`` does; ``check_mirrors_call`` asserts
+    that it gives the same outputs."""
     eg, rg = tree
     t0 = perf_counter()
     region = rg.outer_bound_region(rg.AntennaConfig(m, n))
@@ -130,7 +147,9 @@ def main(argv=None):
         parser.error("--rounds must be at least 2")
     trees = {"parent": load_tree(args.parent.resolve(), "doflab_parent"),
              "change": load_tree(args.change.resolve(), "doflab_change")}
-    ops = geometry_ops()
+    workloads = load_workloads()
+    ops = [(m, tuple(n)) for _, m, n in workloads.catalog("geometry")]
+    check_mirrors_call(workloads, ops)
     for m, n in ops:
         scratch = dict.fromkeys(STAGES, 0.0)
         outputs = [run_op(tree, m, n, scratch) for tree in trees.values()]

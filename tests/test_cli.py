@@ -166,7 +166,7 @@ def test_compare_refuses_empty_m_list(tmp_path, capsys):
     (("simulate", "--M", "4", "--N", "3,2", "--snr-db", "30,,40"),
      "expected comma-separated numbers, got '30,,40'"),
     (("simulate", "--M", "4", "--N", "2,2,2", "--target", "1,,1"),
-     "expected a rational like 3 or 12/5, got ''"),
+     "expected comma-separated rationals, got '1,,1'"),
 ], ids=["inner", "trailing", "leading", "floats", "rationals"])
 def test_list_flags_refuse_an_empty_token(capsys, argv, message):
     # an empty token was skipped, so "2,,1" ran the two-user bound and exited 0

@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -858,40 +858,30 @@ def test_double_description_matches_the_earlier_row_loop_on_raw_outer_bounds():
         assert exactgeom._double_description(region) == reference_double_description(region), (m, n)
 
 
+def _rows_region(k, rows):
+    return DoFRegion(k, tuple(HalfSpace(c, b) for c, b in rows))
+
+
+# the first five examples start from row 0's simplex (K = 1, a gcd(a_i, b) > 1,
+# Fraction rows), the last six from the orthant: no rows, or a first row with
+# a zero or negative coefficient or a bound <= 0
+@example(_rows_region(1, [((3,), 2)]))
+@example(_rows_region(1, [((2,), 5), ((1,), 1), ((F(1, 3),), 1)]))
+@example(_rows_region(2, [((2, 4), 6)]))
+@example(_rows_region(2, [((2, 4), 6), ((1, 1), 2), ((3, 1), 3)]))
+@example(_rows_region(3, [((F(1, 2), F(1, 4), F(1, 6)), 1), ((1, 1, 1), 2)]))
+@example(_rows_region(2, []))
+@example(_rows_region(2, [((0, 1), 2), ((1, 1), 3)]))
+@example(_rows_region(2, [((1, 1), 0), ((1, 2), 4)]))
+@example(_rows_region(2, [((1, 1), -1), ((1, 1), 3)]))
+@example(_rows_region(2, [((-1, 2), 3), ((1, 1), 4)]))
+@example(_rows_region(3, [((1, -1, 1), 2), ((1, 1, 1), 3)]))
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(redundancy_regions(), vertex_regions()))
 def test_double_description_matches_the_earlier_row_loop(region):
     # negative coefficients and bounds, duplicated and proportional rows:
     # rays on a row's hyperplane, empty and unbounded regions
     assert exactgeom._double_description(region) == reference_double_description(region)
-
-
-@pytest.mark.parametrize("k, rows", [
-    (1, [((3,), 2)]),
-    (1, [((2,), 5), ((1,), 1), ((F(1, 3),), 1)]),
-    (2, [((2, 4), 6)]),
-    (2, [((2, 4), 6), ((1, 1), 2), ((3, 1), 3)]),
-    (3, [((F(1, 2), F(1, 4), F(1, 6)), 1), ((1, 1, 1), 2)]),
-    (2, []),
-    (2, [((0, 1), 2), ((1, 1), 3)]),
-    (2, [((1, 1), 0), ((1, 2), 4)]),
-    (2, [((1, 1), -1), ((1, 1), 3)]),
-    (2, [((-1, 2), 3), ((1, 1), 4)]),
-    (3, [((1, -1, 1), 2), ((1, 1, 1), 3)]),
-], ids=["k1", "k1-rows", "gcd", "gcd-rows", "fractions", "no-rows", "zero-coeff", "zero-bound",
-        "negative-bound", "negative-coeff", "negative-coeff-k3"])
-def test_double_description_starts_match_the_earlier_row_loop(k, rows):
-    # the first five start from row 0's simplex, the last six from the
-    # orthant: a first row with a zero or negative coefficient or bound <= 0
-    region = DoFRegion(k, tuple(HalfSpace(c, b) for c, b in rows))
-    assert exactgeom._double_description(region) == reference_double_description(region)
-
-
-def test_double_description_of_one_row_is_its_simplex():
-    # (2, 4) . d <= 6: e_t, then (6 e_i + a_i e_t) / gcd(a_i, 6) with the row met
-    rays, zeros = exactgeom._double_description(DoFRegion(2, (HalfSpace((2, 4), 6),)))
-    assert rays == ((0, 0, 1), (3, 0, 1), (0, 3, 2))
-    assert zeros == (0b0011, 0b1010, 0b1001)
 
 
 def test_outer_bound_rows_read_off_the_caps_are_their_scaled_fractions():

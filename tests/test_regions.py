@@ -96,18 +96,6 @@ def test_permutation_inequalities_keep_first_occurrence_of_each_row():
     assert permutation_inequalities(AntennaConfig(3, (1, 1, 1, 1))) == expected
 
 
-def test_permutation_inequalities_past_the_largest_k():
-    # K=6 is past the permutation table (K <= MAX_VERTEX_K): the same first
-    # occurrences as above, 6!/4! = 30 distinct rows of 720
-    expected = []
-    for pi in permutations(range(6)):
-        coeffs = tuple(F(1, min(3, 6 - pi.index(user))) for user in range(6))
-        if coeffs not in expected:
-            expected.append(coeffs)
-    assert len(expected) == 30
-    assert [hs.coeffs for hs in permutation_inequalities(AntennaConfig(3, (1,) * 6))] == expected
-
-
 def test_outer_bound_432_is_the_two_theorem_lines():
     region = outer_bound_region(AntennaConfig(4, (3, 2)))
     assert set(region.halfspaces) == {
