@@ -15,6 +15,7 @@ import argparse
 import errno
 import functools
 import os
+import re
 import stat
 import sys
 from fractions import Fraction
@@ -65,11 +66,24 @@ def _float_list(text):
         raise argparse.ArgumentTypeError("expected comma-separated numbers, got %r" % text)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def _rational(text):
+    """``Fraction(text)``.  A literal whose exponent's magnitude reaches the
+    int-string digit limit is refused before ``Fraction`` is called, which
+    would spend minutes on the power of ten, and no number that large could
+    be printed."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = _EXPONENT.search(text)
     try:
-        return Fraction(text)
+        huge = exponent is not None and abs(int(exponent.group(1))) >= limit
+        value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("expected a rational like 3 or 12/5, got %r" % text)
+    if huge:
+        raise argparse.ArgumentTypeError("the exponent of %r reaches the limit of %d digits" % (text, limit))
+    return value
 
 
 def _rational_list(text):

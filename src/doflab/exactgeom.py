@@ -4,14 +4,17 @@ Regions live in the nonnegative orthant of dimension K: a ``DoFRegion``
 stores explicit half-spaces ``coeffs . d <= bound`` while the constraints
 ``d_i >= 0`` are implicit and always enforced.  Every number in this module
 is a ``fractions.Fraction``, or an ``int`` inside the double description,
-the queries read off its rays and the linear solver; no floating point
-enters any computation, so all results are reproducible bit for bit.
+the queries read off its rays, membership and the linear solver; no
+floating point enters any computation, so all results are reproducible bit
+for bit.
 
 Provided operations: membership, exact linear-objective maximization,
 boundedness, vertex enumeration, redundancy removal, and point-set
-equality of two regions via mutual inclusion.  All but membership are
-read off one engine, the double description over integer rays (K <= 5):
-its rays with t > 0 are the vertices and those with t = 0 the recession
+equality of two regions via mutual inclusion.  Membership reads each
+half-space as the integer row the double description uses (``_row_of``),
+against the point scaled to integers.  All but membership are read off one
+engine, the double description over integer rays (K <= 5): its rays with
+t > 0 are the vertices and those with t = 0 the recession
 directions.  Each region object builds it at most once, on its first
 query, and keeps it; ``remove_redundant`` hands it on to the reduced
 region, so reducing a region and then querying the result builds one.
@@ -173,15 +176,21 @@ class DoFRegion:
 
 
 def contains(region: DoFRegion, point) -> bool:
-    """Exact membership: every half-space plus nonnegativity."""
+    """Exact membership: every half-space plus nonnegativity.
+
+    The point, its entries through ``rat``, is scaled to integers with its
+    common denominator q last, and each half-space is read as its integer
+    row ``_row_of``, whose bound is negated: the point holds a row iff
+    row . (q point, q) <= 0, so no Fraction is built.
+    """
     if len(point) != region.dimension:
         raise DimensionMismatchError(
             "point of length %d in %d-dimensional region" % (len(point), region.dimension)
         )
-    pt = tuple(rat(x) for x in point)
-    if any(x < 0 for x in pt):
+    scaled = _integer_row([rat(x) for x in point] + [_ONE])
+    if any(x < 0 for x in scaled):
         return False
-    return all(hs.holds(pt) for hs in region.halfspaces)
+    return all(sum(map(mul, _row_of(hs), scaled)) <= 0 for hs in region.halfspaces)
 
 
 # ---------------------------------------------------------------------------

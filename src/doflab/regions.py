@@ -30,12 +30,12 @@ from .exactgeom import (
     GeometryError,
     HalfSpace,
     UnsupportedDimensionError,
+    _integer_row,
     _reciprocal_halfspace,
     contains,
     rat,
     rat_str,
     remove_redundant,
-    solve_square,
     vertex_enumerate,
 )
 
@@ -409,28 +409,44 @@ def convex_decompose_2d(target, corners):
     corner, segment, or triangle that contains the target wins.  Returns
     [(corner, weight), ...] with positive rational weights summing to 1.
     Raises GeometryError if the target is outside the hull.
+
+    The target and the corners are scaled to integers by one common
+    denominator, which keeps their order, their cross products' signs and
+    every weight, so the scan runs in integers: cross products find the
+    segments, and Cramer's rule the triangles' weights, as ratios of cross
+    products.  Only the weights returned become Fractions.
     """
     tx, ty = rat(target[0]), rat(target[1])
-    pts = sorted({(rat(x), rat(y)) for x, y in corners})
-    for p in pts:
-        if p == (tx, ty):
-            return [(p, _ONE)]
+    corners = [(rat(x), rat(y)) for x, y in corners]
+    scaled = _integer_row([tx, ty] + [v for corner in corners for v in corner])
+    px, py = scaled[0], scaled[1]
+    points = dict(zip(zip(scaled[2::2], scaled[3::2]), corners))  # integer corner -> its Fractions
+    pts = sorted(points)
+    if (px, py) in points:
+        return [(points[px, py], _ONE)]
     for a, b in combinations(pts, 2):
         ux, uy = b[0] - a[0], b[1] - a[1]
-        wx, wy = tx - a[0], ty - a[1]
+        wx, wy = px - a[0], py - a[1]
         if ux * wy - uy * wx != 0:
             continue
-        lam = wx / ux if ux != 0 else wy / uy  # a != b: the points come from a set
-        if 0 <= lam <= 1:  # a zero cross product puts the target at a + lam (b - a)
-            out = [(a, 1 - lam), (b, lam)]
-            return [(p, w) for p, w in out if w > 0]
+        num, den = (wx, ux) if ux != 0 else (wy, uy)  # a != b: the points come from a set
+        if den < 0:
+            num, den = -num, -den
+        if 0 <= num <= den:  # a zero cross product puts the target at a + (num/den) (b - a)
+            out = [(a, Fraction(den - num, den)), (b, Fraction(num, den))]
+            return [(points[p], w) for p, w in out if w > 0]
     for a, b, c in combinations(pts, 3):
-        mat = ((a[0], b[0], c[0]), (a[1], b[1], c[1]), (_ONE, _ONE, _ONE))
-        sol = solve_square(mat, (tx, ty, _ONE))
-        if sol is None:
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if det == 0:
             continue
-        if all(w >= 0 for w in sol):
-            return [(p, w) for p, w in zip((a, b, c), sol) if w > 0]
+        # each weight is the signed area of the triangle the target makes
+        # with the other two corners, over the whole triangle's
+        nums = [(q[0] - px) * (r[1] - py) - (q[1] - py) * (r[0] - px)
+                for q, r in ((b, c), (c, a), (a, b))]
+        if det < 0:
+            det, nums = -det, [-n for n in nums]
+        if all(n >= 0 for n in nums):
+            return [(points[p], Fraction(n, det)) for p, n in zip((a, b, c), nums) if n > 0]
     raise GeometryError("point (%s, %s) is not in the hull of the corners" % (rat_str(tx), rat_str(ty)))
 
 

@@ -294,6 +294,7 @@ def _cuts(spec: SchemeSpec, h1, h2):
                  for user, h, heard, own, other in zip(users, hs, hs[::-1], antennas, antennas[::-1]))
 
 
+@functools.cache
 def _solve_order(spec: SchemeSpec):
     """The slots and the names of the matrices a trial inverts, in decode's
     order: per phase-3 slot the user-1 then the user-2 alignment matrix,
@@ -490,10 +491,17 @@ def _screened_solve(matrices, rhs):
     b[..., n] = rhs
     with np.errstate(all="ignore"):
         x = _umath_linalg.solve(matrices, b, signature="DD->D")
-        screens = (np.linalg.norm(matrices, "fro", axis=(-2, -1))
-                   * np.linalg.norm(x[..., :n], "fro", axis=(-2, -1)))
-    screens[np.isnan(screens) & ~np.isnan(matrices).any(axis=(-2, -1))] = np.inf
+        screens = _frobenius(matrices) * _frobenius(x[..., :n])
+    nan = np.isnan(screens)
+    if nan.any():
+        screens[nan & ~np.isnan(matrices).any(axis=(-2, -1))] = np.inf
     return x[..., n].copy(), screens
+
+
+def _frobenius(x):
+    """``np.linalg.norm(x, "fro", axis=(-2, -1))`` of a complex stack, by
+    numpy's own formula for it, without the wrapper's argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
 
 
 def _unusable(conds):
@@ -514,6 +522,8 @@ def _conditions(stacks, screens, runs=(slice(None),)):
     reaches within BAND of the run's largest SVD value so taken: no other
     can hold the run's maximum.  ``runs`` holds the row slices of the
     contiguous runs of trials, in order, by default one run of every row.
+    Each round of re-takes makes one ``np.linalg.cond`` call per matrix
+    size, over the picked matrices of every stack of that size.
     ``np.linalg.cond`` factors each matrix of a stack on its own, so a
     re-taken value is the full stack's bit for bit; the rest are kappa_F,
     between kappa_2 and n kappa_2 (see SCREEN).  A matrix with a NaN or inf
@@ -522,39 +532,48 @@ def _conditions(stacks, screens, runs=(slice(None),)):
     Returns the values, (trials, k) per stack, views of one array that
     holds the stacks' columns in turn; ``screens`` is left as it is.
     """
-    bounds = np.cumsum([0] + [c.shape[1] for c in screens])
-    spans = list(zip(stacks, bounds[:-1], bounds[1:]))  # each stack's columns of c
     c = np.concatenate(screens, axis=1)
+    trials = len(c)
     exact = np.zeros(c.shape, dtype=bool)  # which values are the SVD's
+    spans, sizes = [], {}  # each stack's columns of c; the spans of each matrix size
+    for m, hi in zip(stacks, itertools.accumulate(screen.shape[1] for screen in screens)):
+        spans.append((m, hi - m.shape[1], hi))
+        sizes.setdefault(m.shape[-1], []).append(spans[-1])
 
-    def retake(where):
+    def retake(where):  # one np.linalg.cond call per matrix size
         where &= ~exact
-        if not where.any():
+        if not np.count_nonzero(where):
             return
         exact[where] = True
-        for m, lo, hi in spans:
-            w = where[:, lo:hi]
-            if w.any():
-                sub = m[w]
-                finite = np.isfinite(sub).all(axis=(-2, -1))  # LAPACK fails or complains on the rest
-                values = np.full(len(sub), np.inf)
-                values[finite] = np.linalg.cond(sub[finite])
-                c[:, lo:hi][w] = values
+        for group in sizes.values():
+            picked = [(m[w], lo, hi, w) for m, lo, hi in group if np.count_nonzero(w := where[:, lo:hi])]
+            if not picked:
+                continue
+            sub = np.concatenate([p[0] for p in picked])
+            finite = np.isfinite(sub).all(axis=(-2, -1))  # LAPACK fails or complains on the rest
+            values = np.full(len(sub), np.inf)
+            values[finite] = np.linalg.cond(sub[finite])
+            at = 0
+            for taken, lo, hi, w in picked:
+                c[:, lo:hi][w] = values[at : at + len(taken)]
+                at += len(taken)
 
-    retake(~(c < SCREEN))
+    retake(~(c < SCREEN))  # returns at once when every screen is below SCREEN
     kept = ~_unusable(c).any(axis=1)[:, None]
     top = np.where(kept, c, 0.0)
     first = np.zeros(c.shape, dtype=bool)
-    for rows in runs:
+    starts = [rows.indices(trials)[0] for rows in runs]
+    for rows, start in zip(runs, starts):
         for _, lo, hi in spans:
-            if top[rows, lo:hi].any():  # the stack's first kept matrix of largest value in the run
-                first[rows, lo:hi].flat[top[rows, lo:hi].argmax()] = True
+            block = top[rows, lo:hi]
+            if block.size:  # the stack's first kept matrix of largest value in the run
+                row, col = divmod(int(block.argmax()), hi - lo)
+                first[start + row, lo + col] = top[start + row, lo + col] > 0
     retake(first)
-    top = np.where(kept & exact, c, 0.0)
-    band = np.empty((len(c), 1))  # each run's rows compare with its own largest value
-    for rows in runs:
-        band[rows] = (1.0 - BAND) * top[rows].max(initial=0.0)
-    retake(kept & (c >= band))
+    if trials:  # each run's rows compare with its own largest value
+        peaks = np.maximum.reduceat(np.where(kept & exact, c, 0.0).max(axis=1), starts)
+        band = np.repeat((1.0 - BAND) * peaks, np.diff(starts + [trials]))[:, None]
+        retake(kept & (c >= band))
     return [c[:, lo:hi] for _, lo, hi in spans]
 
 
@@ -637,25 +656,31 @@ def decode(transcript: Transcript, runs=None) -> DecodingReport:
     if single and failed[0]:
         raise SingularChannelError(slots[first[0]], float(conds[0, first[0]]), what[first[0]])
 
-    def report(rows, runs=()):
-        run_failed, run_first, run_conds = failed[rows], first[rows], conds[rows]
-        ok = ~run_failed
-        residuals = [float(np.abs(np.swapaxes(u_hat[rows][ok], 1, 2) - u[rows][ok]).max(initial=0.0))
-                     for u_hat, u in zip(u_hats, us)]
-        kept = run_conds[ok]
-        return DecodingReport(
-            *spec.symbol_counts,
-            *residuals,
-            max_condition=float(kept.max(initial=0.0)),
-            solves=int(kept.size),
-            ill_conditioned=int(np.count_nonzero(kept > ILL_CONDITIONED)),
-            spec=spec,
-            failures=tuple((int(i), int(slots[run_first[i]]), float(run_conds[i, run_first[i]]),
-                            what[run_first[i]]) for i in np.flatnonzero(run_failed)),
-            runs=runs,
-        )
+    # per trial without a failure, each user's largest symbol error and the
+    # largest condition, and whether it counts and its values above
+    # ILL_CONDITIONED; a failed trial counts toward nothing
+    peaks = np.stack([np.abs(np.swapaxes(u_hat, 1, 2) - u).max(axis=(1, 2), initial=0.0)
+                      for u_hat, u in zip(u_hats, us)] + [conds.max(axis=1, initial=0.0)])
+    counts = np.stack([~failed, np.count_nonzero(conds > ILL_CONDITIONED, axis=1)])
+    failures = [(int(i), int(slots[first[i]]), float(conds[i, first[i]]), what[first[i]])
+                for i in np.flatnonzero(failed)]
+    if failures:
+        peaks[:, failed] = 0.0
+        counts[:, failed] = 0
 
-    return report(slice(None), tuple(map(report, bounds)) if len(bounds) > 1 else ())
+    def report(peak, count, failures, runs=()):
+        return DecodingReport(*spec.symbol_counts, *peak[:2], max_condition=peak[2],
+                              solves=count[0] * conds.shape[1], ill_conditioned=count[1],
+                              spec=spec, failures=tuple(failures), runs=runs)
+
+    parts = ()
+    if len(bounds) > 1:  # each run's own maxima and sums, its failures numbered from its first trial
+        starts = [rows.start for rows in bounds]
+        parts = tuple(
+            report(peak, count, [(i - rows.start, *f) for i, *f in failures if rows.start <= i < rows.stop])
+            for peak, count, rows in zip(np.maximum.reduceat(peaks, starts, axis=1).T.tolist(),
+                                         np.add.reduceat(counts, starts, axis=1).T.tolist(), bounds))
+    return report(peaks.max(axis=1, initial=0.0).tolist(), counts.sum(axis=1).tolist(), failures, parts)
 
 
 @dataclass(eq=False)

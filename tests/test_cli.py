@@ -176,6 +176,28 @@ def test_list_flags_refuse_an_empty_token(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, literal", [
+    (("slice", "--M", "3", "--N", "2", "--d3", "1e30000000"), "1e30000000"),
+    (("simulate", "--M", "3", "--N", "2,2,2", "--target", "1/3,1/3,1e-30000000"), "1e-30000000"),
+    (("slice", "--M", "3", "--N", "2", "--d3", "1E+4300"), "1E+4300"),
+], ids=["slice", "simulate-target", "at-the-limit"])
+def test_rationals_with_huge_exponents_are_refused_at_once(capsys, argv, literal):
+    # the slice ran 38 s and then printed Python's int-string limit message,
+    # and the plan was still running after 120 s
+    start = time.perf_counter()
+    code, stdout, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "the exponent of %r reaches the limit of 4300 digits" % literal in err
+
+
+@pytest.mark.parametrize("text, value", [("3e-1", "3/10"), ("1e4299", "1" + "0" * 4299),
+                                         ("1e-4299", "1/1" + "0" * 4299), ("2.5E+2", "250")])
+def test_rationals_with_exponents_below_the_limit_parse(text, value):
+    assert str(cli._rational(text)) == value
+
+
 def test_compare_svg(tmp_path, capsys):
     out = tmp_path / "sweep.svg"
     code, _, _ = run_cli(

@@ -159,6 +159,61 @@ def test_contains_dimension_mismatch():
         contains(REGION_432, (F(1),))
 
 
+def fraction_contains(region, point):
+    """Membership in Fraction arithmetic, row by row: the integer test's oracle."""
+    pt = [F(x) for x in point]
+    return all(x >= 0 for x in pt) and all(
+        sum((c * x for c, x in zip(hs.coeffs, pt)), F(0)) <= hs.bound for hs in region.halfspaces)
+
+
+def _membership_cases(count, seed=33):
+    """Regions of any row signs, zero and negative bounds included, each with
+    a point on, near or off its rows, in int, Fraction and "p/q" entries."""
+    rng = random.Random(seed)
+
+    def rational(lo, hi):
+        return F(rng.randint(lo * 12, hi * 12), rng.choice((1, 2, 3, 4, 6, 12)))
+
+    cases = [  # tight, then just outside, at bound 0 and at a negative bound
+        (DoFRegion(2, (HalfSpace((-1, 2), 0),)), [F(2), F(1)]),
+        (DoFRegion(2, (HalfSpace((-1, 2), 0),)), [F(2), F(1001, 1000)]),
+        (DoFRegion(2, (HalfSpace((1, -1), F(-1, 2)),)), [F(1, 2), F(1)]),
+        (DoFRegion(2, (HalfSpace((1, -1), F(-1, 2)),)), [F(1, 2), F(999, 1000)]),
+        (DoFRegion(1, (HalfSpace((F(-3, 7),), F(-1, 3)),)), [F(7, 9)]),
+        (DoFRegion(3, ()), [0, "1/2", F(-1, 3)]),  # off the orthant, no row
+    ]
+    while len(cases) < count:
+        k = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            coeffs = [rational(-3, 3) for _ in range(k)]
+            if any(coeffs):
+                rows.append((coeffs, rational(-3, 3)))
+        point = [rational(-1, 4) for _ in range(k)]
+        if rows and rng.random() < 0.5:  # onto the first row, where <= is tight
+            coeffs, bound = rows[0]
+            i = next(i for i, c in enumerate(coeffs) if c)
+            point[i] = (bound - sum(c * x for j, (c, x) in enumerate(zip(coeffs, point)) if j != i)) / coeffs[i]
+        forms = (F, str, lambda x: int(x) if x.denominator == 1 else x)
+        cases.append((DoFRegion(k, [HalfSpace(c, b) for c, b in rows]),
+                      [rng.choice(forms)(x) for x in point]))
+    return cases
+
+
+def test_contains_matches_fraction_arithmetic():
+    cases = _membership_cases(3000)
+    verdicts = [contains(region, point) for region, point in cases]
+    assert verdicts == [fraction_contains(region, point) for region, point in cases]
+    assert 300 < sum(verdicts) < 2700  # both verdicts are well represented
+    assert verdicts[:6] == [True, False, True, False, True, False]
+
+
+def test_contains_refuses_floats():
+    for point in ((0.5, F(0)), (F(1, 2), np.float64(0.0))):
+        with pytest.raises(TypeError):
+            contains(REGION_432, point)
+
+
 # ---------------------------------------------------------------------------
 # remove_redundant
 # ---------------------------------------------------------------------------

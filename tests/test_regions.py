@@ -6,7 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from doflab.regions import (
     SOURCE_SINGLE_USER,
     SOURCE_TIME_DIVISION,
     SOURCE_TWO_USER,
+    AchievabilityPlan,
     AntennaConfig,
     DominantFace,
     ThreeUserScopeError,
@@ -48,6 +49,7 @@ from doflab.regions import (
     two_user_region,
 )
 from doflab.serialize import plan_document, region_document
+from reference_convex import convex_decompose_2d as reference_convex_decompose_2d
 from test_exactgeom import ORACLE_BOUNDS, count_double_descriptions, fresh, scipy_redundant_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -530,6 +532,59 @@ def test_convex_decompose_2d_cases():
     assert sum(w * p[0] for p, w in tri) == F(1, 4)
     with pytest.raises(GeometryError):
         convex_decompose_2d((F(2), F(2)), corners)
+
+
+def _decomposition(decompose, target, corners):
+    try:
+        return decompose(target, corners)
+    except GeometryError as err:
+        return str(err)
+
+
+# corner sets: a slice's four, a triangle, collinear points, repeated corners
+# (as ints and as Fractions), a single corner and none
+DECOMPOSE_CORNERS = [
+    [(F(0), F(0)), (F(3, 2), F(0)), (F(3, 2), F(1, 2)), (F(0), F(3, 2))],
+    [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))],
+    [(F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1)), (F(2), F(2))],
+    [(0, 0), (F(0), F(0)), (1, 0), (F(1), F(0)), (F(0), F(1, 3)), (F(2, 3), F(2, 3))],
+    [(F(1, 3), F(2, 3))],
+    [],
+]
+
+
+def test_convex_decompose_2d_matches_the_fraction_scan():
+    # every exact corner, segment, triangle and outside case of a grid of
+    # targets, against the earlier Fraction scan (tests/reference_convex.py)
+    grid = sorted({F(i, 12) for i in range(-3, 28)} | {F(1, 3), F(2, 3), F(1, 7)})
+    kinds = {}
+    for corners in DECOMPOSE_CORNERS:
+        for x in grid:
+            for y in grid:
+                got = _decomposition(convex_decompose_2d, (x, y), corners)
+                assert got == _decomposition(reference_convex_decompose_2d, (x, y), corners), (x, y, corners)
+                kind = len(got) if isinstance(got, list) else "outside"
+                kinds[kind] = kinds.get(kind, 0) + 1
+                if isinstance(got, list):
+                    assert all(type(v) is F for corner, w in got for v in (*corner, w))
+    assert kinds == {1: 16, 2: 158, 3: 340, "outside": 5630}
+
+
+def test_plans_match_the_fraction_scan(monkeypatch):
+    # the same plans from the integer scan and from the earlier Fraction scan
+    targets = []
+    for m, n in ((2, 1), (3, 2), (4, 3), (5, 3)):
+        q, b = d3_max(m, n), d3_mid(m, n)
+        axis = sorted({F(n * i, 6) for i in range(8)} | {q, b, q / 2, b / 3})
+        targets += [(m, n, t) for t in product(axis, repeat=3)]
+
+    def plans():
+        return [_decomposition(lambda t, _: achievability_plan(m, n, t), t, None) for m, n, t in targets]
+
+    got = plans()
+    monkeypatch.setattr(regions, "convex_decompose_2d", reference_convex_decompose_2d)
+    assert got == plans()
+    assert (sum(isinstance(plan, AchievabilityPlan) for plan in got), len(got)) == (1639, 5696)
 
 
 def test_plan_symmetric_corner_is_external():

@@ -812,6 +812,32 @@ def test_svd_retakes_stay_few(monkeypatch):
     assert 0 < sum(taken) <= 290
 
 
+@pytest.mark.parametrize("screen", [0.0, scheme.SCREEN], ids=["every-matrix", "screened"])
+def test_svd_retakes_take_one_call_per_matrix_size_and_round(monkeypatch, screen):
+    # (3,2,2) inverts 2x2 alignment and 3x3 data matrices, each size in both
+    # users' stacks; each re-take round (SCREEN, each stack's first of largest
+    # value, the band) takes the SVD of a size's matrices in one call
+    spec = plan_two_user(3, 2, 2)
+    channel_seeds, symbol_seeds = _seeds.trial_seeds(np.random.SeedSequence(11), 20)
+    transcript = run_phases(spec, scheme._channels(spec, channel_seeds), scheme._symbols(spec, symbol_seeds))
+    real_cond, calls = np.linalg.cond, []
+
+    def cond(x, p=None):
+        if p is None:
+            calls.append((x.shape[-1], len(x)))
+        return real_cond(x, p)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    monkeypatch.setattr(scheme, "SCREEN", screen)
+    report = decode(transcript, (5, 15))
+    if not screen:  # the SCREEN round takes every matrix, both users' of a size at once
+        assert calls == [(2, 20 * 2 * 1), (3, 20 * (2 + 2))]
+    else:  # nothing reaches SCREEN; each stack's first of largest value in each of the two
+        # runs, four matrices of each size in one call; no other matrix reaches the band
+        assert calls == [(2, 4), (3, 4)]
+    assert report.solves == 20 * 6 and report.max_condition == max(r.max_condition for r in report.runs)
+
+
 def test_failed_trials_solved_first_stay_silent_and_out_of_the_report(monkeypatch):
     # trial 3 has a matrix above COND_LIMIT and trial 4 a zeroed slot; both
     # are solved with the rest before they fail
