@@ -69,20 +69,42 @@ def _float_list(text):
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
+def _digit_limit():
+    """The int-string digit limit, or Python's default when it is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _too_long(value, limit):
+    """Whether ``value``'s numerator or denominator has more than ``limit``
+    digits, so that ``rat_str`` could not print it."""
+    num, den = value.as_integer_ratio()
+    if max(num.bit_length(), den.bit_length()) <= 3 * limit:  # 2**(3*limit) < 10**limit
+        return False
+    return max(abs(num), den) >= 10 ** limit
+
+
 def _rational(text):
     """``Fraction(text)``.  A literal whose exponent's magnitude reaches the
     int-string digit limit is refused before ``Fraction`` is called, which
-    would spend minutes on the power of ten, and no number that large could
-    be printed."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    exponent = _EXPONENT.search(text)
+    would spend minutes on the power of ten, and so is a value whose
+    numerator or denominator has more digits than the limit, which could
+    not be printed.  A plain "p" or "p/q" is read without ``Fraction``'s
+    pattern, into the same value."""
+    num, slash, den = text.partition("/")
     try:
+        if num.isdecimal() and (den.isdecimal() or not slash):  # int() refuses a part past the limit
+            return Fraction(int(num), int(den) if slash else 1)
+        limit = _digit_limit()
+        exponent = _EXPONENT.search(text)
         huge = exponent is not None and abs(int(exponent.group(1))) >= limit
         value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("expected a rational like 3 or 12/5, got %r" % text)
     if huge:
         raise argparse.ArgumentTypeError("the exponent of %r reaches the limit of %d digits" % (text, limit))
+    # without an exponent no part of the value has more digits than the text
+    if (exponent or len(text) > limit) and _too_long(value, limit):
+        raise argparse.ArgumentTypeError("%r has more than the limit of %d digits" % (text, limit))
     return value
 
 
@@ -280,9 +302,11 @@ def _simulate_three_user(args, seed) -> int:
     all the air time.  All the components on one plan run as one stack, one
     ``scheme.simulate_runs`` call, and each summary is the one a separate
     ``simulate_trials`` call would give.  Each plan present is checked by
-    ``check_trial_size`` before anything runs or prints.  Exits 2 unless
-    every simulated component matches its corner and no component needs
-    the external three-user scheme.
+    ``check_trial_size``, and every line of the plan rendered, before
+    anything runs or prints; a weight with more digits than the int-string
+    limit is a usage error.  Exits 2 unless every simulated component
+    matches its corner and no component needs the external three-user
+    scheme.
     """
     if len(set(args.N)) != 1:
         raise CliError("three-user simulation needs equal receiver counts")
@@ -292,6 +316,13 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("--snr-db applies only to two-user simulation")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
+    limit = _digit_limit()
+    if any(_too_long(comp.weight, limit) for comp in plan.components):
+        raise CliError("a weight of the plan has more than the limit of %d digits" % limit)
+    labels = ["%-18s weight %-8s point (%s): " % (comp.source, rat_str(comp.weight), _point_str(comp.point))
+              for comp in plan.components]
+    # achievability_plan raises unless the weighted sum is the target
+    identity = "target = (%s); plan identity exact" % _point_str(plan.target)
     stacks = []  # (component indices, M, time weights) per plan present
     for source, m, weights in ((regions.SOURCE_TWO_USER, args.M, None),
                                (regions.SOURCE_SINGLE_USER, min(args.M, n), (1, 0))):
@@ -316,11 +347,8 @@ def _simulate_three_user(args, seed) -> int:
             ok = ok and summary.matches_corner
         else:
             runs.append(("silent", None, None))
-        print("%-18s weight %-8s point (%s): %s" % (
-            comp.source, rat_str(comp.weight), _point_str(comp.point), runs[-1][0],
-        ))
-    # achievability_plan raises unless the weighted sum is the target
-    print("target = (%s); plan identity exact" % _point_str(plan.target))
+        print(labels[i] + runs[-1][0])
+    print(identity)
     if args.out:
         config = AntennaConfig(args.M, tuple(args.N))
         _write(args.out, serialize.json_text(serialize.plan_run_document(config, plan, runs)))
@@ -385,11 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the ``doflab`` command line.
 
     It binds no command function: ``args.command`` names the subcommand, and
-    ``main`` calls the module's ``cmd_<command>`` when it dispatches.  ``main``
-    builds this parser once per process and reuses it.
+    ``main`` calls the module's ``cmd_<command>`` when it dispatches.  Its
+    ``commands`` maps each command name to that command's parser, the
+    ``choices`` of its subparsers action.  ``main`` builds this parser once
+    per process and reuses it.
     """
     parser = _Parser(prog="doflab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main
 
     p_region = sub.add_parser("region", help="construct a DoF region and export it")
     p_region.add_argument("--model", required=True, choices=("outer", "two-user", "three-user"))
@@ -428,18 +459,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv):
+    """``_parser().parse_args(argv)``, parsed once.
+
+    When the first word names a command, the rest goes straight to that
+    command's parser, the one the full parser would hand it to.  The full
+    parser takes the rest: a first word that is no command (``--help``, an
+    unknown command, no word at all) and words the command's parser leaves
+    over, so every usage message, help text and exit code is its own.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one ``doflab`` command and return its exit code.
 
-    The parser is built on the first call and reused by every later call in
-    the process; parsing keeps no state between calls.  Every file the
-    command would write is checked first (``_check_writable``).  The
-    subcommand runs through the module attribute ``cmd_<command>``, looked
-    up at call time, so a function rebound after the first call is the one
-    that runs.
+    ``argv`` defaults to ``sys.argv[1:]``.  The parser is built on the first
+    call and reused by every later call in the process; parsing keeps no
+    state between calls, and a command's words are parsed once, by that
+    command's parser (``_parse``).  Every file the command would write is
+    checked first (``_check_writable``).  The subcommand runs through the
+    module attribute ``cmd_<command>``, looked up at call time, so a
+    function rebound after the first call is the one that runs.
     """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         _check_writable(_out_paths(args))
         return globals()["cmd_" + args.command](args)
     except (CliError, ValueError) as err:  # SchemeError and GeometryError are ValueErrors

@@ -9,8 +9,8 @@ Identical inputs give identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exactgeom import DimensionMismatchError, rat_str
 
@@ -35,7 +35,53 @@ def _csv_text(header, rows) -> str:
 
 
 def json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` and a
+    newline, byte for byte, written in one recursive pass.
+
+    Python's own encoder falls back to its generator pass when it indents.
+    This one makes the same type tests in the same order and renders each
+    leaf with the same functions, so ``np.float64`` values print as floats.
+    NaN and infinities raise ``ValueError``; a dict key that is not a str,
+    and a value of any type but dict, list, tuple, str, int, float, bool
+    and None, raise ``TypeError``.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as indented JSON text, its nested lines starting with
+    ``indent`` (a newline and the spaces of the enclosing level)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant: %r" % (value,))
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            item = value[key]
+            items.append(_quote(key) + ": " + (_quote(item) if type(item) is str else _json(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def _config_dict(config) -> dict:

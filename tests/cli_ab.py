@@ -19,14 +19,18 @@ benchmark's worker does.  The time of each op is split into stages by
 wrappers on each tree's functions, each stage's time exclusive of the
 others':
 
-* ``parse``: the top-level ``parse_args`` of the command line;
+* ``parse``: ``cli._Parser.parse_known_args``, which parses the command
+  line whether ``main`` hands it to the top-level parser or straight to
+  the command's own;
 * ``plan``: ``regions.achievability_plan`` (three-user targets);
 * ``simulate_runs``: ``scheme.simulate_runs`` without its ``decode`` calls
   (seeds, draws, phases and summaries);
 * ``decode``: ``scheme.decode``;
+* ``serialize``: ``serialize.json_text`` and the CSV writers the commands
+  call;
 * ``write``: ``cli._write``, one file each;
-* ``other``: the rest of the op (exact geometry, serialization, the rate
-  model, printing).
+* ``other``: the rest of the op (exact geometry, building the documents,
+  the rate model, printing).
 
 For the round and for each stage it prints the median ms a round on each
 tree, the median paired ratio parent/change (above 1: the change is
@@ -49,12 +53,13 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("parse", "plan", "simulate_runs", "decode", "write", "other")
+STAGES = ("parse", "plan", "simulate_runs", "decode", "serialize", "write", "other")
+SERIALIZERS = ("json_text", "vertices_to_csv", "halfspaces_to_csv", "sweep_to_csv", "slice_to_csv")
 
 
 def load_tree(root: Path, name: str):
-    """The ``cli``, ``exactgeom``, ``regions`` and ``scheme`` modules of the
-    doflab under ``root/src``, imported as package ``name``."""
+    """The ``cli``, ``exactgeom``, ``regions``, ``scheme`` and ``serialize``
+    modules of the doflab under ``root/src``, imported as package ``name``."""
     package = root / "src" / "doflab"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
@@ -62,7 +67,7 @@ def load_tree(root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {part: importlib.import_module("%s.%s" % (name, part))
-            for part in ("cli", "exactgeom", "regions", "scheme")}
+            for part in ("cli", "exactgeom", "regions", "scheme", "serialize")}
 
 
 def load_workloads(tree, name: str):
@@ -95,11 +100,13 @@ class Stages:
         return timed
 
     def instrument(self, tree):
-        cli, regions, scheme = tree["cli"], tree["regions"], tree["scheme"]
-        cli._Parser.parse_args = self.wrap("parse", argparse.ArgumentParser.parse_args)
+        cli, regions, scheme, serialize = (tree[part] for part in ("cli", "regions", "scheme", "serialize"))
+        cli._Parser.parse_known_args = self.wrap("parse", argparse.ArgumentParser.parse_known_args)
         regions.achievability_plan = self.wrap("plan", regions.achievability_plan)
         scheme.simulate_runs = self.wrap("simulate_runs", scheme.simulate_runs)
         scheme.decode = self.wrap("decode", scheme.decode)
+        for name in SERIALIZERS:
+            setattr(serialize, name, self.wrap("serialize", getattr(serialize, name)))
         cli._write = self.wrap("write", cli._write)
 
 

@@ -1,9 +1,13 @@
 """CLI contract: flags, artifacts, determinism, exit codes."""
 
+import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +200,58 @@ def test_rationals_with_huge_exponents_are_refused_at_once(capsys, argv, literal
                                          ("1e-4299", "1/1" + "0" * 4299), ("2.5E+2", "250")])
 def test_rationals_with_exponents_below_the_limit_parse(text, value):
     assert str(cli._rational(text)) == value
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("slice", "--M", "3", "--N", "2", "--d3", "99e4299"),
+     "'99e4299' has more than the limit of 4300 digits"),
+    (("simulate", "--M", "3", "--N", "2,2,2", "--target", "1/3,1/3,1e-4299", "--trials", "1"),
+     "a weight of the plan has more than the limit of 4300 digits"),
+], ids=["slice", "simulate-plan-weight"])
+def test_rationals_too_long_to_print_are_refused_at_once(capsys, monkeypatch, argv, message):
+    # both exited 1 with Python's int-string limit message, the simulate one
+    # only after its trials ran
+    _refuse_trials(monkeypatch)
+    start = time.perf_counter()
+    code, stdout, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "error: " in err and message in err
+    assert "Exceeds the limit" not in err
+
+
+def _short(text):
+    """A test id for a literal that may run to thousands of digits."""
+    if len(text) > 16:
+        return "%s-%d-chars" % (text[:4], len(text))
+    return text.replace(" ", "_") or "empty"
+
+
+@pytest.mark.parametrize("text", ["0", "7", "12/5", "6/4", "007/010", "0/5", "\u0661\u0662/\u0665", " 1/2", "+3",
+                                  "-3/4", "1_0/3", "1.5", "3e-1", ".5E+1", "9" * 4300, "1/" + "9" * 4300], ids=_short)
+def test_rationals_parse_as_fraction_does(text):
+    # plain "p" and "p/q" skip Fraction's pattern
+    value = cli._rational(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["3/0", "/3", "3/", "", "1 / 2", "1/2/3", "\u00bd", "\u00b2", "1/\u00b2", "0x10",
+                                  "9" * 4301, "1/" + "9" * 4301, "9" * 4301 + "/1"], ids=_short)
+def test_rationals_that_fraction_refuses_are_usage_errors(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="expected a rational like 3 or 12/5"):
+        cli._rational(text)
+
+
+@pytest.mark.parametrize("text", ["99e4299", "-99e4299", "1.23e-4299", "0." + "0" * 4299 + "1"], ids=_short)
+def test_rationals_past_the_digit_limit_are_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="has more than the limit of 4300 digits"):
+        cli._rational(text)
+
+
+@pytest.mark.parametrize("text", ["9" * 4300, "-9" + "9" * 4299, "0.5e-4299", "1/" + "9" * 4300], ids=_short)
+def test_rationals_at_the_digit_limit_parse(text):
+    exactgeom.rat_str(cli._rational(text))  # printable
 
 
 def test_compare_svg(tmp_path, capsys):
@@ -590,6 +646,98 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+def _full_parse(argv):
+    """How ``main`` parsed before each command was parsed once: the whole
+    ``argv`` through the top-level parser."""
+    return cli._parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    REGION,
+    ("region", "--model=outer", "--M=3", "--N=2,1,1", "--format=json", "--out", "r.json"),
+    ("region", "--mod", "three-user", "--M", "3", "--N", "2", "--for", "svg"),
+    ("compare", "--N=3,2", "--M", "1,2"),
+    ("compare", "--M", "1", "--N", "1,1", "--M", "2,3,4", "--format", "csv", "--format", "json"),
+    SIMULATE + ("--seed", "4", "--snr-db", "30,40"),
+    ("simulate", "--M", "4", "--N", "3,2", "--tri", "3", "--see", "5", "--snr", "30", "--out=--"),
+    ("simulate", "--N", "2,2,2", "--M", "3", "--target", "1/2,1/3,1/5", "--trials", "2", "--trials", "4"),
+    ("slice", "--M", "3", "--N", "2", "--d3", "1/2"),
+    ("slice", "--d3=-1/2", "--N", "2", "--M", "3", "--d", "0", "--o", "s.csv"),
+], ids=["region", "region-equals", "region-abbreviated", "compare-equals", "compare-repeated",
+        "simulate", "simulate-abbreviated", "simulate-three-user-repeated", "slice", "slice-abbreviated"])
+def test_each_command_is_parsed_once_to_the_full_parsers_namespace(argv, monkeypatch):
+    full = cli.build_parser().parse_args(argv)
+    parsers = []
+    real = cli._Parser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        parsers.append(parser.prog)
+        return real(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    assert cli._parse(list(argv)) == full
+    assert parsers == ["doflab " + argv[0]]
+
+
+def _through_main(argv):
+    """Exit code, standard output and standard error of ``main(argv)``; a
+    help text's ``SystemExit`` gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_info:
+            code = ("exit", exit_info.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    REGION + ("extra",),
+    REGION + ("region",),
+    ("slice", "--M", "3", "--N", "2", "--d3", "1/2", "--bogus", "x"),
+    SIMULATE + ("--",),
+    REGION + ("--", "x"),
+    ("compare", "--N", "3,2"),
+    ("simulate", "--M", "4", "--", "--N", "3,2"),
+    ("region", "--model", "bogus", "--M", "4", "--N", "3,2"),
+    ("simulate", "--M", "four", "--N", "3,2"),
+    ("slice", "--M", "3", "--N", "2", "--d3", "1/0"),
+    ("simulate", "--s", "3", "--M", "4", "--N", "3,2"),
+    ("region", "-h"),
+    ("slice", "--help"),
+    ("compare", "--M", "3", "--he"),
+    ("-h",),
+    ("--help",),
+    ("--he", "region"),
+    ("frobnicate",),
+    ("frobnicate", "--M", "3"),
+    ("--M", "3"),
+    ("",),
+    (),
+], ids=["extra", "extra-command-name", "unknown-flag", "trailing-double-dash", "double-dash", "missing-flag",
+        "flag-after-double-dash", "bad-choice", "bad-type", "bad-rational", "ambiguous", "region-h",
+        "slice-help", "compare-help-abbreviated", "h", "help", "help-abbreviated", "unknown-command",
+        "unknown-command-flags", "no-command", "empty-word", "empty"])
+def test_usage_errors_and_help_are_the_full_parsers(argv, monkeypatch):
+    once = _through_main(argv)
+    monkeypatch.setattr(cli, "_parse", _full_parse)
+    full = _through_main(argv)
+    assert once == full
+    assert once[0] in (EXIT_USAGE, ("exit", 0))
+    assert ("usage: doflab" in once[1]) if once[0] == ("exit", 0) else ("error: doflab" in once[2])
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["doflab", *REGION])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out.startswith("model=two-user M=4 N=3,2\n")
+    monkeypatch.setattr("sys.argv", ["doflab", "region", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: doflab region")
 
 
 @pytest.mark.parametrize("argv", [
