@@ -74,28 +74,20 @@ def _digit_limit():
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def _too_long(value, limit):
-    """Whether ``value``'s numerator or denominator has more than ``limit``
-    digits, so that ``rat_str`` could not print it."""
-    num, den = value.as_integer_ratio()
-    if max(num.bit_length(), den.bit_length()) <= 3 * limit:  # 2**(3*limit) < 10**limit
-        return False
-    return max(abs(num), den) >= 10 ** limit
-
-
 def _rational(text):
-    """``Fraction(text)``.  A literal whose exponent's magnitude reaches the
-    int-string digit limit is refused before ``Fraction`` is called, which
-    would spend minutes on the power of ten, and so is a value whose
-    numerator or denominator has more digits than the limit, which could
-    not be printed.  A plain "p" or "p/q" is read without ``Fraction``'s
-    pattern, into the same value."""
-    num, slash, den = text.partition("/")
+    """``Fraction(text)``, refused as a usage error past the int-string digit
+    limit: a literal whose exponent's magnitude reaches the limit, before
+    ``Fraction`` is called, which would spend minutes on the power of ten;
+    a numerator, denominator or mantissa with more digits than the limit,
+    which ``Fraction`` refuses only while the limit is on; and a value whose
+    numerator or denominator has more digits than the limit, which could not
+    be printed."""
+    limit = _digit_limit()
+    exponent = _EXPONENT.search(text)
+    mantissa = text[:exponent.start()] if exponent else text
+    if len(mantissa) > limit and any(sum(map(str.isdecimal, part)) > limit for part in mantissa.split("/")):
+        raise _past_the_limit(text, limit)
     try:
-        if num.isdecimal() and (den.isdecimal() or not slash):  # int() refuses a part past the limit
-            return Fraction(int(num), int(den) if slash else 1)
-        limit = _digit_limit()
-        exponent = _EXPONENT.search(text)
         huge = exponent is not None and abs(int(exponent.group(1))) >= limit
         value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -103,9 +95,14 @@ def _rational(text):
     if huge:
         raise argparse.ArgumentTypeError("the exponent of %r reaches the limit of %d digits" % (text, limit))
     # without an exponent no part of the value has more digits than the text
-    if (exponent or len(text) > limit) and _too_long(value, limit):
-        raise argparse.ArgumentTypeError("%r has more than the limit of %d digits" % (text, limit))
+    if (exponent or len(text) > limit) and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise _past_the_limit(text, limit)
     return value
+
+
+def _past_the_limit(text, limit):
+    shown = repr(text) if len(text) <= 32 else "%r... (%d characters)" % (text[:16], len(text))
+    return argparse.ArgumentTypeError("%s has more than the limit of %d digits" % (shown, limit))
 
 
 def _rational_list(text):
@@ -316,11 +313,11 @@ def _simulate_three_user(args, seed) -> int:
         raise CliError("--snr-db applies only to two-user simulation")
     n = args.N[0]
     plan = regions.achievability_plan(args.M, n, tuple(args.target))
-    limit = _digit_limit()
-    if any(_too_long(comp.weight, limit) for comp in plan.components):
-        raise CliError("a weight of the plan has more than the limit of %d digits" % limit)
-    labels = ["%-18s weight %-8s point (%s): " % (comp.source, rat_str(comp.weight), _point_str(comp.point))
-              for comp in plan.components]
+    try:  # rat_str raises ValueError past the int-string digit limit
+        labels = ["%-18s weight %-8s point (%s): " % (comp.source, rat_str(comp.weight), _point_str(comp.point))
+                  for comp in plan.components]
+    except ValueError:
+        raise CliError("a weight of the plan has more than the limit of %d digits" % sys.get_int_max_str_digits())
     # achievability_plan raises unless the weighted sum is the target
     identity = "target = (%s); plan identity exact" % _point_str(plan.target)
     stacks = []  # (component indices, M, time weights) per plan present
