@@ -367,40 +367,55 @@ def cmd_simulate(args) -> int:
 # slice
 # ---------------------------------------------------------------------------
 
+def _slice_lines(slc, M, n):
+    lines = ["slice M=%d N=%d d3=%s" % (M, n, rat_str(slc.d3)), "bounds:"]
+    for name, hs in slc.bounds.items():
+        tag = " (redundant)" if name in slc.redundant_bounds else ""
+        lines.append("  %s: %s%s" % (name, hs.render(), tag))
+    for name in sorted(slc.special_points):
+        point = slc.special_points[name]
+        if point is None:
+            lines.append("  %s absent" % name)
+        else:
+            lines.append("  %s = (%s, %s)" % (name, rat_str(point[0]), rat_str(point[1])))
+    return lines
+
+
+def _slice_file(args, slc, corners, n):
+    """The text ``--out`` gets, in ``args.format``."""
+    if args.format == "csv":
+        return serialize.slice_to_csv(slc, corners)
+    if args.format == "json":
+        return serialize.json_text(serialize.slice_document(slc, corners))
+    fig = RegionFigure(axis_max=min(args.M, 2 * n), title="S(d3=%s) M=%d N=%d" % (rat_str(slc.d3), args.M, n))
+    fig.add_polygon([(c[0], c[1]) for c in corners])
+    for name, hs in slc.bounds.items():
+        p, q = _line_endpoints(hs)
+        fig.add_line(p, q, label=name)
+    for name in sorted(slc.special_points):
+        point = slc.special_points[name]
+        if point is not None:
+            fig.add_point(point[0], point[1], label=name)
+    return fig.render()
+
+
 def cmd_slice(args) -> int:
+    """Print the slice and write ``--out``.  Every line and the file are
+    rendered before anything is printed or written: a bound or point with
+    more digits than the int-string limit is a usage error, with no output."""
     if len(args.N) != 1:
         raise CliError("slice needs --N N (one equal receiver count)")
     n = args.N[0]
     slc = regions.plane_slice(args.M, n, args.d3)
     corners = exactgeom.vertex_enumerate(slc.region)
-    print("slice M=%d N=%d d3=%s" % (args.M, n, rat_str(slc.d3)))
-    print("bounds:")
-    for name, hs in slc.bounds.items():
-        tag = " (redundant)" if name in slc.redundant_bounds else ""
-        print("  %s: %s%s" % (name, hs.render(), tag))
-    for name in sorted(slc.special_points):
-        point = slc.special_points[name]
-        if point is None:
-            print("  %s absent" % name)
-        else:
-            print("  %s = (%s, %s)" % (name, rat_str(point[0]), rat_str(point[1])))
+    try:  # rat_str raises ValueError past the int-string digit limit
+        lines = _slice_lines(slc, args.M, n)
+        text = _slice_file(args, slc, corners, n) if args.out else None
+    except ValueError:
+        raise CliError("a number of the slice has more than the limit of %d digits" % _digit_limit())
+    print("\n".join(lines))
     if args.out:
-        if args.format == "csv":
-            _write(args.out, serialize.slice_to_csv(slc, corners))
-        elif args.format == "json":
-            _write(args.out, serialize.json_text(serialize.slice_document(slc, corners)))
-        elif args.format == "svg":
-            fig = RegionFigure(axis_max=min(args.M, 2 * n),
-                               title="S(d3=%s) M=%d N=%d" % (rat_str(slc.d3), args.M, n))
-            fig.add_polygon([(c[0], c[1]) for c in corners])
-            for name, hs in slc.bounds.items():
-                p, q = _line_endpoints(hs)
-                fig.add_line(p, q, label=name)
-            for name in sorted(slc.special_points):
-                point = slc.special_points[name]
-                if point is not None:
-                    fig.add_point(point[0], point[1], label=name)
-            _write(args.out, fig.render())
+        _write(args.out, text)
     return EXIT_OK
 
 

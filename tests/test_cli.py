@@ -222,6 +222,33 @@ def test_rationals_too_long_to_print_are_refused_at_once(capsys, monkeypatch, ar
     assert "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize("m, n, d3, fits", [
+    (3, 2, "1e-4299", True),  # every number of this slice has at most 4300 digits
+    (4, 3, "1e-4299", False),
+    (3, 2, "1/" + "9" * 4300, False),
+    (4, 3, "1/" + "9" * 4300, False),
+], ids=["3-2-1e-4299", "4-3-1e-4299", "3-2-1_over_4300_nines", "4-3-1_over_4300_nines"])
+def test_slice_numbers_past_the_digit_limit_print_and_write_nothing(tmp_path, capsys, m, n, d3, fits):
+    # a bound's or point's numerator or denominator can grow past the limit
+    # that d3's passed: the slice printed its first lines and then exited 1
+    # with Python's int-string limit message
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        out = tmp_path / "slice.json"
+        code, stdout, err = run_cli(capsys, "slice", "--M", str(m), "--N", str(n), "--d3", d3,
+                                    "--out", str(out), "--format", "json")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    if fits:
+        assert code == EXIT_OK and stdout.endswith("wrote %s\n" % out) and out.is_file()
+        return
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert err == "error: a number of the slice has more than the limit of 4300 digits\n"
+    assert not out.exists()
+
+
 def _short(text):
     """A test id for a literal that may run to thousands of digits."""
     if len(text) > 16:
